@@ -37,6 +37,7 @@ from .signals import (
     cross_correlate,
     design_bandpass,
     estimate_delay,
+    filtered_delay,
     pair_delay,
     read_waveform_pair,
     write_waveform_pair,

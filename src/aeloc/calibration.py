@@ -8,18 +8,21 @@ the wave velocity follows from the fitted slope.
 
 from __future__ import annotations
 
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .signals import (
+    BandpassFilter,
     DelayWindowError,
     FilterSpec,
     NoSignalError,
-    apply_filter,
+    apply_filter,  # noqa: F401  (kept importable by name for perfbench's alias test)
     design_bandpass,
-    pair_delay,
+    filtered_delay,
 )
 from .util import atomic_write_text, fmt
 
@@ -71,12 +74,27 @@ class CalibrationRecord:
 
 @dataclass(frozen=True, eq=False)
 class CalibrationResult:
-    best_band: FilterSpec
-    velocity_km_s: float
+    """Every band's record plus the chosen one: least rmse, ties to the lowest f_low."""
+
+    best: CalibrationRecord
     records: list[CalibrationRecord]
-    outliers: tuple[int, ...]
     positions_mm: np.ndarray
-    best_delays: np.ndarray
+
+    @property
+    def best_band(self) -> FilterSpec:
+        return self.best.band
+
+    @property
+    def velocity_km_s(self) -> float:
+        return _velocity_km_s(self.best.slope_s_per_mm)
+
+    @property
+    def outliers(self) -> tuple[int, ...]:
+        return self.best.outlier_indices
+
+    @property
+    def best_delays(self) -> np.ndarray:
+        return self.best.delays
 
 
 def fit_line(positions_mm, delays_s) -> tuple[float, float, float]:
@@ -131,7 +149,20 @@ def estimate_velocity(slope_s_per_mm: float, sensor_separation_mm: float) -> flo
         raise ValueError("sensor separation must be positive")
     if slope_s_per_mm == 0.0:
         raise ValueError("degenerate geometry: zero slope cannot yield a velocity")
+    return _velocity_km_s(slope_s_per_mm)
+
+
+def _velocity_km_s(slope_s_per_mm: float) -> float:
     return 2.0 / abs(slope_s_per_mm) / _KM_S
+
+
+def _worker_count(tasks: int) -> int:
+    """Threads for ``tasks`` independent jobs: the CPUs this process may run on, at most."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, tasks)
 
 
 def sweep_bands(
@@ -147,7 +178,9 @@ def sweep_bands(
     ``prototype_signals`` is a sequence of (position_mm, (ch1, ch2)) with
     Waveform channels.  Bands invalid for the sample rate are skipped with a
     warning; bands where fewer than three delays survive get infinite rmse.
-    Ties on rmse resolve to the lowest f_low.
+    Ties on rmse resolve to the lowest f_low.  Bands run concurrently, one
+    thread per CPU in the process affinity mask; the result is the same as
+    that of a serial sweep.
     """
     pairs = [(float(z), ch1, ch2) for z, (ch1, ch2) in prototype_signals]
     if len(pairs) < 3:
@@ -157,54 +190,41 @@ def sweep_bands(
         raise ValueError("prototype positions are all identical")
     sample_rate = pairs[0][1].sample_rate
 
-    records: list[CalibrationRecord] = []
+    filters: list[BandpassFilter] = []
     for f_low in grid.band_lows():
         spec = FilterSpec(float(f_low), float(f_low + grid.width), order)
         try:
-            filt = design_bandpass(spec, sample_rate)
+            filters.append(design_bandpass(spec, sample_rate))
         except ValueError as exc:
             warnings.warn(f"skipping band {spec.f_low}-{spec.f_high} Hz: {exc}", stacklevel=2)
-            continue
+    if not filters:
+        raise ValueError("every band in the grid was invalid for this sample rate")
+
+    def band_record(filt: BandpassFilter) -> CalibrationRecord:
         delays = np.full(len(pairs), np.nan)
         for i, (_, ch1, ch2) in enumerate(pairs):
             try:
-                delays[i] = pair_delay(
-                    apply_filter(filt, ch1), apply_filter(filt, ch2), max_lag, refine=refine
-                ).delay
+                delays[i] = filtered_delay(filt, ch1, ch2, max_lag, refine=refine).delay
             except (NoSignalError, DelayWindowError):
                 pass
         valid = np.nonzero(np.isfinite(delays))[0]
         if valid.size < 3 or np.unique(positions[valid]).size < 2:
-            records.append(CalibrationRecord(spec, delays, float("inf"), 0.0, 0.0))
-            continue
+            return CalibrationRecord(filt.spec, delays, float("inf"), 0.0, 0.0)
         slope, intercept, rmse, outliers = _robust_fit(
             positions[valid], delays[valid], sample_rate
         )
-        records.append(
-            CalibrationRecord(
-                spec,
-                delays,
-                rmse,
-                slope,
-                intercept,
-                tuple(int(valid[i]) for i in outliers),
-            )
+        return CalibrationRecord(
+            filt.spec, delays, rmse, slope, intercept, tuple(int(valid[i]) for i in outliers)
         )
-    if not records:
-        raise ValueError("every band in the grid was invalid for this sample rate")
-    rmses = [rec.rmse_mm for rec in records]
-    best = records[int(np.argmin(rmses))]
+
+    # sosfilt and the FFTs release the GIL, so bands overlap on threads;
+    # map keeps band order, hence the same argmin and tie-break as a serial loop
+    with ThreadPoolExecutor(max_workers=_worker_count(len(filters))) as pool:
+        records = list(pool.map(band_record, filters))
+    best = records[int(np.argmin([rec.rmse_mm for rec in records]))]
     if not np.isfinite(best.rmse_mm):
         raise ValueError("no band produced enough usable delay estimates")
-    velocity = 2.0 / abs(best.slope_s_per_mm) / _KM_S
-    return CalibrationResult(
-        best_band=best.band,
-        velocity_km_s=velocity,
-        records=records,
-        outliers=best.outlier_indices,
-        positions_mm=positions,
-        best_delays=best.delays,
-    )
+    return CalibrationResult(best=best, records=records, positions_mm=positions)
 
 
 def rmse_surface_is_flat(result: CalibrationResult, sample_rate: float) -> bool:
@@ -217,7 +237,7 @@ def rmse_surface_is_flat(result: CalibrationResult, sample_rate: float) -> bool:
     finite = [r.rmse_mm for r in result.records if np.isfinite(r.rmse_mm)]
     if len(finite) < 2:
         return False
-    slope = result.records[int(np.argmin([r.rmse_mm for r in result.records]))].slope_s_per_mm
+    slope = result.best.slope_s_per_mm
     floor = (1.0 / sample_rate) / abs(slope) if slope else 0.0
     return max(finite) <= max(2.0 * min(finite), floor)
 

@@ -11,8 +11,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import grnn, pipeline
 from .calibration import (
     BandGrid,
@@ -21,7 +19,7 @@ from .calibration import (
     sweep_bands,
     write_calibration_report,
 )
-from .signals import FilterSpec, design_bandpass, read_waveform_pair
+from .signals import FilterSpec, design_bandpass, lag_window, read_waveform_pair
 from .simulator import (
     MANIFEST_NAME,
     default_config,
@@ -103,16 +101,14 @@ def _cmd_calibrate(args) -> int:
     pairs = [(row.position_mm, chans) for row, chans in entries]
     grid = BandGrid(width=args.width, step=args.step, f_start=args.f_start, f_stop=args.f_stop)
     sample_rate = pairs[0][1][0].sample_rate
-    max_lag = int(np.ceil(args.max_delay_s * sample_rate))
+    max_lag = lag_window(args.max_delay_s, sample_rate)
     result = sweep_bands(
         pairs, grid, args.order, max_lag=max_lag, refine=not args.no_refine
     )
     write_calibration_report(args.report, result, args.order)
     if args.svg:
         xs, ys = linear_fit_points(
-            result.positions_mm,
-            _best(result).slope_s_per_mm,
-            _best(result).intercept_s,
+            result.positions_mm, result.best.slope_s_per_mm, result.best.intercept_s
         )
         svg = scatter_svg(
             f"Delay vs position, band {result.best_band.f_low:.0f}-{result.best_band.f_high:.0f} Hz",
@@ -124,7 +120,7 @@ def _cmd_calibrate(args) -> int:
         atomic_write_text(args.svg, svg)
     print(
         f"best band: {result.best_band.f_low:.0f}-{result.best_band.f_high:.0f} Hz "
-        f"(rmse {_best(result).rmse_mm:.3f} mm)"
+        f"(rmse {result.best.rmse_mm:.3f} mm)"
     )
     print(f"velocity: {result.velocity_km_s:.4f} km/s")
     if result.outliers:
@@ -139,17 +135,23 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _best(result):
-    return min(result.records, key=lambda rec: (rec.rmse_mm, rec.band.f_low))
+def _dataset_sample_rate(dataset, meta, manifest, role: str) -> float:
+    """The manifest's sample rate, else that of the first ``role`` signal file."""
+    sample_rate = meta.get("sample_rate_hz")
+    if sample_rate is None:
+        first = next((row for row in manifest if row.role == role), None)
+        if first is None:
+            raise ValueError(f"{dataset}: manifest lists no {role} sources")
+        sample_rate = read_waveform_pair(Path(dataset) / first.file)[0].sample_rate
+    return sample_rate
 
 
 def _cmd_learn(args) -> int:
     filt_spec = _resolve_filter(args)
-    _, entries = pipeline.load_prototype_pairs(args.dataset)
-    if not entries:
-        raise ValueError(f"{args.dataset}: manifest lists no prototype sources")
-    sample_rate = entries[0][1][0].sample_rate
-    filt = design_bandpass(filt_spec, sample_rate)
+    meta, manifest = read_manifest(Path(args.dataset) / MANIFEST_NAME)
+    filt = design_bandpass(
+        filt_spec, _dataset_sample_rate(args.dataset, meta, manifest, "prototype")
+    )
     pset, skipped = pipeline.learn_prototypes(
         args.dataset, filt, max_delay_s=args.max_delay_s, refine=not args.no_refine
     )
@@ -198,11 +200,7 @@ def _cmd_evaluate(args) -> int:
     filt_spec = _resolve_filter(args)
     pset = grnn.load_prototypes(args.db)
     meta, manifest = read_manifest(Path(args.dataset) / MANIFEST_NAME)
-    sample_rate = meta.get("sample_rate_hz")
-    if sample_rate is None:
-        first = next(row for row in manifest if row.role == "test")
-        sample_rate = read_waveform_pair(Path(args.dataset) / first.file)[0].sample_rate
-    filt = design_bandpass(filt_spec, sample_rate)
+    filt = design_bandpass(filt_spec, _dataset_sample_rate(args.dataset, meta, manifest, "test"))
     report = pipeline.evaluate_dataset(
         pset,
         filt,

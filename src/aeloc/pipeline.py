@@ -13,8 +13,9 @@ from .signals import (
     DelayWindowError,
     NoSignalError,
     Waveform,
-    apply_filter,
-    pair_delay,
+    filtered_delay,
+    lag_window,
+    pair_delay,  # noqa: F401  (kept importable by name for perfbench's alias test)
     read_waveform_pair,
 )
 from .simulator import MANIFEST_NAME, ManifestRow, read_manifest
@@ -55,10 +56,7 @@ def locate_pair(
     """
     if pset.given_dim != 1 or pset.hidden_dim != 1:
         raise ValueError("the location pipeline expects a (delay -> position) database")
-    max_lag = int(np.ceil(max_delay_s * ch1.sample_rate))
-    delay = pair_delay(
-        apply_filter(filt, ch1), apply_filter(filt, ch2), max_lag, refine=refine
-    )
+    delay = filtered_delay(filt, ch1, ch2, lag_window(max_delay_s, ch1.sample_rate), refine)
     est = grnn.estimate(pset, [delay.delay])
     delays = pset.given[:, 0]
     outside = delay.delay < delays.min() or delay.delay > delays.max()
@@ -68,11 +66,6 @@ def locate_pair(
         top_weight=float(est.weights.max()),
         extrapolated=bool(est.extrapolated or outside),
     )
-
-
-def locate_file(pset, filt, path, *, max_delay_s=DEFAULT_MAX_DELAY_S, refine=True):
-    ch1, ch2 = read_waveform_pair(path)
-    return locate_pair(pset, filt, ch1, ch2, max_delay_s=max_delay_s, refine=refine)
 
 
 def load_prototype_pairs(dataset_dir):
@@ -112,11 +105,9 @@ def learn_prototypes(
     kept: list[float] = []
     skipped: list[tuple[str, str]] = []
     for row, (ch1, ch2) in entries:
-        max_lag = int(np.ceil(max_delay_s * ch1.sample_rate))
+        max_lag = lag_window(max_delay_s, ch1.sample_rate)
         try:
-            est = pair_delay(
-                apply_filter(filt, ch1), apply_filter(filt, ch2), max_lag, refine=refine
-            )
+            est = filtered_delay(filt, ch1, ch2, max_lag, refine)
         except (DelayWindowError, NoSignalError) as exc:
             skipped.append((row.file, str(exc)))
             continue
@@ -208,9 +199,8 @@ def evaluate_dataset(
     failed: list[tuple[str, str]] = []
     for row in tests:
         try:
-            est = locate_file(
-                pset, filt, dataset_dir / row.file, max_delay_s=max_delay_s, refine=refine
-            )
+            ch1, ch2 = read_waveform_pair(dataset_dir / row.file)
+            est = locate_pair(pset, filt, ch1, ch2, max_delay_s=max_delay_s, refine=refine)
         except (NoSignalError, DelayWindowError, ValueError, OSError) as exc:
             failed.append((row.file, str(exc)))
             continue

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy import signal as sps
 
 from .util import atomic_write_text, fmt
@@ -118,7 +119,9 @@ class CorrelationFunction:
 def cross_correlate(y1: Waveform, y2: Waveform, max_lag: int) -> CorrelationFunction:
     """Correlation r[lag] = sum_t y1[t] * y2[t + lag], truncated at the record edges.
 
-    If y2 equals y1 delayed by d samples the peak falls at lag = +d.
+    If y2 equals y1 delayed by d samples the peak falls at lag = +d.  Only
+    lags -max_lag..+max_lag are computed: short records use the direct sum,
+    longer ones an FFT sized for the record plus the lag window.
     """
     if y1.sample_rate != y2.sample_rate:
         raise ValueError(
@@ -130,9 +133,16 @@ def cross_correlate(y1: Waveform, y2: Waveform, max_lag: int) -> CorrelationFunc
         raise ValueError(f"max_lag must be a positive integer, got {max_lag!r}")
     if lag >= min(n1, n2):
         raise ValueError(f"max_lag={lag} must be smaller than both records ({n1}, {n2})")
-    full = sps.correlate(y2.samples, y1.samples, mode="full", method="auto")
-    centre = n1 - 1  # index of lag 0 in the full correlation
-    values = np.array(full[centre - lag : centre + lag + 1])
+    a, b = y1.samples, y2.samples
+    if sps.choose_conv_method(b, a[::-1], mode="full") == "direct":
+        full = np.convolve(b, a[::-1])
+        centre = n1 - 1  # index of lag 0 in the full correlation
+        values = full[centre - lag : centre + lag + 1]
+    else:
+        # circular correlation, zero-padded so no wrap-around reaches |lag| <= max_lag
+        nfft = sp_fft.next_fast_len(max(n1, n2) + lag, real=True)
+        circ = sp_fft.irfft(sp_fft.rfft(b, nfft) * np.conj(sp_fft.rfft(a, nfft)), nfft)
+        values = np.concatenate((circ[nfft - lag :], circ[: lag + 1]))
     return CorrelationFunction(values=values, max_lag=lag, sample_rate=y1.sample_rate)
 
 
@@ -191,6 +201,18 @@ def pair_delay(ch1: Waveform, ch2: Waveform, max_lag: int, refine: bool = True) 
     calibration sweep and the locator feed to the regression stage.
     """
     return estimate_delay(cross_correlate(ch2, ch1, max_lag), refine=refine)
+
+
+def filtered_delay(
+    filt: BandpassFilter, ch1: Waveform, ch2: Waveform, max_lag: int, refine: bool = True
+) -> DelayEstimate:
+    """:func:`pair_delay` of the two channels after one causal pass of ``filt`` each."""
+    return pair_delay(apply_filter(filt, ch1), apply_filter(filt, ch2), max_lag, refine=refine)
+
+
+def lag_window(max_delay_s: float, sample_rate: float) -> int:
+    """Correlation half-width in samples that covers delays up to ``max_delay_s``."""
+    return int(np.ceil(max_delay_s * sample_rate))
 
 
 _RATE_LINE = re.compile(r"^#\s*sample_rate_hz=(\d+)\s*$")

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,14 @@ from aeloc.calibration import (
     write_calibration_report,
 )
 from aeloc.pipeline import load_prototype_pairs
-from aeloc.signals import Waveform
+from aeloc.signals import (
+    DelayWindowError,
+    FilterSpec,
+    NoSignalError,
+    Waveform,
+    design_bandpass,
+    filtered_delay,
+)
 
 from conftest import build_dataset
 
@@ -199,6 +208,44 @@ def test_time_shift_of_both_channels_leaves_velocity(sweep_result):
         moved, BandGrid(f_start=25_000.0, f_stop=55_000.0, step=2_000.0), 4, max_lag=MAX_LAG
     )
     assert again.velocity_km_s == pytest.approx(result.velocity_km_s, rel=1e-3)
+
+
+def test_threaded_sweep_matches_serial_loop(sweep_result, monkeypatch):
+    pairs, fixture_result = sweep_result
+    grid = BandGrid(f_start=25_000.0, f_stop=55_000.0, step=2_000.0)
+    # four workers whatever this host's CPU count, so bands really interleave
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    threaded = sweep_bands(pairs, grid, 4, max_lag=MAX_LAG)
+
+    positions = np.array([z for z, _ in pairs])
+    fs = pairs[0][1][0].sample_rate
+    bands, delays, fits = [], [], []
+    for f_low in grid.band_lows():
+        filt = design_bandpass(FilterSpec(float(f_low), float(f_low + grid.width), 4), fs)
+        row = np.full(len(pairs), np.nan)
+        for i, (_, (ch1, ch2)) in enumerate(pairs):
+            try:
+                row[i] = filtered_delay(filt, ch1, ch2, MAX_LAG).delay
+            except (NoSignalError, DelayWindowError):
+                pass
+        valid = np.nonzero(np.isfinite(row))[0]
+        if valid.size >= 3:
+            slope, _, rmse, out = _robust_fit(positions[valid], row[valid], fs)
+            fits.append((rmse, slope, tuple(int(valid[i]) for i in out)))
+        else:
+            fits.append((float("inf"), 0.0, ()))
+        bands.append(filt.spec)
+        delays.append(row)
+    best = min(range(len(bands)), key=lambda k: (fits[k][0], bands[k].f_low))
+
+    for result in (threaded, fixture_result):
+        assert [rec.band for rec in result.records] == bands
+        for rec, row in zip(result.records, delays):
+            assert np.array_equal(np.isnan(rec.delays), np.isnan(row))
+            assert np.allclose(rec.delays * fs, row * fs, rtol=0.0, atol=1e-9, equal_nan=True)
+        assert result.best_band == bands[best]
+        assert result.velocity_km_s == estimate_velocity(fits[best][1], 2400.0)
+        assert result.outliers == fits[best][2]
 
 
 def test_zero_noise_data_has_no_outliers(tmp_path):

@@ -1,12 +1,14 @@
 import json
 import warnings
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aeloc import cli
+from aeloc import cli, pipeline
 from aeloc.grnn import load_prototypes
-from aeloc.signals import Waveform, write_waveform_pair
+from aeloc.signals import Waveform, read_waveform_pair, write_waveform_pair
 from aeloc.simulator import MANIFEST_NAME, default_config
 
 from conftest import build_dataset
@@ -214,6 +216,39 @@ def test_learn_builds_database_with_expected_sigmas(learned):
     assert pset.given_dim == 1 and pset.hidden_dim == 1
     # 200 mm pitch at 1.7 km/s: sigma = half of the 235.3 us delay pitch
     assert np.allclose(pset.sigmas, 117.647e-6, rtol=1e-3)
+
+
+def _count_pair_reads(monkeypatch):
+    """Count read_waveform_pair calls per file name, wherever the CLI reaches them."""
+    reads = Counter()
+
+    def counting(path):
+        reads[Path(path).name] += 1
+        return read_waveform_pair(path)
+
+    for module in (cli, pipeline):
+        monkeypatch.setattr(module, "read_waveform_pair", counting)
+    return reads
+
+
+LEARN_ARGS = ["--f-low", "35000", "--f-high", "45000", "--max-delay-s", "1e-4"]
+
+
+def test_learn_reads_each_prototype_once(tmp_path, monkeypatch):
+    write_synthetic_prototypes(tmp_path, shifts=[-20, 0, 20], positions=[100.0, 200.0, 300.0])
+    reads = _count_pair_reads(monkeypatch)
+    assert cli.main(["learn", str(tmp_path), "--db", str(tmp_path / "p.db"), *LEARN_ARGS]) == 0
+    assert reads == {f"prototype_{i:02d}.txt": 1 for i in range(3)}
+
+
+def test_learn_takes_rate_from_first_prototype_without_manifest_rate(tmp_path):
+    write_synthetic_prototypes(tmp_path, shifts=[-20, 0, 20], positions=[100.0, 200.0, 300.0])
+    manifest = tmp_path / MANIFEST_NAME
+    text = manifest.read_text().replace(" sample_rate_hz=1000000.0", "")
+    manifest.write_text(text)
+    db = tmp_path / "p.db"
+    assert cli.main(["learn", str(tmp_path), "--db", str(db), *LEARN_ARGS]) == 0
+    assert len(load_prototypes(db)) == 3
 
 
 def test_learn_skips_out_of_window_prototypes(tmp_path, capsys):

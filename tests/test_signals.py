@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal as sps
 
 from aeloc.signals import (
     DelayWindowError,
@@ -181,6 +182,30 @@ def test_matches_enumeration_oracle():
     r = cross_correlate(Waveform(y1, 5.0), Waveform(y2, 5.0), 20)
     expected = eq_sum_oracle(y1, y2, 20)
     assert np.allclose(r.values, expected, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n1, n2, max_lag, method",
+    [
+        (48, 48, 20, "direct"),
+        (48, 37, 36, "direct"),  # max_lag = min(n1, n2) - 1
+        (37, 48, 36, "direct"),
+        (2048, 2048, 500, "direct"),
+        (3000, 3000, 500, "fft"),
+        (8192, 6000, 5999, "fft"),  # max_lag = min(n1, n2) - 1
+        (6000, 8192, 2500, "fft"),
+        (16384, 16384, 2500, "fft"),  # paper-default record and delay window
+    ],
+)
+def test_lag_window_matches_full_correlation(n1, n2, max_lag, method):
+    rng = np.random.default_rng(n1 * 7 + n2)
+    y1 = rng.normal(size=n1)
+    y2 = rng.normal(size=n2)
+    assert sps.choose_conv_method(y2, y1, mode="full") == method
+    r = cross_correlate(Waveform(y1, FS), Waveform(y2, FS), max_lag)
+    expected = sps.correlate(y2, y1, mode="full")[n1 - 1 - max_lag : n1 + max_lag]
+    scale = float(np.max(np.abs(expected)))
+    assert np.allclose(r.values, expected, rtol=1e-12, atol=1e-12 * scale)
 
 
 @settings(max_examples=100, deadline=None)
