@@ -47,7 +47,9 @@ def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--f-low", type=float, help="bandpass lower edge in Hz")
     parser.add_argument("--f-high", type=float, help="bandpass upper edge in Hz")
-    parser.add_argument("--order", type=int, default=4, help="poles per band edge (default 4)")
+    parser.add_argument(
+        "--order", type=int, help="poles per band edge with --f-low/--f-high (default 4)"
+    )
 
 
 def _add_delay_flags(parser: argparse.ArgumentParser) -> None:
@@ -66,13 +68,13 @@ def _add_delay_flags(parser: argparse.ArgumentParser) -> None:
 
 def _resolve_filter(args) -> FilterSpec:
     if args.calibration is not None:
-        if args.f_low is not None or args.f_high is not None:
-            raise UsageError("give either --calibration or --f-low/--f-high, not both")
+        if args.f_low is not None or args.f_high is not None or args.order is not None:
+            raise UsageError("give either --calibration or --f-low/--f-high/--order, not both")
         spec, _ = read_calibration_summary(args.calibration)
         return spec
     if args.f_low is None or args.f_high is None:
         raise UsageError("a filter is required: pass --calibration or --f-low and --f-high")
-    return FilterSpec(args.f_low, args.f_high, args.order)
+    return FilterSpec(args.f_low, args.f_high, 4 if args.order is None else args.order)
 
 
 def _cmd_simulate(args) -> int:
@@ -95,15 +97,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    _, entries = pipeline.load_prototype_pairs(args.dataset)
-    if len(entries) < 3:
-        raise ValueError(f"calibration needs at least 3 prototypes, found {len(entries)}")
-    pairs = [(row.position_mm, chans) for row, chans in entries]
+    meta, entries = pipeline.load_prototype_pairs(args.dataset)
     grid = BandGrid(width=args.width, step=args.step, f_start=args.f_start, f_stop=args.f_stop)
-    sample_rate = pairs[0][1][0].sample_rate
-    max_lag = lag_window(args.max_delay_s, sample_rate)
+    rows = [row for row, _ in entries]
+    sample_rate = _dataset_sample_rate(args.dataset, meta, rows, "prototype")
     result = sweep_bands(
-        pairs, grid, args.order, max_lag=max_lag, refine=not args.no_refine
+        [(row.position_mm, chans) for row, chans in entries],
+        grid,
+        args.order,
+        max_lag=lag_window(args.max_delay_s, sample_rate),
+        refine=not args.no_refine,
     )
     write_calibration_report(args.report, result, args.order)
     if args.svg:

@@ -69,14 +69,25 @@ def locate_pair(
 
 
 def load_prototype_pairs(dataset_dir):
-    """Read every manifest prototype pair; returns (meta, [(ManifestRow, (ch1, ch2)), ...])."""
+    """Read every manifest prototype pair; returns (meta, [(ManifestRow, (ch1, ch2)), ...]).
+
+    A pair whose sample rate differs from the manifest's ``sample_rate_hz`` is
+    an error: callers size the lag window from the manifest rate.
+    """
     dataset_dir = Path(dataset_dir)
     meta, manifest = read_manifest(dataset_dir / MANIFEST_NAME)
+    rate = meta.get("sample_rate_hz")
     entries = []
     for row in manifest:
         if row.role != "prototype":
             continue
-        entries.append((row, read_waveform_pair(dataset_dir / row.file)))
+        pair = read_waveform_pair(dataset_dir / row.file)
+        if rate is not None and abs(pair[0].sample_rate - rate) > 1e-6:
+            raise ValueError(
+                f"{row.file}: sample rate {pair[0].sample_rate} Hz differs from the "
+                f"manifest's {rate} Hz"
+            )
+        entries.append((row, pair))
     return meta, entries
 
 
@@ -201,7 +212,7 @@ def evaluate_dataset(
         try:
             ch1, ch2 = read_waveform_pair(dataset_dir / row.file)
             est = locate_pair(pset, filt, ch1, ch2, max_delay_s=max_delay_s, refine=refine)
-        except (NoSignalError, DelayWindowError, ValueError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             failed.append((row.file, str(exc)))
             continue
         located.append((row, est))

@@ -48,10 +48,6 @@ class Waveform:
     def __len__(self) -> int:
         return int(self.samples.size)
 
-    @property
-    def duration(self) -> float:
-        return len(self) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class FilterSpec:
@@ -112,9 +108,6 @@ class CorrelationFunction:
     max_lag: int
     sample_rate: float
 
-    def lags(self) -> np.ndarray:
-        return np.arange(-self.max_lag, self.max_lag + 1)
-
 
 def cross_correlate(y1: Waveform, y2: Waveform, max_lag: int) -> CorrelationFunction:
     """Correlation r[lag] = sum_t y1[t] * y2[t + lag], truncated at the record edges.
@@ -148,22 +141,9 @@ def cross_correlate(y1: Waveform, y2: Waveform, max_lag: int) -> CorrelationFunc
 
 @dataclass(frozen=True)
 class DelayEstimate:
-    """Lag of the correlation peak in seconds, plus quality indicators."""
+    """Lag of the correlation peak in seconds."""
 
     delay: float
-    peak_value: float
-    peak_sharpness: float
-
-
-def _peak_sharpness(values: np.ndarray, peak_index: int) -> float:
-    """Ratio of the global peak to the second-highest local maximum (inf if none)."""
-    peaks, _ = sps.find_peaks(values)
-    peak_vals = np.sort(values[peaks])[::-1]
-    # the global peak itself is among the local maxima (or shares its value on a plateau)
-    others = peak_vals[1:] if peak_vals.size and peak_vals[0] == values[peak_index] else peak_vals
-    if others.size == 0 or others[0] <= 0.0:
-        return float("inf")
-    return float(values[peak_index] / others[0])
 
 
 def estimate_delay(r: CorrelationFunction, refine: bool = True) -> DelayEstimate:
@@ -186,12 +166,7 @@ def estimate_delay(r: CorrelationFunction, refine: bool = True) -> DelayEstimate
         denom = v[i - 1] - 2.0 * v[i] + v[i + 1]
         if denom != 0.0:
             offset = float(np.clip(0.5 * (v[i - 1] - v[i + 1]) / denom, -0.5, 0.5))
-    delay = (i - r.max_lag + offset) / r.sample_rate
-    return DelayEstimate(
-        delay=float(delay),
-        peak_value=float(v[i]),
-        peak_sharpness=_peak_sharpness(v, i),
-    )
+    return DelayEstimate(delay=float((i - r.max_lag + offset) / r.sample_rate))
 
 
 def pair_delay(ch1: Waveform, ch2: Waveform, max_lag: int, refine: bool = True) -> DelayEstimate:

@@ -130,24 +130,9 @@ def default_specimen() -> SpecimenModel:
 
     The velocity plateau sits at 1.7 km/s over 35-45 kHz and diverges
     linearly outside it, reaching -40 % at 0 Hz and +40 % at 80 kHz with the
-    same gradient on both sides.
+    same gradient on both sides.  The values live in :func:`default_config`.
     """
-    return SpecimenModel(
-        length_mm=4000.0,
-        sensor_1_mm=800.0,
-        sensor_2_mm=3200.0,
-        velocity_points=(
-            (0.0, 1.02),
-            (35_000.0, 1.7),
-            (45_000.0, 1.7),
-            (80_000.0, 2.38),
-            (500_000.0, 2.38),
-        ),
-        attenuation_db_per_m=5.0,
-        noise_snr_db=20.0,
-        sample_rate_hz=1_000_000.0,
-        record_length=16384,
-    )
+    return parse_config({}).model
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -249,11 +234,11 @@ class ExperimentConfig:
     model: SpecimenModel
     prototype_positions_mm: tuple[float, ...]
     test_positions_mm: tuple[float, ...]
-    test_source_kind: str = CONTINUOUS_NOISE
-    burst_center_freq_hz: float = 40_000.0
-    continuous_band_hz: tuple[float, float] = (30_000.0, 50_000.0)
-    source_amplitude: float = 1.0
-    seed: int = 0
+    test_source_kind: str
+    burst_center_freq_hz: float
+    continuous_band_hz: tuple[float, float]
+    source_amplitude: float
+    seed: int
 
 
 def default_config() -> dict:
@@ -286,37 +271,15 @@ def default_config() -> dict:
     }
 
 
-_SPECIMEN_KEYS = {
-    "length_mm",
-    "sensor_1_mm",
-    "sensor_2_mm",
-    "velocity_points_hz_km_s",
-    "attenuation_db_per_m",
-    "noise_snr_db",
-    "sample_rate_hz",
-    "record_length",
-    "reflection_coeff",
-}
-_CONFIG_KEYS = {
-    "specimen",
-    "prototype_positions_mm",
-    "test_positions_mm",
-    "test_source_kind",
-    "burst_center_freq_hz",
-    "continuous_band_hz",
-    "source_amplitude",
-    "seed",
-}
-
-
 def parse_config(raw: dict) -> ExperimentConfig:
-    unknown = set(raw) - _CONFIG_KEYS
+    """Overlay ``raw`` on :func:`default_config`; keys the defaults lack are rejected."""
+    merged = default_config()
+    unknown = set(raw) - set(merged)
     if unknown:
         raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
-    merged = default_config()
     spec_raw = dict(merged["specimen"])
     spec_raw.update(raw.get("specimen", {}))
-    unknown = set(spec_raw) - _SPECIMEN_KEYS
+    unknown = set(spec_raw) - set(merged["specimen"])
     if unknown:
         raise ValueError(f"unknown specimen keys: {sorted(unknown)}")
     merged.update({k: v for k, v in raw.items() if k != "specimen"})

@@ -147,6 +147,30 @@ def test_calibrate_needs_three_prototypes(tmp_path, capsys):
     assert "at least 3" in capsys.readouterr().err
 
 
+def test_calibrate_without_prototypes_is_a_named_data_error(tmp_path, capsys):
+    build_dataset(tmp_path, prototypes=[], tests=[1700.0], seed=4)
+    code = cli.main(["calibrate", str(tmp_path), "--report", str(tmp_path / "r.csv")])
+    assert code == 2
+    assert "at least 3 prototypes, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "learn"])
+def test_manifest_rate_disagreeing_with_files_is_a_data_error(tmp_path, capsys, command):
+    build_dataset(tmp_path, specimen={"noise_snr_db": None}, seed=4)
+    manifest = tmp_path / MANIFEST_NAME
+    text = manifest.read_text().replace("sample_rate_hz=1000000.0", "sample_rate_hz=500000.0")
+    manifest.write_text(text)
+    out = tmp_path / "out"
+    argv = {
+        "calibrate": ["calibrate", str(tmp_path), "--report", str(out)],
+        "learn": ["learn", str(tmp_path), "--db", str(out), "--f-low", "3e4", "--f-high", "4e4"],
+    }[command]
+    assert cli.main(argv) == 2
+    assert "differs from the manifest's 500000.0 Hz" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_calibrate_warns_on_flat_rmse_surface(tmp_path, capsys):
     build_dataset(
         tmp_path,
@@ -315,6 +339,27 @@ def test_learn_rejects_duplicate_positions(tmp_path, capsys):
 def test_learn_requires_filter_flags(learned):
     _, data, _, _ = learned
     assert cli.main(["learn", str(data), "--db", "/tmp/unused.db"]) == 1
+
+
+@pytest.mark.parametrize("command", ["learn", "locate", "evaluate"])
+def test_order_with_calibration_is_a_usage_error(learned, tmp_path, capsys, command):
+    _, data, report, db = learned
+    out = tmp_path / "out"
+    argv = {
+        "learn": ["learn", str(data), "--db", str(out)],
+        "locate": ["locate", str(db), str(data / "test_02.txt"), "--out", str(out)],
+        "evaluate": ["evaluate", str(db), str(data), "--report", str(out)],
+    }[command]
+    assert cli.main([*argv, "--calibration", str(report), "--order", "6"]) == 1
+    assert "--order" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_order_defaults_to_four_with_explicit_band(tmp_path):
+    write_synthetic_prototypes(tmp_path, shifts=[-20, 0, 20], positions=[100.0, 200.0, 300.0])
+    for args, db in ((LEARN_ARGS, "p4.db"), ([*LEARN_ARGS, "--order", "4"], "q4.db")):
+        assert cli.main(["learn", str(tmp_path), "--db", str(tmp_path / db), *args]) == 0
+    assert (tmp_path / "p4.db").read_bytes() == (tmp_path / "q4.db").read_bytes()
 
 
 def test_database_file_round_trips_via_cli_reload(learned, tmp_path):

@@ -172,7 +172,7 @@ def test_unit_shift_hand_example():
     y2 = Waveform([0.0, 0.0, 1.0, 0.0], 10.0)
     r = cross_correlate(y1, y2, 2)
     assert np.array_equal(r.values, [0.0, 0.0, 0.0, 1.0, 0.0])
-    assert r.lags()[np.argmax(r.values)] == 1
+    assert np.argmax(r.values) - r.max_lag == 1
 
 
 def test_matches_enumeration_oracle():
@@ -239,7 +239,6 @@ def test_identical_waveforms_zero_delay():
     w = Waveform(burst(40_000.0, 50.0, 600.0, n=2048), FS)
     est = estimate_delay(cross_correlate(w, w, 100))
     assert est.delay == 0.0
-    assert est.peak_sharpness >= 1.0
 
 
 def test_known_shift_on_gaussian_burst():
