@@ -24,10 +24,7 @@ from .signals import (
     design_bandpass,
     filtered_delay,
 )
-from .util import atomic_write_text, fmt
-
-# mm/s per km/s
-_KM_S = 1e6
+from .util import KM_S_TO_MM_S, atomic_write_text, fmt
 
 
 @dataclass(frozen=True)
@@ -86,7 +83,7 @@ class CalibrationResult:
 
     @property
     def velocity_km_s(self) -> float:
-        return _velocity_km_s(self.best.slope_s_per_mm)
+        return estimate_velocity(self.best.slope_s_per_mm)
 
     @property
     def outliers(self) -> tuple[int, ...]:
@@ -138,22 +135,15 @@ def _robust_fit(
     return slope, intercept, rmse, tuple(int(i) for i in np.sort(suspects))
 
 
-def estimate_velocity(slope_s_per_mm: float, sensor_separation_mm: float) -> float:
+def estimate_velocity(slope_s_per_mm: float) -> float:
     """Wave velocity in km/s from the fitted slope.
 
     With both sensors outside the source region the delay changes by two time
-    units per unit of position, so v = 2 / |slope| (sign dropped).  The
-    separation is accepted for geometry validation only.
+    units per unit of position, so v = 2 / |slope| (sign dropped).
     """
-    if sensor_separation_mm <= 0.0:
-        raise ValueError("sensor separation must be positive")
     if slope_s_per_mm == 0.0:
         raise ValueError("degenerate geometry: zero slope cannot yield a velocity")
-    return _velocity_km_s(slope_s_per_mm)
-
-
-def _velocity_km_s(slope_s_per_mm: float) -> float:
-    return 2.0 / abs(slope_s_per_mm) / _KM_S
+    return 2.0 / abs(slope_s_per_mm) / KM_S_TO_MM_S
 
 
 def _worker_count(tasks: int) -> int:

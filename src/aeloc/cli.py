@@ -19,7 +19,7 @@ from .calibration import (
     sweep_bands,
     write_calibration_report,
 )
-from .signals import FilterSpec, design_bandpass, lag_window, read_waveform_pair
+from .signals import FilterSpec, design_bandpass, lag_window, read_sample_rate, read_waveform_pair
 from .simulator import (
     MANIFEST_NAME,
     default_config,
@@ -139,13 +139,14 @@ def _cmd_calibrate(args) -> int:
 
 
 def _dataset_sample_rate(dataset, meta, manifest, role: str) -> float:
-    """The manifest's sample rate, else that of the first ``role`` signal file."""
+    """The manifest's sample rate, else the header rate of the first ``role`` signal file."""
     sample_rate = meta.get("sample_rate_hz")
     if sample_rate is None:
         first = next((row for row in manifest if row.role == role), None)
         if first is None:
             raise ValueError(f"{dataset}: manifest lists no {role} sources")
-        sample_rate = read_waveform_pair(Path(dataset) / first.file)[0].sample_rate
+        with open(Path(dataset) / first.file) as fh:
+            sample_rate = read_sample_rate(fh)
     return sample_rate
 
 
@@ -304,9 +305,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

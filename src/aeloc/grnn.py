@@ -20,29 +20,13 @@ from .util import atomic_write_text, fmt
 SUPPORT_EPS = 1e-6
 
 
-def gaussian_kernel(query, center, sigma: float) -> float:
-    """exp(-||query - center||^2 / (2 sigma^2)); in (0, 1], underflow-safe."""
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    q = np.asarray(query, dtype=np.float64).reshape(-1)
-    c = np.asarray(center, dtype=np.float64).reshape(-1)
-    if q.shape != c.shape:
-        raise ValueError(f"dimension mismatch: query has {q.size}, center has {c.size}")
-    diff = q - c
-    with np.errstate(over="ignore", under="ignore"):
-        d2 = float((diff * diff).sum())
-        return float(np.exp(-d2 / (2.0 * sigma * sigma)))
-
-
 def compute_sigmas(given) -> np.ndarray:
     """Per-prototype smoothing width: half the distance to the nearest distinct neighbor.
 
     Exact duplicates never count as neighbors; a prototype whose every
     neighbor is a duplicate is an error.
     """
-    g = np.asarray(given, dtype=np.float64)
-    if g.ndim == 1:
-        g = g[:, None]
+    g = _as_columns(given)
     n = g.shape[0]
     if n < 2:
         raise ValueError("sigma undefined for a single prototype; supply sigma explicitly")
@@ -118,21 +102,9 @@ class PrototypeSet:
         return int(self.hidden.shape[1])
 
     @classmethod
-    def from_data(cls, given, hidden, sigmas=None) -> "PrototypeSet":
-        """Build a set; with ``sigmas`` omitted they follow the half-nearest-neighbor rule.
-
-        ``sigmas`` may also be a scalar (one global smoothing width) or a
-        per-prototype sequence.
-        """
-        g = _as_columns(given)
-        h = _as_columns(hidden)
-        if sigmas is None:
-            s = compute_sigmas(g)
-        elif np.isscalar(sigmas):
-            s = np.full(g.shape[0], float(sigmas))
-        else:
-            s = np.asarray(sigmas, dtype=np.float64)
-        return cls(given=g, hidden=h, sigmas=s)
+    def from_data(cls, given, hidden) -> "PrototypeSet":
+        """Build a set whose sigmas follow the half-nearest-neighbor rule."""
+        return cls(given, hidden, compute_sigmas(given))
 
 
 @dataclass(frozen=True, eq=False)

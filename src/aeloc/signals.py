@@ -207,14 +207,18 @@ def write_waveform_pair(path: str | Path, ch1: Waveform, ch2: Waveform) -> Path:
     return atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def read_sample_rate(fh) -> float:
+    """Sample rate from the header line of an open waveform-pair file; reads that line only."""
+    m = _RATE_LINE.match(fh.readline())
+    if m is None:
+        raise ValueError(f"{fh.name}: first line must be '# sample_rate_hz=<integer>'")
+    return float(m.group(1))
+
+
 def read_waveform_pair(path: str | Path) -> tuple[Waveform, Waveform]:
     path = Path(path)
     with open(path) as fh:
-        header = fh.readline()
-        m = _RATE_LINE.match(header)
-        if m is None:
-            raise ValueError(f"{path}: first line must be '# sample_rate_hz=<integer>'")
-        rate = float(m.group(1))
+        rate = read_sample_rate(fh)
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.shape[1] != 2:
         raise ValueError(f"{path}: expected two comma-separated channels per line")

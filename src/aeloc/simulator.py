@@ -19,12 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from .signals import Waveform, write_waveform_pair
-from .util import atomic_write_text, fmt
+from .util import KM_S_TO_MM_S, atomic_write_text, fmt
 
 DISCRETE_BURST = "discrete-burst"
 CONTINUOUS_NOISE = "continuous-noise"
 
-KM_S_TO_MM_S = 1e6
+BURST_CYCLES = 10  # carrier cycles in one Hann-windowed burst
 
 
 def _curve(points) -> tuple[tuple[float, float], ...]:
@@ -37,13 +37,19 @@ def _curve(points) -> tuple[tuple[float, float], ...]:
     return pts
 
 
+def _interp(curve, freq_hz) -> np.ndarray:
+    fp, vp = np.array(curve).T
+    return np.interp(freq_hz, fp, vp)
+
+
 @dataclass(frozen=True, eq=False)
 class SpecimenModel:
     """1-D band geometry with a velocity curve, flat-or-curved attenuation, and noise level.
 
     ``velocity_points`` maps Hz -> km/s (linear interpolation, clamped at the
     ends); ``attenuation_db_per_m`` is a scalar or a breakpoint list of the
-    same form; ``noise_snr_db=None`` disables additive noise.
+    same form, a scalar being stored as the one-point curve ``((0.0, att),)``;
+    ``noise_snr_db=None`` disables additive noise.
     """
 
     length_mm: float
@@ -66,13 +72,10 @@ class SpecimenModel:
         if any(v <= 0.0 for _, v in self.velocity_points):
             raise ValueError("velocity curve must be positive everywhere")
         att = self.attenuation_db_per_m
-        if np.isscalar(att):
-            if att < 0.0:
-                raise ValueError("attenuation must be nonnegative")
-        else:
-            object.__setattr__(self, "attenuation_db_per_m", _curve(att))
-            if any(a < 0.0 for _, a in self.attenuation_db_per_m):
-                raise ValueError("attenuation must be nonnegative")
+        att = _curve(((0.0, att),) if np.isscalar(att) else att)
+        object.__setattr__(self, "attenuation_db_per_m", att)
+        if any(a < 0.0 for _, a in att):
+            raise ValueError("attenuation must be nonnegative")
         if self.sample_rate_hz <= 0.0 or self.record_length < 2:
             raise ValueError("sample rate must be positive and record_length >= 2")
         if not 0.0 <= self.reflection_coeff <= 1.0:
@@ -93,17 +96,10 @@ class SpecimenModel:
         return min(v for _, v in self.velocity_points)
 
     def velocity_km_s(self, freq_hz) -> np.ndarray:
-        fp = np.array([f for f, _ in self.velocity_points])
-        vp = np.array([v for _, v in self.velocity_points])
-        return np.interp(freq_hz, fp, vp)
+        return _interp(self.velocity_points, freq_hz)
 
     def attenuation_at(self, freq_hz) -> np.ndarray:
-        att = self.attenuation_db_per_m
-        if np.isscalar(att):
-            return np.full_like(np.asarray(freq_hz, dtype=np.float64), float(att))
-        fp = np.array([f for f, _ in att])
-        ap = np.array([a for _, a in att])
-        return np.interp(freq_hz, fp, ap)
+        return _interp(self.attenuation_db_per_m, freq_hz)
 
 
 @dataclass(frozen=True)
@@ -114,7 +110,6 @@ class SourceSpec:
     kind: str = DISCRETE_BURST
     amplitude: float = 1.0
     burst_center_freq_hz: float = 40_000.0
-    burst_cycles: int = 10
     band_hz: tuple[float, float] = (30_000.0, 50_000.0)
     seed: int = 0
 
@@ -123,16 +118,6 @@ class SourceSpec:
             raise ValueError(f"unknown source kind {self.kind!r}")
         if self.amplitude <= 0.0:
             raise ValueError("amplitude must be positive")
-
-
-def default_specimen() -> SpecimenModel:
-    """Band-specimen stand-in: 23 sites at 100 mm pitch, sensors 100 mm outside the ends.
-
-    The velocity plateau sits at 1.7 km/s over 35-45 kHz and diverges
-    linearly outside it, reaching -40 % at 0 Hz and +40 % at 80 kHz with the
-    same gradient on both sides.  The values live in :func:`default_config`.
-    """
-    return parse_config({}).model
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -148,7 +133,7 @@ def synth_source(spec: SourceSpec, model: SpecimenModel) -> np.ndarray:
         f0 = spec.burst_center_freq_hz
         if not 0.0 < f0 < nyquist:
             raise ValueError(f"burst center {f0} Hz outside (0, Nyquist={nyquist} Hz)")
-        n_burst = max(3, round(spec.burst_cycles / f0 * fs))
+        n_burst = max(3, round(BURST_CYCLES / f0 * fs))
         t = np.arange(n_burst) / fs
         burst = np.hanning(n_burst) * np.sin(2.0 * np.pi * f0 * t)
         burst *= spec.amplitude / np.max(np.abs(burst))
@@ -242,7 +227,12 @@ class ExperimentConfig:
 
 
 def default_config() -> dict:
-    """Paper-scale defaults: 12 burst prototypes at 200 mm, 23 continuous tests at 100 mm."""
+    """Paper-scale defaults: 12 burst prototypes at 200 mm, 23 continuous tests at 100 mm.
+
+    The velocity plateau sits at 1.7 km/s over 35-45 kHz and diverges
+    linearly outside it, reaching -40 % at 0 Hz and +40 % at 80 kHz with the
+    same gradient on both sides.
+    """
     return {
         "specimen": {
             "length_mm": 4000.0,
@@ -283,13 +273,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown specimen keys: {sorted(unknown)}")
     merged.update({k: v for k, v in raw.items() if k != "specimen"})
-    att = spec_raw["attenuation_db_per_m"]
     model = SpecimenModel(
         length_mm=spec_raw["length_mm"],
         sensor_1_mm=spec_raw["sensor_1_mm"],
         sensor_2_mm=spec_raw["sensor_2_mm"],
-        velocity_points=tuple(tuple(p) for p in spec_raw["velocity_points_hz_km_s"]),
-        attenuation_db_per_m=att if np.isscalar(att) else tuple(tuple(p) for p in att),
+        velocity_points=spec_raw["velocity_points_hz_km_s"],
+        attenuation_db_per_m=spec_raw["attenuation_db_per_m"],
         noise_snr_db=spec_raw["noise_snr_db"],
         sample_rate_hz=spec_raw["sample_rate_hz"],
         record_length=int(spec_raw["record_length"]),

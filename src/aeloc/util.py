@@ -6,6 +6,8 @@ import os
 import tempfile
 from pathlib import Path
 
+KM_S_TO_MM_S = 1e6
+
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
     """Write ``text`` to ``path`` via a temp file + rename in the same directory."""

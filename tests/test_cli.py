@@ -259,10 +259,21 @@ LEARN_ARGS = ["--f-low", "35000", "--f-high", "45000", "--max-delay-s", "1e-4"]
 
 
 def test_learn_reads_each_prototype_once(tmp_path, monkeypatch):
+    # calibrate too; without a manifest rate only the first file's header line is read for it
     write_synthetic_prototypes(tmp_path, shifts=[-20, 0, 20], positions=[100.0, 200.0, 300.0])
-    reads = _count_pair_reads(monkeypatch)
-    assert cli.main(["learn", str(tmp_path), "--db", str(tmp_path / "p.db"), *LEARN_ARGS]) == 0
-    assert reads == {f"prototype_{i:02d}.txt": 1 for i in range(3)}
+    cal_args = ["--f-start", "35000", "--f-stop", "45000", "--max-delay-s", "1e-4"]
+    commands = (
+        ["learn", str(tmp_path), "--db", str(tmp_path / "p.db"), *LEARN_ARGS],
+        ["calibrate", str(tmp_path), "--report", str(tmp_path / "cal.csv"), *cal_args],
+    )
+    manifest = tmp_path / MANIFEST_NAME
+    for rate_in_manifest in (True, False):
+        if not rate_in_manifest:
+            manifest.write_text(manifest.read_text().replace(" sample_rate_hz=1000000.0", ""))
+        for argv in commands:
+            reads = _count_pair_reads(monkeypatch)
+            assert cli.main(argv) == 0
+            assert reads == {f"prototype_{i:02d}.txt": 1 for i in range(3)}, (argv[0], reads)
 
 
 def test_learn_takes_rate_from_first_prototype_without_manifest_rate(tmp_path):

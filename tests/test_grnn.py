@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,35 +12,9 @@ from aeloc.grnn import (
     basis_weights,
     compute_sigmas,
     estimate,
-    gaussian_kernel,
     load_prototypes,
     save_prototypes,
 )
-
-# ------------------------------------------------------------------- kernel
-
-
-def test_kernel_at_center():
-    assert gaussian_kernel([1.0, 2.0], [1.0, 2.0], 0.5) == 1.0
-
-
-def test_kernel_at_one_sigma():
-    assert gaussian_kernel([1.0], [0.0], 1.0) == pytest.approx(math.exp(-0.5), rel=1e-12)
-
-
-def test_kernel_far_field_underflows_quietly():
-    value = gaussian_kernel([10.0], [0.0], 1.0)
-    assert 0.0 <= value < 1e-21
-    # astronomically far: squared distance overflows, kernel becomes exactly 0
-    assert gaussian_kernel([1e300], [0.0], 1.0) == 0.0
-
-
-def test_kernel_validation():
-    with pytest.raises(ValueError, match="sigma"):
-        gaussian_kernel([0.0], [0.0], 0.0)
-    with pytest.raises(ValueError, match="dimension"):
-        gaussian_kernel([0.0, 1.0], [0.0], 1.0)
-
 
 # ------------------------------------------------------------------ sigmas
 
@@ -114,7 +89,7 @@ def test_sigmas_match_pairwise_oracle(given_matrix):
 
 
 def test_weights_hand_computed():
-    pset = PrototypeSet.from_data([0.0, 1.0], [[0.0], [1000.0]], sigmas=[0.5, 0.5])
+    pset = PrototypeSet([0.0, 1.0], [[0.0], [1000.0]], [0.5, 0.5])
     weights, fell_back = basis_weights(pset, [0.25])
     b1 = math.exp(-0.125) / (math.exp(-0.125) + math.exp(-1.125))
     assert not fell_back
@@ -124,26 +99,30 @@ def test_weights_hand_computed():
 
 
 def test_weight_dominance_at_well_separated_prototype():
-    pset = PrototypeSet.from_data([0.0, 10.0, 20.0], [[0.0], [1.0], [2.0]], sigmas=1.0)
+    pset = PrototypeSet([0.0, 10.0, 20.0], [[0.0], [1.0], [2.0]], [1.0, 1.0, 1.0])
     weights, _ = basis_weights(pset, [10.0])
     assert weights[1] > 0.999
 
 
 def test_midpoint_query_splits_evenly():
-    pset = PrototypeSet.from_data([0.0, 2.0], [[0.0], [1.0]], sigmas=[0.7, 0.7])
+    pset = PrototypeSet([0.0, 2.0], [[0.0], [1.0]], [0.7, 0.7])
     weights, _ = basis_weights(pset, [1.0])
     assert weights == pytest.approx([0.5, 0.5], rel=1e-12)
 
 
 def test_underflow_fallback_is_one_hot_nearest():
-    pset = PrototypeSet.from_data([0.0, 1000.0], [[0.0], [1.0]], sigmas=1e-3)
-    weights, fell_back = basis_weights(pset, [300.0])
-    assert fell_back
-    assert np.array_equal(weights, [1.0, 0.0])
+    pset = PrototypeSet([0.0, 1000.0], [[0.0], [1.0]], [1e-3, 1e-3])
+    # at 1e300 both squared distances overflow to inf, quietly, and tie to the lowest index
+    for query in (300.0, 1e300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights, fell_back = basis_weights(pset, [query])
+        assert fell_back
+        assert np.array_equal(weights, [1.0, 0.0])
 
 
 def test_underflow_tie_breaks_to_lowest_index():
-    pset = PrototypeSet.from_data([-500.0, 500.0], [[0.0], [1.0]], sigmas=1e-3)
+    pset = PrototypeSet([-500.0, 500.0], [[0.0], [1.0]], [1e-3, 1e-3])
     weights, fell_back = basis_weights(pset, [0.0])
     assert fell_back
     assert np.array_equal(weights, [1.0, 0.0])
@@ -153,7 +132,7 @@ def test_underflow_tie_breaks_to_lowest_index():
 
 
 def test_single_prototype_always_returns_its_hidden():
-    pset = PrototypeSet.from_data([0.5], [[42.0, -3.0]], sigmas=2.0)
+    pset = PrototypeSet([0.5], [[42.0, -3.0]], [2.0])
     for query in (-100.0, 0.5, 17.0):
         est = estimate(pset, [query])
         assert np.array_equal(est.hidden, [42.0, -3.0])
@@ -161,7 +140,7 @@ def test_single_prototype_always_returns_its_hidden():
 
 
 def test_estimate_hand_computed():
-    pset = PrototypeSet.from_data([0.0, 1.0], [[0.0], [1000.0]], sigmas=[0.5, 0.5])
+    pset = PrototypeSet([0.0, 1.0], [[0.0], [1000.0]], [0.5, 0.5])
     est = estimate(pset, [0.25])
     b2 = math.exp(-1.125) / (math.exp(-0.125) + math.exp(-1.125))
     assert est.hidden[0] == pytest.approx(1000.0 * b2, rel=1e-12)
@@ -169,14 +148,14 @@ def test_estimate_hand_computed():
 
 
 def test_estimate_at_prototype_with_wide_separation():
-    pset = PrototypeSet.from_data([0.0, 10.0, 20.0], [[5.0], [7.0], [9.0]], sigmas=1.0)
+    pset = PrototypeSet([0.0, 10.0, 20.0], [[5.0], [7.0], [9.0]], [1.0, 1.0, 1.0])
     est = estimate(pset, [10.0])
     assert est.hidden[0] == pytest.approx(7.0, rel=1e-3)
     assert est.effective_support >= 1
 
 
 def test_estimate_dimension_mismatch():
-    pset = PrototypeSet.from_data([[0.0, 1.0]], [[1.0]], sigmas=1.0)
+    pset = PrototypeSet([[0.0, 1.0]], [[1.0]], [1.0])
     with pytest.raises(ValueError, match="dimension"):
         estimate(pset, [0.0])
 
@@ -271,18 +250,18 @@ def test_growing_sigma_reaches_plain_mean(seed):
 
 
 def test_prototype_set_is_immutable():
-    pset = PrototypeSet.from_data([0.0, 1.0], [[1.0], [2.0]], sigmas=1.0)
+    pset = PrototypeSet([0.0, 1.0], [[1.0], [2.0]], [1.0, 1.0])
     with pytest.raises(ValueError):
         pset.given[0, 0] = 5.0
 
 
 def test_prototype_set_validation():
     with pytest.raises(ValueError, match="sigma"):
-        PrototypeSet.from_data([0.0, 1.0], [[1.0], [2.0]], sigmas=[1.0, -1.0])
+        PrototypeSet([0.0, 1.0], [[1.0], [2.0]], [1.0, -1.0])
     with pytest.raises(ValueError, match="finite"):
-        PrototypeSet.from_data([0.0, np.inf], [[1.0], [2.0]], sigmas=1.0)
+        PrototypeSet([0.0, np.inf], [[1.0], [2.0]], [1.0, 1.0])
     with pytest.raises(ValueError, match="number of prototypes"):
-        PrototypeSet.from_data([0.0, 1.0], [[1.0]], sigmas=1.0)
+        PrototypeSet([0.0, 1.0], [[1.0]], [1.0, 1.0])
 
 
 # ------------------------------------------------------------------ database

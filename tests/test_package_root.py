@@ -1,5 +1,6 @@
-"""The package root stays wide enough for the scripts and the README examples."""
+"""The package root serves the scripts and the README, and no public name is test-only."""
 
+import ast
 import importlib.util
 import os
 import re
@@ -10,6 +11,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _readme_library_code() -> str:
+    section = (ROOT / "README.md").read_text().split("## Library use", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
 def test_scripts_and_readme_imports_resolve():
     for script in ("run_band_experiment", "density_sweep"):
         spec = importlib.util.spec_from_file_location(script, ROOT / "scripts" / f"{script}.py")
@@ -17,8 +23,7 @@ def test_scripts_and_readme_imports_resolve():
         spec.loader.exec_module(module)  # runs the imports; main() stays behind __main__
         assert callable(module.main)
 
-    section = (ROOT / "README.md").read_text().split("## Library use", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    code = _readme_library_code()
     imports = [ln for ln in code.splitlines() if ln.startswith(("import ", "from "))]
     assert any("aeloc" in ln for ln in imports)
     exec("\n".join(imports), {})
@@ -29,3 +34,35 @@ def test_scripts_and_readme_imports_resolve():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), *sys.path])}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert out.stdout.split() == [f"aeloc.{m}" for m in modules], out.stderr
+
+
+def _names_used(node, skip: str = "") -> set[str]:
+    """Names, attributes and imports under ``node``, minus those inside a definition of ``skip``."""
+    used = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and child.name == skip:
+            continue
+        if isinstance(child, ast.Name):
+            used.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            used.add(child.attr)
+        elif isinstance(child, ast.alias):
+            used.update(child.name.split("."))
+        used |= _names_used(child, skip)
+    return used
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    # a public function or class that only tests call is a second copy of something
+    # the program computes elsewhere, so the tests would check code that never runs
+    sources = [ROOT / "src", ROOT / "scripts", ROOT / "perfbench"]
+    trees = [ast.parse(path.read_text()) for d in sources for path in sorted(d.rglob("*.py"))]
+    trees.append(ast.parse(_readme_library_code()))
+    unused = []
+    for path in sorted((ROOT / "src" / "aeloc").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if not any(node.name in _names_used(tree, skip=node.name) for tree in trees):
+                unused.append(f"{path.stem}.{node.name}")
+    assert not unused, f"public but used only by tests: {unused}"

@@ -11,7 +11,6 @@ from aeloc.simulator import (
     SourceSpec,
     SpecimenModel,
     default_config,
-    default_specimen,
     parse_config,
     propagate,
     read_manifest,
@@ -41,7 +40,7 @@ def nondispersive(**overrides) -> SpecimenModel:
 
 
 def test_default_specimen_geometry():
-    model = default_specimen()
+    model = parse_config({}).model
     assert model.sensor_separation_mm == 2400.0
     assert model.velocity_km_s(40_000.0) == 1.7
     max_delay_s = model.sensor_separation_mm / (1.7 * 1e6)
@@ -49,7 +48,7 @@ def test_default_specimen_geometry():
 
 
 def test_velocity_curve_interpolation():
-    model = default_specimen()
+    model = parse_config({}).model
     assert model.velocity_km_s(0.0) == pytest.approx(1.02)
     assert model.velocity_km_s(35_000.0) == pytest.approx(1.7)
     assert model.velocity_km_s(45_000.0) == pytest.approx(1.7)
