@@ -8,7 +8,6 @@ the wave velocity follows from the fitted slope.
 
 from __future__ import annotations
 
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from .signals import (
     design_bandpass,
     filtered_delay,
 )
-from .util import KM_S_TO_MM_S, atomic_write_text, fmt
+from .util import KM_S_TO_MM_S, atomic_write_text, fmt, worker_count
 
 
 @dataclass(frozen=True)
@@ -146,15 +145,6 @@ def estimate_velocity(slope_s_per_mm: float) -> float:
     return 2.0 / abs(slope_s_per_mm) / KM_S_TO_MM_S
 
 
-def _worker_count(tasks: int) -> int:
-    """Threads for ``tasks`` independent jobs: the CPUs this process may run on, at most."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, tasks)
-
-
 def sweep_bands(
     prototype_signals,
     grid: BandGrid,
@@ -209,7 +199,7 @@ def sweep_bands(
 
     # sosfilt and the FFTs release the GIL, so bands overlap on threads;
     # map keeps band order, hence the same argmin and tie-break as a serial loop
-    with ThreadPoolExecutor(max_workers=_worker_count(len(filters))) as pool:
+    with ThreadPoolExecutor(max_workers=min(worker_count(), len(filters))) as pool:
         records = list(pool.map(band_record, filters))
     best = records[int(np.argmin([rec.rmse_mm for rec in records]))]
     if not np.isfinite(best.rmse_mm):

@@ -139,11 +139,14 @@ def basis_weights(pset: PrototypeSet, query) -> tuple[np.ndarray, bool]:
     with np.errstate(over="ignore", under="ignore"):
         d2 = (diff * diff).sum(axis=1)
         raw = np.exp(-d2 / (2.0 * pset.sigmas * pset.sigmas))
-    total = raw.sum()
-    if total <= 0.0 or not np.isfinite(total):
-        weights = np.zeros(len(pset))
-        weights[int(np.argmin(d2))] = 1.0
-        return weights, True
+        total = raw.sum()
+        if total <= 0.0 or not np.isfinite(total):
+            # d2 may have overflowed to inf everywhere; in units of the largest
+            # |diff| the squared distances stay finite and keep their order
+            scaled = diff / np.abs(diff).max()
+            weights = np.zeros(len(pset))
+            weights[int(np.argmin((scaled * scaled).sum(axis=1)))] = 1.0
+            return weights, True
     return raw / total, False
 
 

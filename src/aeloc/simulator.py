@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .signals import Waveform, write_waveform_pair
-from .util import KM_S_TO_MM_S, atomic_write_text, fmt
+from .util import KM_S_TO_MM_S, atomic_write_text, fmt, process_map
 
 DISCRETE_BURST = "discrete-burst"
 CONTINUOUS_NOISE = "continuous-noise"
@@ -355,12 +355,22 @@ def _source_seed(master_seed: int, role_index: int, source_index: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
+def _write_pair(job: tuple[Path, Waveform, Waveform]) -> None:
+    path, ch1, ch2 = job
+    try:
+        write_waveform_pair(path, ch1, ch2)
+    except OSError as exc:
+        raise OSError(f"failed writing {path}: {exc}") from exc
+
+
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> list[ManifestRow]:
     """Synthesize prototype and test signal pairs and write them plus a manifest.
 
     Prototype sources are always discrete bursts (the calibration excitation);
     test sources use the configured kind.  Output bytes depend only on the
-    configuration, so equal seeds give identical datasets.
+    configuration, so equal seeds give identical datasets.  Sources are
+    synthesized here, in order; the pair files are formatted and written on
+    worker processes (:func:`aeloc.util.process_map`).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -370,22 +380,23 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> list[Manife
         ("prototype", DISCRETE_BURST, config.prototype_positions_mm),
         ("test", config.test_source_kind, config.test_positions_mm),
     )
-    for role_index, (role, kind, positions) in enumerate(groups):
-        for i, z in enumerate(positions):
-            spec = SourceSpec(
-                position_mm=float(z),
-                kind=kind,
-                amplitude=config.source_amplitude,
-                burst_center_freq_hz=config.burst_center_freq_hz,
-                band_hz=config.continuous_band_hz,
-                seed=_source_seed(config.seed, role_index, i),
-            )
-            ch1, ch2 = propagate(synth_source(spec, model), spec, model)
-            name = f"{role}_{i:02d}.txt"
-            try:
-                write_waveform_pair(out / name, ch1, ch2)
-            except OSError as exc:
-                raise OSError(f"failed writing {out / name}: {exc}") from exc
-            rows.append(ManifestRow(name, role, float(z), kind))
+
+    def synthesized():
+        for role_index, (role, kind, positions) in enumerate(groups):
+            for i, z in enumerate(positions):
+                spec = SourceSpec(
+                    position_mm=float(z),
+                    kind=kind,
+                    amplitude=config.source_amplitude,
+                    burst_center_freq_hz=config.burst_center_freq_hz,
+                    band_hz=config.continuous_band_hz,
+                    seed=_source_seed(config.seed, role_index, i),
+                )
+                ch1, ch2 = propagate(synth_source(spec, model), spec, model)
+                name = f"{role}_{i:02d}.txt"
+                rows.append(ManifestRow(name, role, float(z), kind))
+                yield out / name, ch1, ch2
+
+    process_map(_write_pair, synthesized())
     write_manifest(out / MANIFEST_NAME, model, rows)
     return rows

@@ -242,17 +242,21 @@ def test_learn_builds_database_with_expected_sigmas(learned):
     assert np.allclose(pset.sigmas, 117.647e-6, rtol=1e-3)
 
 
-def _count_pair_reads(monkeypatch):
-    """Count read_waveform_pair calls per file name, wherever the CLI reaches them."""
-    reads = Counter()
+def _log_pair_reads(monkeypatch, log):
+    """Append the file name of every read_waveform_pair call the CLI makes to ``log``.
 
-    def counting(path):
-        reads[Path(path).name] += 1
+    Forked worker processes inherit the wrapper and the log path, so their
+    reads are logged too.
+    """
+    log.write_text("")
+
+    def logging_read(path):
+        with open(log, "a") as fh:
+            fh.write(Path(path).name + "\n")
         return read_waveform_pair(path)
 
     for module in (cli, pipeline):
-        monkeypatch.setattr(module, "read_waveform_pair", counting)
-    return reads
+        monkeypatch.setattr(module, "read_waveform_pair", logging_read)
 
 
 LEARN_ARGS = ["--f-low", "35000", "--f-high", "45000", "--max-delay-s", "1e-4"]
@@ -271,8 +275,10 @@ def test_learn_reads_each_prototype_once(tmp_path, monkeypatch):
         if not rate_in_manifest:
             manifest.write_text(manifest.read_text().replace(" sample_rate_hz=1000000.0", ""))
         for argv in commands:
-            reads = _count_pair_reads(monkeypatch)
+            log = tmp_path / "reads.log"
+            _log_pair_reads(monkeypatch, log)
             assert cli.main(argv) == 0
+            reads = Counter(log.read_text().split())
             assert reads == {f"prototype_{i:02d}.txt": 1 for i in range(3)}, (argv[0], reads)
 
 

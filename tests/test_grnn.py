@@ -111,14 +111,20 @@ def test_midpoint_query_splits_evenly():
 
 
 def test_underflow_fallback_is_one_hot_nearest():
-    pset = PrototypeSet([0.0, 1000.0], [[0.0], [1.0]], [1e-3, 1e-3])
-    # at 1e300 both squared distances overflow to inf, quietly, and tie to the lowest index
-    for query in (300.0, 1e300):
+    # at 1e300 both distances are exactly 1e300, a tie that goes to the lowest index;
+    # at 1e200 both squared distances overflow to inf, yet 1e190 is the nearer one
+    cases = (
+        ([0.0, 1000.0], 300.0, [1.0, 0.0]),
+        ([0.0, 1000.0], 1e300, [1.0, 0.0]),
+        ([0.0, 1e190], 1e200, [0.0, 1.0]),
+    )
+    for given, query, expected in cases:
+        pset = PrototypeSet(given, [[0.0], [1.0]], [1e-3, 1e-3])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             weights, fell_back = basis_weights(pset, [query])
         assert fell_back
-        assert np.array_equal(weights, [1.0, 0.0])
+        assert np.array_equal(weights, expected), (given, query)
 
 
 def test_underflow_tie_breaks_to_lowest_index():
