@@ -1,7 +1,7 @@
 """Bandpass calibration sweep: pick the band whose (position, delay) pairs are most linear.
 
 A fixed-width bandpass window slides across frequency; for every band the
-prototype pairs are filtered, their delays estimated, and a line fitted.
+prototype pairs' delays are estimated through that band and a line fitted.
 The band with the smallest residual (expressed in position units) wins, and
 the wave velocity follows from the fitted slope.
 """
@@ -9,21 +9,24 @@ the wave velocity follows from the fitted slope.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from .signals import (
     BandpassFilter,
+    CorrelationFunction,
     DelayWindowError,
     FilterSpec,
     NoSignalError,
+    _LagWindowFFT,
+    _shared_sample_rate,
     apply_filter,  # noqa: F401  (kept importable by name for perfbench's alias test)
     design_bandpass,
-    filtered_delay,
+    estimate_delay,
 )
-from .util import KM_S_TO_MM_S, atomic_write_text, fmt, worker_count
+from .util import KM_S_TO_MM_S, atomic_write_text, fmt
 
 
 @dataclass(frozen=True)
@@ -145,6 +148,26 @@ def estimate_velocity(slope_s_per_mm: float) -> float:
     return 2.0 / abs(slope_s_per_mm) / KM_S_TO_MM_S
 
 
+def _band_record(
+    spec: FilterSpec, delays: np.ndarray, positions: np.ndarray, sample_rate: float
+) -> CalibrationRecord:
+    valid = np.nonzero(np.isfinite(delays))[0]
+    if valid.size < 3 or np.unique(positions[valid]).size < 2:
+        return CalibrationRecord(spec, delays, float("inf"), 0.0, 0.0)
+    slope, intercept, rmse, outliers = _robust_fit(positions[valid], delays[valid], sample_rate)
+    return CalibrationRecord(
+        spec, delays, rmse, slope, intercept, tuple(int(valid[i]) for i in outliers)
+    )
+
+
+def _spectra(waveforms, nfft: int) -> np.ndarray:
+    """rfft of every waveform, one row each, zero-padded to ``nfft`` points."""
+    stack = np.zeros((len(waveforms), max(len(w) for w in waveforms)))
+    for row, w in zip(stack, waveforms):
+        row[: len(w)] = w.samples
+    return sp_fft.rfft(stack, nfft, axis=-1)
+
+
 def sweep_bands(
     prototype_signals,
     grid: BandGrid,
@@ -158,9 +181,14 @@ def sweep_bands(
     ``prototype_signals`` is a sequence of (position_mm, (ch1, ch2)) with
     Waveform channels.  Bands invalid for the sample rate are skipped with a
     warning; bands where fewer than three delays survive get infinite rmse.
-    Ties on rmse resolve to the lowest f_low.  Bands run concurrently, one
-    thread per CPU in the process affinity mask; the result is the same as
-    that of a serial sweep.
+    Ties on rmse resolve to the lowest f_low.
+
+    Both channels pass the same filter, so a band's correlation is the
+    inverse FFT of the pair's raw cross-spectrum times the band's |H|²
+    (Knapp & Carter 1976): the spectra are taken once, and each band costs
+    one batched inverse FFT over all pairs.  This is the zero-phase,
+    edge-free form of :func:`~aeloc.signals.filtered_delay`'s causal pass;
+    the two agree on the nondispersive plateau and differ off it.
     """
     pairs = [(float(z), ch1, ch2) for z, (ch1, ch2) in prototype_signals]
     if len(pairs) < 3:
@@ -168,7 +196,10 @@ def sweep_bands(
     positions = np.array([z for z, _, _ in pairs])
     if np.unique(positions).size < 2:
         raise ValueError("prototype positions are all identical")
-    sample_rate = pairs[0][1].sample_rate
+    ch1s = [ch1 for _, ch1, _ in pairs]
+    ch2s = [ch2 for _, _, ch2 in pairs]
+    sample_rate = _shared_sample_rate(ch1s + ch2s)
+    fft = _LagWindowFFT.for_records([len(w) for w in ch1s + ch2s], max_lag)
 
     filters: list[BandpassFilter] = []
     for f_low in grid.band_lows():
@@ -180,27 +211,22 @@ def sweep_bands(
     if not filters:
         raise ValueError("every band in the grid was invalid for this sample rate")
 
-    def band_record(filt: BandpassFilter) -> CalibrationRecord:
+    # rfft(ch1) * conj(rfft(ch2)) is the spectrum of cross_correlate(ch2, ch1), as in pair_delay
+    cross = _spectra(ch1s, fft.nfft)
+    cross *= np.conj(_spectra(ch2s, fft.nfft))
+    omega = 2.0 * np.pi * sp_fft.rfftfreq(fft.nfft)
+    weighted = np.empty_like(cross)
+    records = []
+    for filt in filters:
+        np.multiply(cross, filt.power_response(omega), out=weighted)
         delays = np.full(len(pairs), np.nan)
-        for i, (_, ch1, ch2) in enumerate(pairs):
+        for i, values in enumerate(fft.window(weighted)):
+            r = CorrelationFunction(values=values, max_lag=fft.lag, sample_rate=sample_rate)
             try:
-                delays[i] = filtered_delay(filt, ch1, ch2, max_lag, refine=refine).delay
+                delays[i] = estimate_delay(r, refine=refine).delay
             except (NoSignalError, DelayWindowError):
                 pass
-        valid = np.nonzero(np.isfinite(delays))[0]
-        if valid.size < 3 or np.unique(positions[valid]).size < 2:
-            return CalibrationRecord(filt.spec, delays, float("inf"), 0.0, 0.0)
-        slope, intercept, rmse, outliers = _robust_fit(
-            positions[valid], delays[valid], sample_rate
-        )
-        return CalibrationRecord(
-            filt.spec, delays, rmse, slope, intercept, tuple(int(valid[i]) for i in outliers)
-        )
-
-    # sosfilt and the FFTs release the GIL, so bands overlap on threads;
-    # map keeps band order, hence the same argmin and tie-break as a serial loop
-    with ThreadPoolExecutor(max_workers=min(worker_count(), len(filters))) as pool:
-        records = list(pool.map(band_record, filters))
+        records.append(_band_record(filt.spec, delays, positions, sample_rate))
     best = records[int(np.argmin([rec.rmse_mm for rec in records]))]
     if not np.isfinite(best.rmse_mm):
         raise ValueError("no band produced enough usable delay estimates")

@@ -81,6 +81,21 @@ class BandpassFilter:
     sample_rate: float
     sos: np.ndarray
 
+    def power_response(self, omega: np.ndarray) -> np.ndarray:
+        """|H(e^jω)|² at ``omega`` radians per sample, in closed form from the sections."""
+        cos, sin = np.cos(omega), np.sin(omega)
+
+        def squared_magnitude(c0, c1, c2):
+            # |c0 + c1 e^-jω + c2 e^-2jω|² = |c0 e^jω + c1 + c2 e^-jω|², as Re² + Im²: this
+            # keeps the cancellation near a pole at the scale of |C|, not of |C|²
+            return ((c0 + c2) * cos + c1) ** 2 + ((c0 - c2) * sin) ** 2
+
+        power = np.ones_like(cos)
+        for b0, b1, b2, a0, a1, a2 in self.sos:
+            power *= squared_magnitude(b0, b1, b2)
+            power /= squared_magnitude(a0, a1, a2)
+        return power
+
 
 def design_bandpass(spec: FilterSpec, sample_rate: float) -> BandpassFilter:
     """Design a causal Butterworth bandpass (maximally flat in the passband)."""
@@ -109,6 +124,47 @@ class CorrelationFunction:
     sample_rate: float
 
 
+def _shared_sample_rate(waveforms) -> float:
+    """The sample rate all ``waveforms`` share; a mismatch names both rates."""
+    rate = waveforms[0].sample_rate
+    for w in waveforms:
+        if w.sample_rate != rate:
+            raise ValueError(f"sample rates differ: {rate} Hz vs {w.sample_rate} Hz")
+    return rate
+
+
+@dataclass(frozen=True)
+class _LagWindowFFT:
+    """Lags -lag..+lag of a correlation computed as a circular one on ``nfft`` points.
+
+    ``nfft`` covers the longest record plus the window, so no wrap-around
+    reaches |lag| <= max_lag and the circular correlation equals the linear
+    one there.
+    """
+
+    lag: int
+    nfft: int
+
+    @classmethod
+    def for_records(cls, lengths, max_lag: int) -> _LagWindowFFT:
+        lag = int(max_lag)
+        if lag != max_lag or lag < 1:
+            raise ValueError(f"max_lag must be a positive integer, got {max_lag!r}")
+        if lag >= min(lengths):
+            raise ValueError(
+                f"max_lag={lag} must be smaller than every record "
+                f"(lengths {min(lengths)}..{max(lengths)})"
+            )
+        return cls(lag, sp_fft.next_fast_len(max(lengths) + lag, real=True))
+
+    def window(self, cross_spectra: np.ndarray) -> np.ndarray:
+        """Lag window (last axis) of the inverse rfft of ``rfft(b) * conj(rfft(a))`` rows."""
+        circ = sp_fft.irfft(cross_spectra, self.nfft, axis=-1)
+        return np.concatenate(
+            (circ[..., self.nfft - self.lag :], circ[..., : self.lag + 1]), axis=-1
+        )
+
+
 def cross_correlate(y1: Waveform, y2: Waveform, max_lag: int) -> CorrelationFunction:
     """Correlation r[lag] = sum_t y1[t] * y2[t + lag], truncated at the record edges.
 
@@ -116,27 +172,17 @@ def cross_correlate(y1: Waveform, y2: Waveform, max_lag: int) -> CorrelationFunc
     lags -max_lag..+max_lag are computed: short records use the direct sum,
     longer ones an FFT sized for the record plus the lag window.
     """
-    if y1.sample_rate != y2.sample_rate:
-        raise ValueError(
-            f"sample rates differ: {y1.sample_rate} Hz vs {y2.sample_rate} Hz"
-        )
+    rate = _shared_sample_rate((y1, y2))
     n1, n2 = len(y1), len(y2)
-    lag = int(max_lag)
-    if lag != max_lag or lag < 1:
-        raise ValueError(f"max_lag must be a positive integer, got {max_lag!r}")
-    if lag >= min(n1, n2):
-        raise ValueError(f"max_lag={lag} must be smaller than both records ({n1}, {n2})")
+    fft = _LagWindowFFT.for_records((n1, n2), max_lag)
     a, b = y1.samples, y2.samples
     if sps.choose_conv_method(b, a[::-1], mode="full") == "direct":
         full = np.convolve(b, a[::-1])
         centre = n1 - 1  # index of lag 0 in the full correlation
-        values = full[centre - lag : centre + lag + 1]
+        values = full[centre - fft.lag : centre + fft.lag + 1]
     else:
-        # circular correlation, zero-padded so no wrap-around reaches |lag| <= max_lag
-        nfft = sp_fft.next_fast_len(max(n1, n2) + lag, real=True)
-        circ = sp_fft.irfft(sp_fft.rfft(b, nfft) * np.conj(sp_fft.rfft(a, nfft)), nfft)
-        values = np.concatenate((circ[nfft - lag :], circ[: lag + 1]))
-    return CorrelationFunction(values=values, max_lag=lag, sample_rate=y1.sample_rate)
+        values = fft.window(sp_fft.rfft(b, fft.nfft) * np.conj(sp_fft.rfft(a, fft.nfft)))
+    return CorrelationFunction(values=values, max_lag=fft.lag, sample_rate=rate)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-import os
+import threading
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ from aeloc.signals import (
 from conftest import build_dataset
 
 MAX_LAG = 2500
+SWEEP_GRID = BandGrid(f_start=25_000.0, f_stop=55_000.0, step=2_000.0)  # the fixture's grid
 
 
 # ------------------------------------------------------------------- grid
@@ -208,13 +209,8 @@ def test_time_shift_of_both_channels_leaves_velocity(sweep_result):
     assert again.velocity_km_s == pytest.approx(result.velocity_km_s, rel=1e-3)
 
 
-def test_threaded_sweep_matches_serial_loop(sweep_result, monkeypatch):
-    pairs, fixture_result = sweep_result
-    grid = BandGrid(f_start=25_000.0, f_stop=55_000.0, step=2_000.0)
-    # four workers whatever this host's CPU count, so bands really interleave
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    threaded = sweep_bands(pairs, grid, 4, max_lag=MAX_LAG)
-
+def _filtered_delay_loop(pairs, grid):
+    """Reference sweep: each pair through the causal filter, one pair at a time."""
     positions = np.array([z for z, _ in pairs])
     fs = pairs[0][1][0].sample_rate
     bands, delays, fits = [], [], []
@@ -235,15 +231,79 @@ def test_threaded_sweep_matches_serial_loop(sweep_result, monkeypatch):
         bands.append(filt.spec)
         delays.append(row)
     best = min(range(len(bands)), key=lambda k: (fits[k][0], bands[k].f_low))
+    return bands, delays, fits, best
 
-    for result in (threaded, fixture_result):
-        assert [rec.band for rec in result.records] == bands
-        for rec, row in zip(result.records, delays):
-            assert np.array_equal(np.isnan(rec.delays), np.isnan(row))
-            assert np.allclose(rec.delays * fs, row * fs, rtol=0.0, atol=1e-9, equal_nan=True)
-        assert result.best_band == bands[best]
-        assert result.velocity_km_s == estimate_velocity(fits[best][1])
-        assert result.outliers == fits[best][2]
+
+def _assert_plateau_delays_match(result, bands, delays, fs):
+    # the sweep's zero-phase |H|² and the causal pass agree only where the band is nondispersive
+    assert [rec.band for rec in result.records] == bands
+    for rec, row in zip(result.records, delays):
+        assert np.array_equal(np.isnan(rec.delays), np.isnan(row))
+        if 27_000.0 <= rec.band.f_low <= 45_000.0:
+            assert np.allclose(rec.delays * fs, row * fs, rtol=0.0, atol=1e-3, equal_nan=True)
+
+
+def test_cross_spectrum_sweep_matches_filtered_delay_on_plateau(sweep_result):
+    pairs, result = sweep_result
+    bands, delays, fits, best = _filtered_delay_loop(pairs, SWEEP_GRID)
+    fs = pairs[0][1][0].sample_rate
+    _assert_plateau_delays_match(result, bands, delays, fs)
+    assert result.best_band == bands[best]
+    assert result.outliers == fits[best][2]
+    assert result.velocity_km_s == pytest.approx(estimate_velocity(fits[best][1]), rel=1e-6)
+
+
+def test_sweep_rejects_mixed_sample_rates(sweep_result):
+    pairs, _ = sweep_result
+    z, (ch1, ch2) = pairs[2]
+    mixed = pairs[:2] + [(z, (ch1, Waveform(ch2.samples, 500_000.0)))] + pairs[3:]
+    with pytest.raises(ValueError, match=r"1000000\.0 Hz vs 500000\.0 Hz"):
+        sweep_bands(mixed, SWEEP_GRID, 4, max_lag=MAX_LAG)
+
+
+def test_sweep_rejects_record_not_longer_than_max_lag(sweep_result):
+    pairs, _ = sweep_result
+    z, (ch1, ch2) = pairs[4]
+    short = pairs[:4] + [(z, (ch1, Waveform(ch2.samples[:MAX_LAG], ch2.sample_rate)))]
+    with pytest.raises(ValueError, match="max_lag=2500 must be smaller than every record"):
+        sweep_bands(short, SWEEP_GRID, 4, max_lag=MAX_LAG)
+
+
+def test_sweep_pads_records_of_unequal_length(sweep_result):
+    pairs, _ = sweep_result
+
+    def cut(w, n):
+        return Waveform(w.samples[:n], w.sample_rate)
+
+    # tails trimmed by different amounts, ch1 and ch2 of pair 1 differing as well
+    uneven = [
+        (z, (cut(ch1, len(ch1) - 300 * k), cut(ch2, len(ch2) - 300 * k - 100 * (k == 1))))
+        for k, (z, (ch1, ch2)) in enumerate(pairs)
+    ]
+    assert len({len(w) for _, chans in uneven for w in chans}) > 2
+    result = sweep_bands(uneven, SWEEP_GRID, 4, max_lag=MAX_LAG)
+    bands, delays, _, _ = _filtered_delay_loop(uneven, SWEEP_GRID)
+    _assert_plateau_delays_match(result, bands, delays, pairs[0][1][0].sample_rate)
+
+
+def test_sweep_silent_channel_gives_nan_in_every_band(sweep_result):
+    pairs, _ = sweep_result
+    z, (ch1, ch2) = pairs[3]
+    silent = pairs[:3] + [(z, (ch1, Waveform(np.zeros(len(ch2)), ch2.sample_rate)))] + pairs[4:]
+    result = sweep_bands(silent, SWEEP_GRID, 4, max_lag=MAX_LAG)
+    assert all(np.isnan(rec.delays[3]) for rec in result.records)
+    assert all(np.isfinite(np.delete(rec.delays, 3)).all() for rec in result.records)
+
+
+def test_sweep_starts_no_threads(sweep_result, monkeypatch):
+    pairs, result = sweep_result
+
+    def refuse(self):
+        raise AssertionError(f"sweep_bands started thread {self.name!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    again = sweep_bands(pairs, SWEEP_GRID, 4, max_lag=MAX_LAG)
+    assert again.best_band == result.best_band
 
 
 def test_zero_noise_data_has_no_outliers(tmp_path):

@@ -96,6 +96,24 @@ def test_zero_waveform_stays_zero():
     assert len(out) == 1000 and out.sample_rate == FS
 
 
+@pytest.mark.parametrize("order", range(1, 7))
+@pytest.mark.parametrize(
+    "fs,f_low,f_high",
+    [
+        (FS, 35_000.0, 45_000.0),
+        (FS, 5_000.0, 15_000.0),
+        (FS, 489_000.0, 499_000.0),  # top edge just under Nyquist
+        (90_000.0, 5_000.0, 15_000.0),
+        (90_000.0, 34_000.0, 44_000.0),  # the top band of a 1 kHz grid at this rate
+    ],
+)
+def test_power_response_matches_sosfreqz(fs, f_low, f_high, order):
+    filt = design_bandpass(FilterSpec(f_low, f_high, order), fs)
+    omega = 2.0 * np.pi * np.fft.rfftfreq(19_200)  # rfft bins from 0 to pi
+    _, h = sps.sosfreqz(filt.sos, worN=omega)
+    assert np.allclose(filt.power_response(omega), np.abs(h) ** 2, rtol=0.0, atol=1e-9)
+
+
 def test_band_selectivity_power_ratio():
     # 40 kHz passes, 5 kHz is crushed: compare DFT power in the two regions
     filt = design_bandpass(DEFAULT_BAND, FS)
