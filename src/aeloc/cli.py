@@ -145,7 +145,7 @@ def _dataset_sample_rate(dataset, meta, manifest, role: str) -> float:
         first = next((row for row in manifest if row.role == role), None)
         if first is None:
             raise ValueError(f"{dataset}: manifest lists no {role} sources")
-        with open(Path(dataset) / first.file) as fh:
+        with open(Path(dataset) / first.file, "rb") as fh:
             sample_rate = read_sample_rate(fh)
     return sample_rate
 

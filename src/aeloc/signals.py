@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import orjson
 from scipy import fft as sp_fft
 from scipy import signal as sps
 
@@ -236,7 +237,10 @@ def lag_window(max_delay_s: float, sample_rate: float) -> int:
     return int(np.ceil(max_delay_s * sample_rate))
 
 
-_RATE_LINE = re.compile(r"^#\s*sample_rate_hz=(\d+)\s*$")
+_RATE_LINE = re.compile(rb"^#\s*sample_rate_hz=(\d+)\s*$")
+# the bytes a sample line may hold: those of JSON numbers, blanks and the two separators;
+# any other JSON value (true, null, "1", ...) would parse and then convert to a number
+_SAMPLE_BYTES = b"0123456789+-.eE \t,\n"
 
 
 def write_waveform_pair(path: str | Path, ch1: Waveform, ch2: Waveform) -> Path:
@@ -254,18 +258,60 @@ def write_waveform_pair(path: str | Path, ch1: Waveform, ch2: Waveform) -> Path:
 
 
 def read_sample_rate(fh) -> float:
-    """Sample rate from the header line of an open waveform-pair file; reads that line only."""
+    """Sample rate from the header line of a pair file opened in binary mode; reads that line only."""
     m = _RATE_LINE.match(fh.readline())
     if m is None:
-        raise ValueError(f"{fh.name}: first line must be '# sample_rate_hz=<integer>'")
+        raise ValueError(f"{fh.name}:1: first line must be '# sample_rate_hz=<integer>'")
     return float(m.group(1))
 
 
 def read_waveform_pair(path: str | Path) -> tuple[Waveform, Waveform]:
+    """Read a pair file as written by :func:`write_waveform_pair`.
+
+    The grammar: line 1 is ``# sample_rate_hz=<integer>``, and every further
+    line holds exactly one ``ch1,ch2`` pair of JSON numbers (RFC 8259), with
+    optional spaces or tabs around each.  Lines end in LF or CRLF, and empty
+    lines at the end of the file are ignored.  A blank or comment line between
+    samples is refused, as are ``nan``, ``inf``, ``+1``, ``.5``, ``1.`` and
+    values beyond the double range.  Values read back as the correctly rounded
+    double, so every float the writer formats reads back bit-identical; the
+    integer token ``-0`` reads as +0.0.  Malformed input raises ``ValueError``
+    with ``<path>:<line>:`` in front, the header counting as line 1.
+    """
     path = Path(path)
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         rate = read_sample_rate(fh)
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.shape[1] != 2:
-        raise ValueError(f"{path}: expected two comma-separated channels per line")
+        body = fh.read()
+    if b"\r" in body:
+        body = body.replace(b"\r\n", b"\n")
+    body = body.rstrip(b"\n")
+    if not body:
+        raise ValueError(f"{path}:2: no samples after the header")
+    # one flat JSON array: "[" + body + "]", each newline later turned into a comma in place,
+    # so a byte offset into it still finds its line
+    text = np.empty(len(body) + 2, np.uint8)
+    text[0], text[1:-1], text[-1] = ord("["), np.frombuffer(body, np.uint8), ord("]")
+    newlines = np.flatnonzero(text == ord("\n"))
+
+    def line_at(offset: int) -> int:
+        return int(np.searchsorted(newlines, offset)) + 2
+
+    foreign = body.translate(None, _SAMPLE_BYTES)  # in file order, so [0] is the first one
+    if foreign:
+        at = body.index(foreign[:1]) + 1
+        raise ValueError(f"{path}:{line_at(at)}: unexpected character {chr(foreign[0])!r}")
+    commas = np.flatnonzero(text == ord(","))
+    per_line = np.bincount(np.searchsorted(newlines, commas), minlength=newlines.size + 1)
+    misplaced = np.flatnonzero(per_line != 1)
+    if misplaced.size:
+        line = int(misplaced[0])
+        raise ValueError(
+            f"{path}:{line + 2}: expected one 'ch1,ch2' pair, found {per_line[line]} commas"
+        )
+    text[newlines] = ord(",")
+    try:
+        values = orjson.loads(text.data)
+    except orjson.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{line_at(exc.pos)}: {exc.msg}") from None
+    data = np.fromiter(values, np.float64, len(values)).reshape(-1, 2)
     return Waveform(data[:, 0], rate), Waveform(data[:, 1], rate)

@@ -155,6 +155,18 @@ def test_calibrate_without_prototypes_is_a_named_data_error(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_calibrate_names_file_and_line_of_a_corrupt_prototype(tmp_path, capsys):
+    build_dataset(tmp_path, specimen={"noise_snr_db": None}, seed=4)
+    corrupt = tmp_path / "prototype_03.txt"
+    lines = corrupt.read_text().splitlines(keepends=True)
+    lines[500] = "0.1,abc\n"  # file line 501, the header being line 1
+    corrupt.write_text("".join(lines))
+    report = tmp_path / "r.csv"
+    assert cli.main(["calibrate", str(tmp_path), "--report", str(report)]) == 2
+    assert f"error: {corrupt}:501: " in capsys.readouterr().err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("command", ["calibrate", "learn"])
 def test_manifest_rate_disagreeing_with_files_is_a_data_error(tmp_path, capsys, command):
     build_dataset(tmp_path, specimen={"noise_snr_db": None}, seed=4)

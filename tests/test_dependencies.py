@@ -1,0 +1,46 @@
+"""Every third-party package the library imports is a declared runtime dependency."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _normalized(name: str) -> str:
+    return re.sub(r"[-_.]+", "-", name).lower()
+
+
+def _declared_dependencies() -> set[str]:
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    return {_normalized(re.match(r"[A-Za-z0-9_.\-]+", r).group()) for r in project["dependencies"]}
+
+
+def _imported_top_level_packages(path: Path) -> set[str]:
+    """First components of the absolute imports anywhere in ``path``, function bodies included."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    # a package installed in the development environment but not declared passes the tests
+    # and fails on the first `pip install` into a clean one
+    third_party = {}
+    for path in sorted((ROOT / "src" / "aeloc").glob("*.py")):
+        for name in _imported_top_level_packages(path):
+            if name not in sys.stdlib_module_names and name not in ("__future__", "aeloc"):
+                third_party.setdefault(name, path.name)
+    assert {"numpy", "orjson"} <= set(third_party)  # the scan sees the imports it must
+    declared = _declared_dependencies()
+    undeclared = {n: f for n, f in third_party.items() if _normalized(n) not in declared}
+    assert not undeclared, f"imported but not in [project] dependencies: {undeclared}"

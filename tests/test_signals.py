@@ -1,6 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
@@ -17,6 +20,8 @@ from aeloc.signals import (
     read_waveform_pair,
     write_waveform_pair,
 )
+
+from conftest import build_dataset
 
 FS = 1_000_000.0
 DEFAULT_BAND = FilterSpec(35_000.0, 45_000.0, 4)
@@ -323,11 +328,96 @@ def test_waveform_pair_roundtrip(tmp_path):
     assert ra.sample_rate == FS
 
 
+_FINITE_DOUBLES = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_FINITE_DOUBLES, _FINITE_DOUBLES), min_size=1, max_size=40))
+@example([(5e-324, -5e-324), (0.0, -0.0), (np.finfo(float).max, -np.finfo(float).max)])
+@example([(2.2250738585072014e-308, 2.225073858507201e-308), (1e16, 7.585928232854437e-05)])
+def test_waveform_pair_roundtrip_is_bit_exact(pairs):
+    # bit patterns, not ==, so that -0.0 must come back as -0.0
+    data = np.array(pairs, dtype=np.float64)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pair.txt"
+        write_waveform_pair(path, Waveform(data[:, 0], FS), Waveform(data[:, 1], FS))
+        ra, rb = read_waveform_pair(path)
+    assert np.array_equal(ra.samples.view(np.int64), data[:, 0].view(np.int64))
+    assert np.array_equal(rb.samples.view(np.int64), data[:, 1].view(np.int64))
+
+
+def test_reader_matches_loadtxt_on_a_simulated_dataset(tmp_path):
+    build_dataset(tmp_path, prototypes=[900.0, 2000.0, 3100.0], tests=[1500.0], seed=9)
+    files = sorted(tmp_path.glob("*_*.txt"))
+    assert len(files) == 4
+    for path in files:
+        expected = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        ch1, ch2 = read_waveform_pair(path)
+        got = np.column_stack([ch1.samples, ch2.samples])
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64)), path.name
+
+
+_HEADER = "# sample_rate_hz=1000000\n"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "0.5,-1.5\r\n2e-3,4E+2\r\n",
+        "0.5,-1.5\n2e-3,4E+2\n\n\n",
+        "0.5,-1.5\n2e-3,4E+2",
+        " 0.5 ,\t-1.5\n2e-3,4E+2\n",
+    ],
+    ids=["crlf", "trailing-newlines", "no-final-newline", "blanks-around-numbers"],
+)
+def test_reader_accepts_line_endings_and_blanks(tmp_path, body):
+    path = tmp_path / "pair.txt"
+    path.write_bytes((_HEADER + body).encode())
+    ch1, ch2 = read_waveform_pair(path)
+    assert ch1.samples.tolist() == [0.5, 2e-3] and ch2.samples.tolist() == [-1.5, 400.0]
+
+
+# (body after the header, 1-based file line of the fault with the header as line 1)
+_MALFORMED = {
+    "three-fields-then-one": ("1,2\n1,2,3\n4\n5,6\n", 3),
+    "one-field-then-three": ("1,2\n4\n1,2,3\n5,6\n", 3),
+    "truncated-after-comma": ("1,2\n3,4\n5,", 4),
+    "truncated-one-field": ("1,2\n3,4\n5", 4),
+    "truncated-mid-number": ("1,2\n3,4\n5,6e", 4),
+    "non-numeric-token": ("1,2\n0.1,abc\n3,4\n", 3),
+    "json-literal": ("1,2\ntrue,4\n", 3),
+    "nan": ("1,2\n3,4\nnan,5\n", 4),
+    "NaN": ("NaN,5\n", 2),
+    "inf": ("1,2\n3,inf\n", 3),
+    "-Infinity": ("1,2\n3,-Infinity\n", 3),
+    "overflow": ("1,2\n3,1e400\n", 3),
+    "leading-plus": ("1,2\n+1,2\n", 3),
+    "leading-dot": ("1,2\n3,4\n.5,2\n", 4),
+    "trailing-dot": ("1.,2\n", 2),
+    "blank-line-between-samples": ("1,2\n\n3,4\n", 3),
+    "comment-after-header": ("# channel 1 = left\n1,2\n", 2),
+    "comment-with-comma": ("1,2\n# a, b\n3,4\n", 3),
+    "space-delimited": ("1,2\n3 4\n", 3),
+    "header-only": ("", 2),
+    "header-then-empty-lines": ("\n\n", 2),
+}
+
+
+@pytest.mark.parametrize("body, line", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_pair_file_names_path_and_line(tmp_path, body, line):
+    path = tmp_path / "bad.txt"
+    path.write_bytes((_HEADER + body).encode())
+    with pytest.raises(ValueError) as info:
+        read_waveform_pair(path)
+    assert str(info.value).startswith(f"{path}:{line}: ")
+
+
 def test_waveform_pair_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1.0,2.0\n")
-    with pytest.raises(ValueError, match="sample_rate_hz"):
+    with pytest.raises(ValueError, match="sample_rate_hz") as info:
         read_waveform_pair(path)
+    assert str(info.value).startswith(f"{path}:1: ")
 
 
 def test_waveform_validation():
