@@ -12,21 +12,17 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .signals import (
-    BandpassFilter,
-    CorrelationFunction,
+    CrossSpectra,
     DelayWindowError,
     FilterSpec,
     NoSignalError,
-    _LagWindowFFT,
-    _shared_sample_rate,
     apply_filter,  # noqa: F401  (kept importable by name for perfbench's alias test)
     design_bandpass,
     estimate_delay,
 )
-from .util import KM_S_TO_MM_S, atomic_write_text, fmt
+from .util import KM_S_TO_MM_S, atomic_write_text, fmt, parse_number
 
 
 @dataclass(frozen=True)
@@ -160,14 +156,6 @@ def _band_record(
     )
 
 
-def _spectra(waveforms, nfft: int) -> np.ndarray:
-    """rfft of every waveform, one row each, zero-padded to ``nfft`` points."""
-    stack = np.zeros((len(waveforms), max(len(w) for w in waveforms)))
-    for row, w in zip(stack, waveforms):
-        row[: len(w)] = w.samples
-    return sp_fft.rfft(stack, nfft, axis=-1)
-
-
 def sweep_bands(
     prototype_signals,
     grid: BandGrid,
@@ -183,50 +171,35 @@ def sweep_bands(
     warning; bands where fewer than three delays survive get infinite rmse.
     Ties on rmse resolve to the lowest f_low.
 
-    Both channels pass the same filter, so a band's correlation is the
-    inverse FFT of the pair's raw cross-spectrum times the band's |H|²
-    (Knapp & Carter 1976): the spectra are taken once, and each band costs
-    one batched inverse FFT over all pairs.  This is the zero-phase,
-    edge-free form of :func:`~aeloc.signals.filtered_delay`'s causal pass;
-    the two agree on the nondispersive plateau and differ off it.
+    Delays come from :func:`~aeloc.signals.filtered_delay`'s estimator: the
+    spectra are taken once (:class:`~aeloc.signals.CrossSpectra`), and each
+    band costs one batched inverse FFT over all pairs.
     """
-    pairs = [(float(z), ch1, ch2) for z, (ch1, ch2) in prototype_signals]
-    if len(pairs) < 3:
-        raise ValueError(f"calibration needs at least 3 prototypes, got {len(pairs)}")
-    positions = np.array([z for z, _, _ in pairs])
+    pairs = list(prototype_signals)
+    positions = np.array([float(z) for z, _ in pairs])
+    if positions.size < 3:
+        raise ValueError(f"calibration needs at least 3 prototypes, got {positions.size}")
     if np.unique(positions).size < 2:
         raise ValueError("prototype positions are all identical")
-    ch1s = [ch1 for _, ch1, _ in pairs]
-    ch2s = [ch2 for _, _, ch2 in pairs]
-    sample_rate = _shared_sample_rate(ch1s + ch2s)
-    fft = _LagWindowFFT.for_records([len(w) for w in ch1s + ch2s], max_lag)
+    spectra = CrossSpectra.of_pairs([chans for _, chans in pairs], max_lag)
 
-    filters: list[BandpassFilter] = []
+    records = []
     for f_low in grid.band_lows():
         spec = FilterSpec(float(f_low), float(f_low + grid.width), order)
         try:
-            filters.append(design_bandpass(spec, sample_rate))
+            filt = design_bandpass(spec, spectra.sample_rate)
         except ValueError as exc:
             warnings.warn(f"skipping band {spec.f_low}-{spec.f_high} Hz: {exc}", stacklevel=2)
-    if not filters:
-        raise ValueError("every band in the grid was invalid for this sample rate")
-
-    # rfft(ch1) * conj(rfft(ch2)) is the spectrum of cross_correlate(ch2, ch1), as in pair_delay
-    cross = _spectra(ch1s, fft.nfft)
-    cross *= np.conj(_spectra(ch2s, fft.nfft))
-    omega = 2.0 * np.pi * sp_fft.rfftfreq(fft.nfft)
-    weighted = np.empty_like(cross)
-    records = []
-    for filt in filters:
-        np.multiply(cross, filt.power_response(omega), out=weighted)
-        delays = np.full(len(pairs), np.nan)
-        for i, values in enumerate(fft.window(weighted)):
-            r = CorrelationFunction(values=values, max_lag=fft.lag, sample_rate=sample_rate)
+            continue
+        delays = np.full(positions.size, np.nan)
+        for i, r in enumerate(spectra.correlations(filt)):
             try:
                 delays[i] = estimate_delay(r, refine=refine).delay
             except (NoSignalError, DelayWindowError):
                 pass
-        records.append(_band_record(filt.spec, delays, positions, sample_rate))
+        records.append(_band_record(spec, delays, positions, spectra.sample_rate))
+    if not records:
+        raise ValueError("every band in the grid was invalid for this sample rate")
     best = records[int(np.argmin([rec.rmse_mm for rec in records]))]
     if not np.isfinite(best.rmse_mm):
         raise ValueError("no band produced enough usable delay estimates")
@@ -266,20 +239,19 @@ def write_calibration_report(path, result: CalibrationResult, order: int) -> Non
 
 def read_calibration_summary(path) -> tuple[FilterSpec, float]:
     """Recover the chosen band and velocity from a calibration report."""
-    summary: dict[str, str] = {}
+    summary: dict[str, tuple[int, str]] = {}
     with open(path) as fh:
-        for line in fh:
+        for ln, line in enumerate(fh, start=1):
             line = line.strip()
             if line.startswith("#") and "=" in line:
                 key, _, value = line.lstrip("# ").partition("=")
-                summary[key] = value
-    try:
-        spec = FilterSpec(
-            float(summary["best_f_low_hz"]),
-            float(summary["best_f_high_hz"]),
-            int(summary["filter_order"]),
-        )
-        velocity = float(summary["velocity_km_s"])
-    except KeyError as exc:
-        raise ValueError(f"{path}: calibration summary is missing {exc}") from exc
-    return spec, velocity
+                summary[key] = (ln, value)
+
+    def number(key: str, kind=float):
+        if key not in summary:
+            raise ValueError(f"{path}: calibration summary is missing {key!r}")
+        ln, value = summary[key]
+        return parse_number(value, f"{path}:{ln}: {key}", kind)
+
+    low, high = number("best_f_low_hz"), number("best_f_high_hz")
+    return FilterSpec(low, high, number("filter_order", int)), number("velocity_km_s")

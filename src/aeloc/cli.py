@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -41,12 +42,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of every float flag: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
 def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--calibration", metavar="REPORT", help="calibration report to take the band from"
     )
-    parser.add_argument("--f-low", type=float, help="bandpass lower edge in Hz")
-    parser.add_argument("--f-high", type=float, help="bandpass upper edge in Hz")
+    parser.add_argument("--f-low", type=_positive_float, help="bandpass lower edge in Hz")
+    parser.add_argument("--f-high", type=_positive_float, help="bandpass upper edge in Hz")
     parser.add_argument(
         "--order", type=int, help="poles per band edge with --f-low/--f-high (default 4)"
     )
@@ -55,7 +67,7 @@ def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
 def _add_delay_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-delay-s",
-        type=float,
+        type=_positive_float,
         default=pipeline.DEFAULT_MAX_DELAY_S,
         help="largest |delay| searched in the correlation, in seconds",
     )
@@ -258,10 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", help="dataset directory containing manifest.txt")
     p.add_argument("--report", required=True, help="calibration report output path")
     p.add_argument("--svg", help="optional delay-vs-position scatter for the best band")
-    p.add_argument("--width", type=float, default=10_000.0, help="band width in Hz")
-    p.add_argument("--step", type=float, default=1_000.0, help="band step in Hz")
-    p.add_argument("--f-start", type=float, default=5_000.0, help="sweep start in Hz")
-    p.add_argument("--f-stop", type=float, default=75_000.0, help="sweep stop in Hz")
+    p.add_argument("--width", type=_positive_float, default=10_000.0, help="band width in Hz")
+    p.add_argument("--step", type=_positive_float, default=1_000.0, help="band step in Hz")
+    p.add_argument("--f-start", type=_positive_float, default=5_000.0, help="sweep start in Hz")
+    p.add_argument("--f-stop", type=_positive_float, default=75_000.0, help="sweep stop in Hz")
     p.add_argument("--order", type=int, default=4, help="poles per band edge")
     _add_delay_flags(p)
     p.set_defaults(func=_cmd_calibrate)
@@ -288,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", help="optional estimated-vs-actual scatter")
     p.add_argument(
         "--sensor-separation",
-        type=float,
+        type=_positive_float,
         help="sensor separation in mm (defaults to manifest metadata)",
     )
     _add_filter_flags(p)

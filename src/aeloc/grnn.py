@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import atomic_write_text, fmt
+from .util import atomic_write_text, fmt, parse_number
 
 # weights below this contribute nothing detectable to the average
 SUPPORT_EPS = 1e-6
@@ -191,7 +191,7 @@ def load_prototypes(path: str | Path) -> PrototypeSet:
                 raise ValueError(
                     f"{path}:{ln}: expected {s_dim + d_dim + 1} fields, got {len(fields)}"
                 )
-            rows.append([float(x) for x in fields])
+            rows.append([parse_number(x, f"{path}:{ln}") for x in fields])
     if not rows:
         raise ValueError(f"{path}: database holds no prototypes")
     data = np.asarray(rows, dtype=np.float64)

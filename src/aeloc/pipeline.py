@@ -11,9 +11,11 @@ import numpy as np
 from . import grnn
 from .signals import (
     BandpassFilter,
+    CrossSpectra,
     DelayWindowError,
     NoSignalError,
     Waveform,
+    estimate_delay,
     filtered_delay,
     lag_window,
     pair_delay,  # noqa: F401  (kept importable by name for perfbench's alias test)
@@ -102,8 +104,10 @@ def learn_prototypes(
 ) -> tuple[grnn.PrototypeSet, list[tuple[str, str]]]:
     """Build the (delay -> position) prototype database from a calibration dataset.
 
-    Prototypes whose delay estimation fails are skipped and reported; smoothing
-    widths follow the half-nearest-neighbor rule.
+    The delays come from one batched pass through ``filt``, the calibration
+    sweep's estimator (:class:`~aeloc.signals.CrossSpectra`).  Prototypes whose
+    delay estimation fails are skipped and reported; smoothing widths follow
+    the half-nearest-neighbor rule.
     """
     _, entries = load_prototype_pairs(dataset_dir)
     if not entries:
@@ -114,17 +118,17 @@ def learn_prototypes(
         raise ValueError(
             f"duplicate prototype positions {duplicates} mm: smoothing widths are undefined"
         )
+    max_lag = lag_window(max_delay_s, entries[0][1][0].sample_rate)
+    spectra = CrossSpectra.of_pairs([chans for _, chans in entries], max_lag)
     delays: list[float] = []
     kept: list[float] = []
     skipped: list[tuple[str, str]] = []
-    for row, (ch1, ch2) in entries:
-        max_lag = lag_window(max_delay_s, ch1.sample_rate)
+    for (row, _), r in zip(entries, spectra.correlations(filt)):
         try:
-            est = filtered_delay(filt, ch1, ch2, max_lag, refine)
+            delays.append(estimate_delay(r, refine=refine).delay)
         except (DelayWindowError, NoSignalError) as exc:
             skipped.append((row.file, str(exc)))
             continue
-        delays.append(est.delay)
         kept.append(row.position_mm)
     if len(delays) < 2:
         raise ValueError(
@@ -224,6 +228,11 @@ def evaluate_dataset(
             raise ValueError(
                 "manifest metadata lacks sensor positions; pass sensor_separation_mm"
             ) from exc
+        if not 0.0 < sensor_separation_mm < np.inf:
+            raise ValueError(
+                f"{dataset_dir / MANIFEST_NAME}: sensor separation sensor_2_mm - sensor_1_mm "
+                f"= {sensor_separation_mm} mm must be finite and positive"
+            )
 
     locate = partial(_locate_file, pset, filt, dataset_dir, max_delay_s, refine)
     located: list[tuple[ManifestRow, LocationEstimate]] = []

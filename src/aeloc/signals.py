@@ -1,14 +1,14 @@
 """Two-channel signal handling: bandpass filtering, cross-correlation, delay estimation.
 
 The operative quantity downstream is the inter-channel arrival-time
-difference; see :func:`pair_delay` for the sign convention used by the
-calibration and location stages.
+difference through a band, :func:`filtered_delay`: calibration, learning and
+location share that one estimator, signed as :func:`pair_delay`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -125,29 +125,34 @@ class CorrelationFunction:
     sample_rate: float
 
 
-def _shared_sample_rate(waveforms) -> float:
-    """The sample rate all ``waveforms`` share; a mismatch names both rates."""
-    rate = waveforms[0].sample_rate
-    for w in waveforms:
-        if w.sample_rate != rate:
-            raise ValueError(f"sample rates differ: {rate} Hz vs {w.sample_rate} Hz")
-    return rate
+@dataclass(frozen=True, eq=False)
+class CrossSpectra:
+    """Cross-spectra ``rfft(ch1) * conj(rfft(ch2))`` of two-channel records, one row per pair.
 
-
-@dataclass(frozen=True)
-class _LagWindowFFT:
-    """Lags -lag..+lag of a correlation computed as a circular one on ``nfft`` points.
-
-    ``nfft`` covers the longest record plus the window, so no wrap-around
-    reaches |lag| <= max_lag and the circular correlation equals the linear
-    one there.
+    Rows are zero-padded to ``nfft`` points, the longest record plus the lag
+    window, so no wrap-around reaches |lag| <= ``lag`` and the circular
+    correlation equals the linear one there.  Both channels pass the same
+    filter, so a band's correlation is the inverse FFT of the raw
+    cross-spectrum times the band's |H|² (Knapp & Carter 1976): zero-phase,
+    free of filter start-up edges, and one batched inverse FFT per band.
     """
 
+    values: np.ndarray
     lag: int
     nfft: int
+    sample_rate: float
+    # each band's product, refilled in place (one caller at a time): fresh arrays page-fault
+    scratch: np.ndarray
 
     @classmethod
-    def for_records(cls, lengths, max_lag: int) -> _LagWindowFFT:
+    def of_pairs(cls, pairs, max_lag: int) -> CrossSpectra:
+        """Spectra of (ch1, ch2) records, of any lengths, for lags -max_lag..+max_lag."""
+        channels = [ch1 for ch1, _ in pairs] + [ch2 for _, ch2 in pairs]
+        rate = channels[0].sample_rate
+        for w in channels:
+            if w.sample_rate != rate:
+                raise ValueError(f"sample rates differ: {rate} Hz vs {w.sample_rate} Hz")
+        lengths = [len(w) for w in channels]
         lag = int(max_lag)
         if lag != max_lag or lag < 1:
             raise ValueError(f"max_lag must be a positive integer, got {max_lag!r}")
@@ -156,34 +161,50 @@ class _LagWindowFFT:
                 f"max_lag={lag} must be smaller than every record "
                 f"(lengths {min(lengths)}..{max(lengths)})"
             )
-        return cls(lag, sp_fft.next_fast_len(max(lengths) + lag, real=True))
+        nfft = sp_fft.next_fast_len(max(lengths) + lag, real=True)
 
-    def window(self, cross_spectra: np.ndarray) -> np.ndarray:
-        """Lag window (last axis) of the inverse rfft of ``rfft(b) * conj(rfft(a))`` rows."""
-        circ = sp_fft.irfft(cross_spectra, self.nfft, axis=-1)
-        return np.concatenate(
-            (circ[..., self.nfft - self.lag :], circ[..., : self.lag + 1]), axis=-1
-        )
+        def spectra(waveforms) -> np.ndarray:
+            stack = np.zeros((len(waveforms), max(lengths)))
+            for row, w in zip(stack, waveforms):
+                row[: len(w)] = w.samples
+            return sp_fft.rfft(stack, nfft, axis=-1)
+
+        # rfft(ch1) * conj(rfft(ch2)) is the spectrum of cross_correlate(ch2, ch1), as in
+        # pair_delay; numpy rounds in-place complex products differently from out-of-place
+        cross = spectra(channels[: len(pairs)])
+        cross *= np.conj(spectra(channels[len(pairs) :]))
+        return cls(cross, lag, nfft, rate, np.empty_like(cross))
+
+    def correlations(self, filt: BandpassFilter | None = None) -> list[CorrelationFunction]:
+        """Every pair's correlation, signed as in :func:`pair_delay`, through ``filt`` if given."""
+        cross = self.values
+        if filt is not None:
+            if filt.sample_rate != self.sample_rate:
+                raise ValueError(
+                    f"filter designed for {filt.sample_rate} Hz cannot be applied at "
+                    f"{self.sample_rate} Hz"
+                )
+            power = filt.power_response(2.0 * np.pi * sp_fft.rfftfreq(self.nfft))
+            cross = np.multiply(cross, power, out=self.scratch)
+        circ = sp_fft.irfft(cross, self.nfft, axis=-1)
+        windows = np.concatenate((circ[:, -self.lag :], circ[:, : self.lag + 1]), axis=1)
+        return [CorrelationFunction(v, self.lag, self.sample_rate) for v in windows]
 
 
 def cross_correlate(y1: Waveform, y2: Waveform, max_lag: int) -> CorrelationFunction:
     """Correlation r[lag] = sum_t y1[t] * y2[t + lag], truncated at the record edges.
 
     If y2 equals y1 delayed by d samples the peak falls at lag = +d.  Only
-    lags -max_lag..+max_lag are computed: short records use the direct sum,
-    longer ones an FFT sized for the record plus the lag window.
+    lags -max_lag..+max_lag are computed (:class:`CrossSpectra`); short records
+    take the direct sum in place of the FFT values, free of FFT rounding.
     """
-    rate = _shared_sample_rate((y1, y2))
-    n1, n2 = len(y1), len(y2)
-    fft = _LagWindowFFT.for_records((n1, n2), max_lag)
+    (r,) = CrossSpectra.of_pairs([(y2, y1)], max_lag).correlations()
     a, b = y1.samples, y2.samples
     if sps.choose_conv_method(b, a[::-1], mode="full") == "direct":
         full = np.convolve(b, a[::-1])
-        centre = n1 - 1  # index of lag 0 in the full correlation
-        values = full[centre - fft.lag : centre + fft.lag + 1]
-    else:
-        values = fft.window(sp_fft.rfft(b, fft.nfft) * np.conj(sp_fft.rfft(a, fft.nfft)))
-    return CorrelationFunction(values=values, max_lag=fft.lag, sample_rate=rate)
+        centre = len(a) - 1  # index of lag 0 in the full correlation
+        return replace(r, values=full[centre - r.max_lag : centre + r.max_lag + 1])
+    return r
 
 
 @dataclass(frozen=True)
@@ -228,13 +249,17 @@ def pair_delay(ch1: Waveform, ch2: Waveform, max_lag: int, refine: bool = True) 
 def filtered_delay(
     filt: BandpassFilter, ch1: Waveform, ch2: Waveform, max_lag: int, refine: bool = True
 ) -> DelayEstimate:
-    """:func:`pair_delay` of the two channels after one causal pass of ``filt`` each."""
-    return pair_delay(apply_filter(filt, ch1), apply_filter(filt, ch2), max_lag, refine=refine)
+    """:func:`pair_delay` of both channels through ``filt``: the one band-delay estimator."""
+    (r,) = CrossSpectra.of_pairs([(ch1, ch2)], max_lag).correlations(filt)
+    return estimate_delay(r, refine=refine)
 
 
 def lag_window(max_delay_s: float, sample_rate: float) -> int:
     """Correlation half-width in samples that covers delays up to ``max_delay_s``."""
-    return int(np.ceil(max_delay_s * sample_rate))
+    lag = np.ceil(max_delay_s * sample_rate)
+    if not np.isfinite(lag):
+        raise ValueError(f"max_delay_s={max_delay_s} s gives no finite lag at {sample_rate} Hz")
+    return int(lag)
 
 
 _RATE_LINE = re.compile(rb"^#\s*sample_rate_hz=(\d+)\s*$")
@@ -262,7 +287,10 @@ def read_sample_rate(fh) -> float:
     m = _RATE_LINE.match(fh.readline())
     if m is None:
         raise ValueError(f"{fh.name}:1: first line must be '# sample_rate_hz=<integer>'")
-    return float(m.group(1))
+    rate = float(m.group(1))
+    if rate == 0.0:
+        raise ValueError(f"{fh.name}:1: sample_rate_hz must be positive, got 0")
+    return rate
 
 
 def read_waveform_pair(path: str | Path) -> tuple[Waveform, Waveform]:

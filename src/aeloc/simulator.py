@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .signals import Waveform, write_waveform_pair
-from .util import KM_S_TO_MM_S, atomic_write_text, fmt, process_map
+from .util import KM_S_TO_MM_S, atomic_write_text, fmt, parse_number, process_map
 
 DISCRETE_BURST = "discrete-burst"
 CONTINUOUS_NOISE = "continuous-noise"
@@ -335,7 +335,7 @@ def read_manifest(path: str | Path) -> tuple[dict, list[ManifestRow]]:
             raise ValueError(f"{path}: manifest must start with a '# key=value ...' line")
         for token in first.lstrip("#").split():
             key, _, value = token.partition("=")
-            meta[key] = float(value)
+            meta[key] = parse_number(value, f"{path}:1: {key}")
         header = fh.readline().strip()
         if header != "file,role,position_mm,kind":
             raise ValueError(f"{path}: unexpected manifest column header {header!r}")
@@ -346,7 +346,8 @@ def read_manifest(path: str | Path) -> tuple[dict, list[ManifestRow]]:
             fields = line.split(",")
             if len(fields) != 4:
                 raise ValueError(f"{path}:{ln}: expected 4 fields")
-            rows.append(ManifestRow(fields[0], fields[1], float(fields[2]), fields[3]))
+            position = parse_number(fields[2], f"{path}:{ln}: position_mm")
+            rows.append(ManifestRow(fields[0], fields[1], position, fields[3]))
     return meta, rows
 
 

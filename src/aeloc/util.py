@@ -35,6 +35,14 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
+def parse_number(text: str, where: str, kind=float):
+    """``kind(text)``; a malformed number raises ``ValueError`` prefixed with ``where``."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def worker_count() -> int:
     """The CPUs this process may run on: its affinity mask, else the machine's count."""
     try:

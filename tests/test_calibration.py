@@ -13,15 +13,18 @@ from aeloc.calibration import (
     sweep_bands,
     write_calibration_report,
 )
-from aeloc.pipeline import load_prototype_pairs
+from aeloc.pipeline import learn_prototypes, load_prototype_pairs
 from aeloc.signals import (
     DelayWindowError,
     FilterSpec,
     NoSignalError,
     Waveform,
+    apply_filter,
     design_bandpass,
     filtered_delay,
+    pair_delay,
 )
+from aeloc.simulator import parse_config, run_experiment
 
 from conftest import build_dataset
 
@@ -112,8 +115,6 @@ def test_velocity_rejects_degenerate_inputs():
 
 
 def _fitted_slope_for_plateau(v_km_s, out_dir):
-    from aeloc.signals import FilterSpec, apply_filter, design_bandpass, pair_delay
-
     build_dataset(
         out_dir,
         specimen={
@@ -209,8 +210,13 @@ def test_time_shift_of_both_channels_leaves_velocity(sweep_result):
     assert again.velocity_km_s == pytest.approx(result.velocity_km_s, rel=1e-3)
 
 
-def _filtered_delay_loop(pairs, grid):
-    """Reference sweep: each pair through the causal filter, one pair at a time."""
+def _causal_delay(filt, ch1, ch2, max_lag):
+    """The explicit causal reference: one forward pass of the filter per channel."""
+    return pair_delay(apply_filter(filt, ch1), apply_filter(filt, ch2), max_lag)
+
+
+def _delay_loop(pairs, grid, delay=filtered_delay):
+    """Reference sweep: ``delay`` of each pair through each band, one pair at a time."""
     positions = np.array([z for z, _ in pairs])
     fs = pairs[0][1][0].sample_rate
     bands, delays, fits = [], [], []
@@ -219,7 +225,7 @@ def _filtered_delay_loop(pairs, grid):
         row = np.full(len(pairs), np.nan)
         for i, (_, (ch1, ch2)) in enumerate(pairs):
             try:
-                row[i] = filtered_delay(filt, ch1, ch2, MAX_LAG).delay
+                row[i] = delay(filt, ch1, ch2, MAX_LAG).delay
             except (NoSignalError, DelayWindowError):
                 pass
         valid = np.nonzero(np.isfinite(row))[0]
@@ -234,23 +240,50 @@ def _filtered_delay_loop(pairs, grid):
     return bands, delays, fits, best
 
 
-def _assert_plateau_delays_match(result, bands, delays, fs):
-    # the sweep's zero-phase |H|² and the causal pass agree only where the band is nondispersive
+def _assert_delays_match(result, bands, delays, fs, atol_samples, f_lows=(0.0, np.inf)):
     assert [rec.band for rec in result.records] == bands
     for rec, row in zip(result.records, delays):
         assert np.array_equal(np.isnan(rec.delays), np.isnan(row))
-        if 27_000.0 <= rec.band.f_low <= 45_000.0:
-            assert np.allclose(rec.delays * fs, row * fs, rtol=0.0, atol=1e-3, equal_nan=True)
+        if f_lows[0] <= rec.band.f_low <= f_lows[1]:
+            assert np.allclose(
+                rec.delays * fs, row * fs, rtol=0.0, atol=atol_samples, equal_nan=True
+            )
 
 
-def test_cross_spectrum_sweep_matches_filtered_delay_on_plateau(sweep_result):
-    pairs, result = sweep_result
-    bands, delays, fits, best = _filtered_delay_loop(pairs, SWEEP_GRID)
-    fs = pairs[0][1][0].sample_rate
-    _assert_plateau_delays_match(result, bands, delays, fs)
+def _assert_same_choice(result, fits, best, bands):
     assert result.best_band == bands[best]
     assert result.outliers == fits[best][2]
     assert result.velocity_km_s == pytest.approx(estimate_velocity(fits[best][1]), rel=1e-6)
+
+
+def test_cross_spectrum_sweep_matches_filtered_delay_in_every_band(sweep_result):
+    pairs, result = sweep_result
+    bands, delays, fits, best = _delay_loop(pairs, SWEEP_GRID)
+    # one estimator: the batched sweep and the one-pair filtered_delay agree to rounding
+    _assert_delays_match(result, bands, delays, pairs[0][1][0].sample_rate, 1e-9)
+    _assert_same_choice(result, fits, best, bands)
+
+
+def test_zero_phase_sweep_agrees_with_causal_pass_on_plateau(sweep_result):
+    pairs, result = sweep_result
+    bands, delays, fits, best = _delay_loop(pairs, SWEEP_GRID, _causal_delay)
+    # |H|² is zero-phase and a causal pass is not: they agree only where the band is
+    # nondispersive, and differ off it
+    fs = pairs[0][1][0].sample_rate
+    _assert_delays_match(result, bands, delays, fs, 1e-3, f_lows=(27_000.0, 45_000.0))
+    _assert_same_choice(result, fits, best, bands)
+
+
+def test_learned_delays_equal_the_sweep_best_band_delays(tmp_path):
+    run_experiment(parse_config({}), tmp_path)
+    _, entries = load_prototype_pairs(tmp_path)
+    result = sweep_bands(
+        [(row.position_mm, chans) for row, chans in entries], BandGrid(), 4, max_lag=MAX_LAG
+    )
+    filt = design_bandpass(result.best_band, entries[0][1][0].sample_rate)
+    pset, skipped = learn_prototypes(tmp_path, filt)  # default window: MAX_LAG at 1 MHz
+    assert skipped == []
+    assert np.array_equal(pset.given[:, 0], result.best_delays)
 
 
 def test_sweep_rejects_mixed_sample_rates(sweep_result):
@@ -282,8 +315,9 @@ def test_sweep_pads_records_of_unequal_length(sweep_result):
     ]
     assert len({len(w) for _, chans in uneven for w in chans}) > 2
     result = sweep_bands(uneven, SWEEP_GRID, 4, max_lag=MAX_LAG)
-    bands, delays, _, _ = _filtered_delay_loop(uneven, SWEEP_GRID)
-    _assert_plateau_delays_match(result, bands, delays, pairs[0][1][0].sample_rate)
+    bands, delays, _, _ = _delay_loop(uneven, SWEEP_GRID)
+    # each pair alone pads to its own FFT length, the sweep to the longest record's
+    _assert_delays_match(result, bands, delays, pairs[0][1][0].sample_rate, 1e-9)
 
 
 def test_sweep_silent_channel_gives_nan_in_every_band(sweep_result):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from aeloc import cli, pipeline
+from aeloc.calibration import read_calibration_summary
 from aeloc.grnn import load_prototypes
-from aeloc.signals import Waveform, read_waveform_pair, write_waveform_pair
+from aeloc.signals import Waveform, design_bandpass, read_waveform_pair, write_waveform_pair
 from aeloc.simulator import MANIFEST_NAME, default_config
 
 from conftest import build_dataset
@@ -93,6 +94,39 @@ def test_simulate_writes_default_config(tmp_path):
 
 def test_usage_error_exit_code():
     assert cli.main(["frobnicate"]) == 1
+
+
+_FLOAT_FLAG_ARGV = {
+    "calibrate": ["calibrate", "data", "--report", "r.csv"],
+    "learn": ["learn", "data", "--db", "p.db", "--f-low", "35000", "--f-high", "45000"],
+    "locate": ["locate", "p.db", "t.txt", "--f-low", "35000", "--f-high", "45000"],
+    "evaluate": ["evaluate", "p.db", "data", "--report", "e.csv", "--calibration", "c.csv"],
+}
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-2400", "ten"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("calibrate", "--max-delay-s"),
+        ("learn", "--max-delay-s"),
+        ("locate", "--max-delay-s"),
+        ("evaluate", "--max-delay-s"),
+        ("evaluate", "--sensor-separation"),
+        ("calibrate", "--width"),
+        ("calibrate", "--step"),
+        ("calibrate", "--f-start"),
+        ("calibrate", "--f-stop"),
+        ("learn", "--f-low"),
+        ("locate", "--f-high"),
+    ],
+)
+def test_float_flags_refuse_non_finite_and_non_positive(tmp_path, monkeypatch, capsys,
+                                                        command, flag, value):
+    monkeypatch.chdir(tmp_path)  # nothing is read: the flag fails while parsing
+    assert cli.main([*_FLOAT_FLAG_ARGV[command], f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and flag in err and repr(value) in err
 
 
 # ---------------------------------------------------------------- calibrate
@@ -540,6 +574,29 @@ def test_evaluate_report_is_self_consistent(learned, tmp_path):
     relative = float(summary["relative_error"])
     assert relative == pytest.approx(np.mean(errors) / 2400.0, rel=1e-12)
     assert svg.read_text().startswith("<svg")
+
+
+def test_evaluate_refuses_swapped_manifest_sensors(learned, tmp_path, capsys):
+    import shutil
+
+    _, data, report, db = learned
+    swapped = tmp_path / "swapped"
+    shutil.copytree(data, swapped)
+    manifest = swapped / MANIFEST_NAME
+    text = manifest.read_text()
+    assert "sensor_1_mm=800.0 sensor_2_mm=3200.0" in text
+    manifest.write_text(text.replace("sensor_1_mm=800.0 sensor_2_mm=3200.0",
+                                     "sensor_1_mm=3200.0 sensor_2_mm=800.0"))
+    filt = design_bandpass(read_calibration_summary(report)[0], FS)
+    with pytest.raises(ValueError, match=r"manifest\.txt: sensor separation .* = -2400\.0 mm"):
+        pipeline.evaluate_dataset(load_prototypes(db), filt, swapped)
+    code = cli.main(
+        ["evaluate", str(db), str(swapped), "--report", str(tmp_path / "r.csv"),
+         "--calibration", str(report)]
+    )
+    assert code == 2
+    assert "must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_evaluate_noiseless_nondispersive_mean_error_under_5mm(tmp_path, capsys):

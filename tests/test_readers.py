@@ -1,0 +1,78 @@
+"""Every text reader names ``<path>:<line>:`` when a number in the file is malformed."""
+
+import re
+
+import pytest
+
+from aeloc.calibration import read_calibration_summary
+from aeloc.grnn import load_prototypes
+from aeloc.signals import read_waveform_pair
+from aeloc.simulator import read_manifest
+
+_MANIFEST_HEADER = "# sensor_1_mm=800.0 sensor_2_mm=3200.0 sample_rate_hz=1000000.0\n"
+_MANIFEST_COLUMNS = "file,role,position_mm,kind\n"
+_REPORT = (
+    "f_low_hz,f_high_hz,rmse_mm,slope_s_per_mm\n"
+    "35000.0,45000.0,0.1,1.1e-06\n"
+    "# best_f_low_hz=35000.0\n"
+    "# best_f_high_hz=45000.0\n"
+    "# filter_order=4\n"
+    "# velocity_km_s=1.7\n"
+)
+
+# (reader, file name, file text, line the error must name)
+CASES = {
+    "database-field": (
+        load_prototypes,
+        "p.db",
+        "# given_dim=1 hidden_dim=1\n-0.001,900.0,0.0001\n0.0,abc,0.0001\n",
+        3,
+    ),
+    "manifest-header-token": (
+        read_manifest,
+        "manifest.txt",
+        "# sensor_1_mm=800.0 sensor_2_mm=abc\n" + _MANIFEST_COLUMNS,
+        1,
+    ),
+    "manifest-position": (
+        read_manifest,
+        "manifest.txt",
+        _MANIFEST_HEADER + _MANIFEST_COLUMNS
+        + "prototype_00.txt,prototype,900.0,discrete-burst\n"
+        + "prototype_01.txt,prototype,9x0,discrete-burst\n",
+        4,
+    ),
+    "report-velocity": (
+        read_calibration_summary,
+        "calibration.csv",
+        _REPORT.replace("velocity_km_s=1.7", "velocity_km_s=abc"),
+        6,
+    ),
+    "report-band-edge": (
+        read_calibration_summary,
+        "calibration.csv",
+        _REPORT.replace("best_f_high_hz=45000.0", "best_f_high_hz=45k"),
+        4,
+    ),
+    "report-filter-order": (
+        read_calibration_summary,
+        "calibration.csv",
+        _REPORT.replace("filter_order=4", "filter_order=4.5"),
+        5,
+    ),
+    "pair-zero-sample-rate": (
+        read_waveform_pair,
+        "pair.txt",
+        "# sample_rate_hz=0\n0.0,0.0\n1.0,1.0\n",
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_readers_name_path_and_line_of_a_bad_number(tmp_path, case):
+    reader, name, text, line = CASES[case]
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}:{line}: ")):
+        reader(path)

@@ -16,6 +16,8 @@ from aeloc.signals import (
     cross_correlate,
     design_bandpass,
     estimate_delay,
+    filtered_delay,
+    lag_window,
     pair_delay,
     read_waveform_pair,
     write_waveform_pair,
@@ -94,6 +96,13 @@ def test_apply_filter_sample_rate_mismatch():
         apply_filter(filt, Waveform(np.zeros(10) + 1.0, FS / 2))
 
 
+def test_filtered_delay_sample_rate_mismatch():
+    filt = design_bandpass(DEFAULT_BAND, FS)
+    w = Waveform(np.ones(100), FS / 2)
+    with pytest.raises(ValueError, match=r"1000000\.0 Hz cannot be applied at 500000\.0 Hz"):
+        filtered_delay(filt, w, w, 10)
+
+
 def test_zero_waveform_stays_zero():
     filt = design_bandpass(DEFAULT_BAND, FS)
     out = apply_filter(filt, Waveform(np.zeros(1000), FS))
@@ -166,6 +175,8 @@ def test_identical_filtering_preserves_pair_delay():
     )
     assert abs(filtered.delay - raw.delay) * FS < 1.0
     assert raw.delay == pytest.approx(d / FS, abs=1.0 / FS)
+    zero_phase = filtered_delay(filt, Waveform(y, FS), Waveform(x, FS), 200)
+    assert abs(zero_phase.delay - raw.delay) * FS < 1.0
 
 
 # ---------------------------------------------------------- cross-correlation
@@ -301,6 +312,12 @@ def test_boundary_peak_rejected():
     y = np.concatenate([np.zeros(110), x[:-110]])
     with pytest.raises(DelayWindowError):
         estimate_delay(cross_correlate(Waveform(x, FS), Waveform(y, FS), 60))
+
+
+def test_lag_window_refuses_a_product_beyond_the_float_range():
+    assert lag_window(2.5e-3, FS) == 2500
+    with pytest.raises(ValueError, match="no finite lag"):
+        lag_window(1e303, FS)
 
 
 def test_pair_delay_sign_convention():
