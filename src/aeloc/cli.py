@@ -53,6 +53,25 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _integer_at_least(low: int, what: str):
+    """argparse type of an integer flag: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _integer_at_least(1, "positive")
+_non_negative_int = _integer_at_least(0, "non-negative")
+
+
 def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--calibration", metavar="REPORT", help="calibration report to take the band from"
@@ -60,7 +79,7 @@ def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--f-low", type=_positive_float, help="bandpass lower edge in Hz")
     parser.add_argument("--f-high", type=_positive_float, help="bandpass upper edge in Hz")
     parser.add_argument(
-        "--order", type=int, help="poles per band edge with --f-low/--f-high (default 4)"
+        "--order", type=_positive_int, help="poles per band edge with --f-low/--f-high (default 4)"
     )
 
 
@@ -258,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="synthesize a prototype/test dataset")
     p.add_argument("--config", help="JSON configuration file (defaults when omitted)")
     p.add_argument("--out", help="output dataset directory")
-    p.add_argument("--seed", type=int, help="override the configuration seed")
+    p.add_argument("--seed", type=_non_negative_int, help="override the configuration seed")
     p.add_argument(
         "--write-default-config",
         metavar="PATH",
@@ -274,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=_positive_float, default=1_000.0, help="band step in Hz")
     p.add_argument("--f-start", type=_positive_float, default=5_000.0, help="sweep start in Hz")
     p.add_argument("--f-stop", type=_positive_float, default=75_000.0, help="sweep stop in Hz")
-    p.add_argument("--order", type=int, default=4, help="poles per band edge")
+    p.add_argument("--order", type=_positive_int, default=4, help="poles per band edge")
     _add_delay_flags(p)
     p.set_defaults(func=_cmd_calibrate)
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ from .signals import (
 )
 from .simulator import MANIFEST_NAME, ManifestRow, read_manifest
 from .svgplot import scatter_svg
-from .util import atomic_write_text, fmt, process_map
+from .util import atomic_write_text, fmt
 
 # errors below this never count as outliers: one delay-quantization step is
 # roughly v / (2 fs) ~ 0.85 mm for the default specimen
@@ -71,28 +70,27 @@ def locate_pair(
     )
 
 
-def _read_prototype(dataset_dir: Path, rate: float | None, row: ManifestRow):
-    pair = read_waveform_pair(dataset_dir / row.file)
-    if rate is not None and abs(pair[0].sample_rate - rate) > 1e-6:
-        raise ValueError(
-            f"{row.file}: sample rate {pair[0].sample_rate} Hz differs from the "
-            f"manifest's {rate} Hz"
-        )
-    return row, pair
-
-
 def load_prototype_pairs(dataset_dir):
     """Read every manifest prototype pair; returns (meta, [(ManifestRow, (ch1, ch2)), ...]).
 
     A pair whose sample rate differs from the manifest's ``sample_rate_hz`` is
-    an error: callers size the lag window from the manifest rate.  Files are
-    read on worker processes (:func:`aeloc.util.process_map`).
+    an error: callers size the lag window from the manifest rate.
     """
     dataset_dir = Path(dataset_dir)
     meta, manifest = read_manifest(dataset_dir / MANIFEST_NAME)
-    prototypes = [row for row in manifest if row.role == "prototype"]
-    read = partial(_read_prototype, dataset_dir, meta.get("sample_rate_hz"))
-    return meta, process_map(read, prototypes)
+    rate = meta.get("sample_rate_hz")
+    entries = []
+    for row in manifest:
+        if row.role != "prototype":
+            continue
+        pair = read_waveform_pair(dataset_dir / row.file)
+        if rate is not None and abs(pair[0].sample_rate - rate) > 1e-6:
+            raise ValueError(
+                f"{row.file}: sample rate {pair[0].sample_rate} Hz differs from the "
+                f"manifest's {rate} Hz"
+            )
+        entries.append((row, pair))
+    return meta, entries
 
 
 def learn_prototypes(
@@ -184,22 +182,6 @@ def _mad_outliers(errors: np.ndarray, floor_mm: float = OUTLIER_FLOOR_MM) -> np.
     return (deviation > 3.0 * mad) & (deviation > floor_mm)
 
 
-def _locate_file(
-    pset: grnn.PrototypeSet,
-    filt: BandpassFilter,
-    dataset_dir: Path,
-    max_delay_s: float,
-    refine: bool,
-    name: str,
-) -> LocationEstimate | str:
-    """The location of one test file, or the text of the error that prevented it."""
-    try:
-        ch1, ch2 = read_waveform_pair(dataset_dir / name)
-        return locate_pair(pset, filt, ch1, ch2, max_delay_s=max_delay_s, refine=refine)
-    except (ValueError, OSError) as exc:
-        return str(exc)
-
-
 def evaluate_dataset(
     pset: grnn.PrototypeSet,
     filt: BandpassFilter,
@@ -212,8 +194,7 @@ def evaluate_dataset(
     """Locate every manifest test source and compare against the recorded truth.
 
     The sensor separation defaults to the manifest metadata; both raw and
-    3xMAD-trimmed averages are reported.  Test files are read and located on
-    worker processes (:func:`aeloc.util.process_map`).
+    3xMAD-trimmed averages are reported.
     """
     dataset_dir = Path(dataset_dir)
     meta, manifest = read_manifest(dataset_dir / MANIFEST_NAME)
@@ -234,14 +215,16 @@ def evaluate_dataset(
                 f"= {sensor_separation_mm} mm must be finite and positive"
             )
 
-    locate = partial(_locate_file, pset, filt, dataset_dir, max_delay_s, refine)
     located: list[tuple[ManifestRow, LocationEstimate]] = []
     failed: list[tuple[str, str]] = []
-    for row, est in zip(tests, process_map(locate, [row.file for row in tests])):
-        if isinstance(est, str):
-            failed.append((row.file, est))
-        else:
-            located.append((row, est))
+    for row in tests:
+        try:
+            ch1, ch2 = read_waveform_pair(dataset_dir / row.file)
+            est = locate_pair(pset, filt, ch1, ch2, max_delay_s=max_delay_s, refine=refine)
+        except (ValueError, OSError) as exc:
+            failed.append((row.file, str(exc)))
+            continue
+        located.append((row, est))
     if not located:
         raise ValueError("no test source could be located; see per-file failures")
 

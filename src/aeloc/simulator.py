@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .signals import Waveform, write_waveform_pair
-from .util import KM_S_TO_MM_S, atomic_write_text, fmt, parse_number, process_map
+from .util import KM_S_TO_MM_S, atomic_write_text, fmt, parse_number
 
 DISCRETE_BURST = "discrete-burst"
 CONTINUOUS_NOISE = "continuous-noise"
@@ -284,6 +284,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         record_length=int(spec_raw["record_length"]),
         reflection_coeff=spec_raw["reflection_coeff"],
     )
+    seed = int(merged["seed"])
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {merged['seed']!r}")
     return ExperimentConfig(
         model=model,
         prototype_positions_mm=tuple(float(z) for z in merged["prototype_positions_mm"]),
@@ -292,7 +295,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         burst_center_freq_hz=float(merged["burst_center_freq_hz"]),
         continuous_band_hz=tuple(float(f) for f in merged["continuous_band_hz"]),
         source_amplitude=float(merged["source_amplitude"]),
-        seed=int(merged["seed"]),
+        seed=seed,
     )
 
 
@@ -356,22 +359,12 @@ def _source_seed(master_seed: int, role_index: int, source_index: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
-def _write_pair(job: tuple[Path, Waveform, Waveform]) -> None:
-    path, ch1, ch2 = job
-    try:
-        write_waveform_pair(path, ch1, ch2)
-    except OSError as exc:
-        raise OSError(f"failed writing {path}: {exc}") from exc
-
-
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> list[ManifestRow]:
     """Synthesize prototype and test signal pairs and write them plus a manifest.
 
     Prototype sources are always discrete bursts (the calibration excitation);
     test sources use the configured kind.  Output bytes depend only on the
-    configuration, so equal seeds give identical datasets.  Sources are
-    synthesized here, in order; the pair files are formatted and written on
-    worker processes (:func:`aeloc.util.process_map`).
+    configuration, so equal seeds give identical datasets.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -381,23 +374,22 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> list[Manife
         ("prototype", DISCRETE_BURST, config.prototype_positions_mm),
         ("test", config.test_source_kind, config.test_positions_mm),
     )
-
-    def synthesized():
-        for role_index, (role, kind, positions) in enumerate(groups):
-            for i, z in enumerate(positions):
-                spec = SourceSpec(
-                    position_mm=float(z),
-                    kind=kind,
-                    amplitude=config.source_amplitude,
-                    burst_center_freq_hz=config.burst_center_freq_hz,
-                    band_hz=config.continuous_band_hz,
-                    seed=_source_seed(config.seed, role_index, i),
-                )
-                ch1, ch2 = propagate(synth_source(spec, model), spec, model)
-                name = f"{role}_{i:02d}.txt"
-                rows.append(ManifestRow(name, role, float(z), kind))
-                yield out / name, ch1, ch2
-
-    process_map(_write_pair, synthesized())
+    for role_index, (role, kind, positions) in enumerate(groups):
+        for i, z in enumerate(positions):
+            spec = SourceSpec(
+                position_mm=float(z),
+                kind=kind,
+                amplitude=config.source_amplitude,
+                burst_center_freq_hz=config.burst_center_freq_hz,
+                band_hz=config.continuous_band_hz,
+                seed=_source_seed(config.seed, role_index, i),
+            )
+            ch1, ch2 = propagate(synth_source(spec, model), spec, model)
+            name = f"{role}_{i:02d}.txt"
+            try:
+                write_waveform_pair(out / name, ch1, ch2)
+            except OSError as exc:
+                raise OSError(f"failed writing {out / name}: {exc}") from exc
+            rows.append(ManifestRow(name, role, float(z), kind))
     write_manifest(out / MANIFEST_NAME, model, rows)
     return rows

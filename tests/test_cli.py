@@ -92,15 +92,27 @@ def test_simulate_writes_default_config(tmp_path):
     assert len(cfg["test_positions_mm"]) == 23
 
 
+def test_simulate_names_the_pair_it_could_not_write(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config()))
+    out = tmp_path / "data"
+    blocked = out / "prototype_05.txt"
+    blocked.mkdir(parents=True)
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"error: failed writing {blocked}: " in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == [f"prototype_{i:02d}.txt" for i in range(6)]
+
+
 def test_usage_error_exit_code():
     assert cli.main(["frobnicate"]) == 1
 
 
-_FLOAT_FLAG_ARGV = {
+_FLAG_ARGV = {
     "calibrate": ["calibrate", "data", "--report", "r.csv"],
     "learn": ["learn", "data", "--db", "p.db", "--f-low", "35000", "--f-high", "45000"],
     "locate": ["locate", "p.db", "t.txt", "--f-low", "35000", "--f-high", "45000"],
     "evaluate": ["evaluate", "p.db", "data", "--report", "e.csv", "--calibration", "c.csv"],
+    "simulate": ["simulate", "--out", "data"],
 }
 
 
@@ -124,9 +136,27 @@ _FLOAT_FLAG_ARGV = {
 def test_float_flags_refuse_non_finite_and_non_positive(tmp_path, monkeypatch, capsys,
                                                         command, flag, value):
     monkeypatch.chdir(tmp_path)  # nothing is read: the flag fails while parsing
-    assert cli.main([*_FLOAT_FLAG_ARGV[command], f"{flag}={value}"]) == 1
+    assert cli.main([*_FLAG_ARGV[command], f"{flag}={value}"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and flag in err and repr(value) in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        *[(command, "--order", value)
+          for command in ("calibrate", "learn", "locate", "evaluate")
+          for value in ("0", "-3", "2.5", "ten")],
+        *[("simulate", "--seed", value) for value in ("-1", "1.5", "ten")],
+    ],
+)
+def test_integer_flags_refuse_non_integers_and_out_of_range(tmp_path, monkeypatch, capsys,
+                                                            command, flag, value):
+    monkeypatch.chdir(tmp_path)  # nothing is read or written: the flag fails while parsing
+    assert cli.main([*_FLAG_ARGV[command], f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and flag in err and repr(value) in err
+    assert not (tmp_path / "data").exists()
 
 
 # ---------------------------------------------------------------- calibrate
@@ -288,21 +318,17 @@ def test_learn_builds_database_with_expected_sigmas(learned):
     assert np.allclose(pset.sigmas, 117.647e-6, rtol=1e-3)
 
 
-def _log_pair_reads(monkeypatch, log):
-    """Append the file name of every read_waveform_pair call the CLI makes to ``log``.
-
-    Forked worker processes inherit the wrapper and the log path, so their
-    reads are logged too.
-    """
-    log.write_text("")
+def _log_pair_reads(monkeypatch) -> Counter:
+    """Count, by file name, the read_waveform_pair calls the CLI makes."""
+    reads = Counter()
 
     def logging_read(path):
-        with open(log, "a") as fh:
-            fh.write(Path(path).name + "\n")
+        reads[Path(path).name] += 1
         return read_waveform_pair(path)
 
     for module in (cli, pipeline):
         monkeypatch.setattr(module, "read_waveform_pair", logging_read)
+    return reads
 
 
 LEARN_ARGS = ["--f-low", "35000", "--f-high", "45000", "--max-delay-s", "1e-4"]
@@ -321,10 +347,8 @@ def test_learn_reads_each_prototype_once(tmp_path, monkeypatch):
         if not rate_in_manifest:
             manifest.write_text(manifest.read_text().replace(" sample_rate_hz=1000000.0", ""))
         for argv in commands:
-            log = tmp_path / "reads.log"
-            _log_pair_reads(monkeypatch, log)
+            reads = _log_pair_reads(monkeypatch)
             assert cli.main(argv) == 0
-            reads = Counter(log.read_text().split())
             assert reads == {f"prototype_{i:02d}.txt": 1 for i in range(3)}, (argv[0], reads)
 
 
@@ -574,6 +598,27 @@ def test_evaluate_report_is_self_consistent(learned, tmp_path):
     relative = float(summary["relative_error"])
     assert relative == pytest.approx(np.mean(errors) / 2400.0, rel=1e-12)
     assert svg.read_text().startswith("<svg")
+
+
+def test_truncated_test_file_is_named_in_failed(learned, tmp_path):
+    import shutil
+
+    _, data, report, db = learned
+    broken = tmp_path / "broken"
+    shutil.copytree(data, broken)
+    lines = (broken / "test_01.txt").read_text().splitlines()
+    cut = lines[1000].split(",")[0]  # the line ends after its first channel
+    (broken / "test_01.txt").write_text("\n".join(lines[:1000] + [cut]) + "\n")
+    spec, _ = read_calibration_summary(report)
+    filt = design_bandpass(spec, FS)
+    pset = load_prototypes(db)
+    intact = pipeline.evaluate_dataset(pset, filt, data)
+    got = pipeline.evaluate_dataset(pset, filt, broken)
+    assert [name for name, _ in got.failed] == ["test_01.txt"]
+    assert got.failed[0][1].startswith(f"{broken / 'test_01.txt'}:1001: ")
+    assert [(r.file, r.estimated_mm, r.error_mm) for r in got.rows] == [
+        (r.file, r.estimated_mm, r.error_mm) for r in intact.rows if r.file != "test_01.txt"
+    ]
 
 
 def test_evaluate_refuses_swapped_manifest_sensors(learned, tmp_path, capsys):

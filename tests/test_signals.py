@@ -378,20 +378,28 @@ _HEADER = "# sample_rate_hz=1000000\n"
 
 
 @pytest.mark.parametrize(
-    "body",
+    "body, ch1, ch2",
     [
-        "0.5,-1.5\r\n2e-3,4E+2\r\n",
-        "0.5,-1.5\n2e-3,4E+2\n\n\n",
-        "0.5,-1.5\n2e-3,4E+2",
-        " 0.5 ,\t-1.5\n2e-3,4E+2\n",
+        ("0.5,-1.5\r\n2e-3,4E+2\r\n", [0.5, 2e-3], [-1.5, 400.0]),
+        ("0.5,-1.5\n2e-3,4E+2\n\n\n", [0.5, 2e-3], [-1.5, 400.0]),
+        ("0.5,-1.5\n2e-3,4E+2", [0.5, 2e-3], [-1.5, 400.0]),
+        (" 0.5 ,\t-1.5\n2e-3,4E+2\n", [0.5, 2e-3], [-1.5, 400.0]),
+        # Python's repr text, as datasets written with it hold: must read the same doubles
+        (
+            "1e+16,-7.585928232854437e-05\n1e-07,-0.0\n",
+            [1e16, 1e-07],
+            [-7.585928232854437e-05, -0.0],
+        ),
     ],
-    ids=["crlf", "trailing-newlines", "no-final-newline", "blanks-around-numbers"],
+    ids=["crlf", "trailing-newlines", "no-final-newline", "blanks-around-numbers", "repr-text"],
 )
-def test_reader_accepts_line_endings_and_blanks(tmp_path, body):
+def test_reader_accepts_line_endings_and_blanks(tmp_path, body, ch1, ch2):
     path = tmp_path / "pair.txt"
     path.write_bytes((_HEADER + body).encode())
-    ch1, ch2 = read_waveform_pair(path)
-    assert ch1.samples.tolist() == [0.5, 2e-3] and ch2.samples.tolist() == [-1.5, 400.0]
+    got1, got2 = read_waveform_pair(path)
+    # bit patterns, not ==, so that -0.0 must come back as -0.0
+    assert np.array_equal(got1.samples.view(np.int64), np.array(ch1).view(np.int64))
+    assert np.array_equal(got2.samples.view(np.int64), np.array(ch2).view(np.int64))
 
 
 # (body after the header, 1-based file line of the fault with the header as line 1)

@@ -189,6 +189,18 @@ def test_out_of_span_source_warns():
         propagate(synth_source(spec, model), spec, model)
 
 
+def test_run_experiment_passes_the_out_of_span_warning_to_the_caller(tmp_path):
+    cfg = parse_config(
+        {
+            "specimen": {"record_length": 4096},
+            "prototype_positions_mm": [900.0, 1500.0],
+            "test_positions_mm": [500.0],
+        }
+    )
+    with pytest.warns(UserWarning, match="500.0 mm lies outside the sensor span"):
+        run_experiment(cfg, tmp_path)
+
+
 def test_source_outside_specimen_rejected():
     model = nondispersive()
     spec = SourceSpec(position_mm=4500.0, kind=DISCRETE_BURST, seed=9)
@@ -257,6 +269,11 @@ def test_config_json_roundtrip(tmp_path):
     assert len(cfg.prototype_positions_mm) == 12
     assert len(cfg.test_positions_mm) == 23
     assert cfg.test_source_kind == CONTINUOUS_NOISE
+
+
+def test_config_refuses_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+        parse_config({"seed": -1})
 
 
 def test_config_rejects_unknown_keys():
