@@ -202,19 +202,12 @@ def _cmd_locate(args) -> int:
     pset = grnn.load_prototypes(args.db)
     rows = []
     failures = 0
-    filt = None
     for name in args.files:
         try:
             ch1, ch2 = read_waveform_pair(name)
-            if filt is None or filt.sample_rate != ch1.sample_rate:
-                filt = design_bandpass(filt_spec, ch1.sample_rate)
+            filt = design_bandpass(filt_spec, ch1.sample_rate)
             est = pipeline.locate_pair(
-                pset,
-                filt,
-                ch1,
-                ch2,
-                max_delay_s=args.max_delay_s,
-                refine=not args.no_refine,
+                pset, filt, ch1, ch2, max_delay_s=args.max_delay_s, refine=not args.no_refine
             )
         except (ValueError, OSError) as exc:
             failures += 1

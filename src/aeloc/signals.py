@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -66,45 +67,42 @@ class FilterSpec:
                 f"band edges must satisfy 0 < f_low < f_high, got {self.f_low}..{self.f_high} Hz"
             )
 
-    def validate_for(self, sample_rate: float) -> None:
-        if self.f_high >= sample_rate / 2.0:
-            raise ValueError(
-                f"f_high={self.f_high} Hz is not below the Nyquist frequency "
-                f"{sample_rate / 2.0} Hz"
-            )
-
 
 @dataclass(frozen=True, eq=False)
 class BandpassFilter:
-    """Designed causal IIR bandpass as second-order sections, tied to one sample rate."""
+    """Butterworth bandpass as ``sps.butter`` designs it at one sample rate, read as |H|²."""
 
     spec: FilterSpec
     sample_rate: float
-    sos: np.ndarray
+
+    @cached_property
+    def sos(self) -> np.ndarray:
+        """Second-order sections, designed on first use; only :func:`apply_filter` needs them."""
+        spec = self.spec
+        return sps.butter(
+            spec.order, [spec.f_low, spec.f_high], "bandpass", output="sos", fs=self.sample_rate
+        )
 
     def power_response(self, omega: np.ndarray) -> np.ndarray:
-        """|H(e^jω)|² at ``omega`` radians per sample, in closed form from the sections."""
-        cos, sin = np.cos(omega), np.sin(omega)
+        """|H(e^jω)|² at ``omega`` radians per sample, in closed form.
 
-        def squared_magnitude(c0, c1, c2):
-            # |c0 + c1 e^-jω + c2 e^-2jω|² = |c0 e^jω + c1 + c2 e^-jω|², as Re² + Im²: this
-            # keeps the cancellation near a pole at the scale of |C|, not of |C|²
-            return ((c0 + c2) * cos + c1) ** 2 + ((c0 - c2) * sin) ** 2
-
-        power = np.ones_like(cos)
-        for b0, b1, b2, a0, a1, a2 in self.sos:
-            power *= squared_magnitude(b0, b1, b2)
-            power /= squared_magnitude(a0, a1, a2)
-        return power
+        The analog 1 / (1 + Ω^2N) taken to a band-pass by Ω → (Ω² − Ω1·Ω2) / ((Ω2 − Ω1)·Ω),
+        then to the z-plane by Ω = 2·fs·tan(ω/2), edges prewarped to Ω_i = 2·fs·tan(π·f_i/fs).
+        """
+        x1, x2 = np.tan(np.pi * np.array([self.spec.f_low, self.spec.f_high]) / self.sample_rate)
+        x = np.tan(0.5 * np.asarray(omega, dtype=np.float64))
+        # ω = 0 divides to -inf and large orders overflow to inf: both give exactly 0
+        with np.errstate(divide="ignore", over="ignore"):
+            return 1.0 / (1.0 + ((x * x - x1 * x2) / ((x2 - x1) * x)) ** (2 * self.spec.order))
 
 
 def design_bandpass(spec: FilterSpec, sample_rate: float) -> BandpassFilter:
-    """Design a causal Butterworth bandpass (maximally flat in the passband)."""
-    spec.validate_for(sample_rate)
-    sos = sps.butter(
-        spec.order, [spec.f_low, spec.f_high], btype="bandpass", fs=sample_rate, output="sos"
-    )
-    return BandpassFilter(spec=spec, sample_rate=float(sample_rate), sos=sos)
+    """Butterworth bandpass (maximally flat in the passband); only checks the band."""
+    if spec.f_high >= sample_rate / 2.0:
+        raise ValueError(
+            f"f_high={spec.f_high} Hz is not below the Nyquist frequency {sample_rate / 2.0} Hz"
+        )
+    return BandpassFilter(spec=spec, sample_rate=float(sample_rate))
 
 
 def apply_filter(filt: BandpassFilter, w: Waveform) -> Waveform:
@@ -132,9 +130,9 @@ class CrossSpectra:
     Rows are zero-padded to ``nfft`` points, the longest record plus the lag
     window, so no wrap-around reaches |lag| <= ``lag`` and the circular
     correlation equals the linear one there.  Both channels pass the same
-    filter, so a band's correlation is the inverse FFT of the raw
-    cross-spectrum times the band's |H|² (Knapp & Carter 1976): zero-phase,
-    free of filter start-up edges, and one batched inverse FFT per band.
+    filter, so a band's correlation is the inverse FFT of the raw cross-spectrum
+    times the band's closed-form |H|² (Knapp & Carter 1976): zero-phase, free of
+    filter start-up edges, no filter design, and one batched inverse FFT per band.
     """
 
     values: np.ndarray
@@ -334,10 +332,11 @@ def read_waveform_pair(path: str | Path) -> tuple[Waveform, Waveform]:
         at = body.index(foreign[:1]) + 1
         raise ValueError(f"{path}:{line_at(at)}: unexpected character {chr(foreign[0])!r}")
     commas = np.flatnonzero(text == ord(","))
-    per_line = np.bincount(np.searchsorted(newlines, commas), minlength=newlines.size + 1)
-    misplaced = np.flatnonzero(per_line != 1)
-    if misplaced.size:
-        line = int(misplaced[0])
+    # one comma per line: one more comma than newlines, and each newline between two commas
+    fits = commas.size == newlines.size + 1
+    if not (fits and np.all(commas[:-1] < newlines) and np.all(newlines < commas[1:])):
+        per_line = np.bincount(np.searchsorted(newlines, commas), minlength=newlines.size + 1)
+        line = int(np.flatnonzero(per_line != 1)[0])
         raise ValueError(
             f"{path}:{line + 2}: expected one 'ch1,ch2' pair, found {per_line[line]} commas"
         )

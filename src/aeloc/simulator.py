@@ -261,6 +261,13 @@ def default_config() -> dict:
     }
 
 
+def _integer(key: str, value) -> int:
+    """``value`` as an int; a boolean or a number with a fraction is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)) or value % 1:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Overlay ``raw`` on :func:`default_config`; keys the defaults lack are rejected."""
     merged = default_config()
@@ -281,10 +288,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         attenuation_db_per_m=spec_raw["attenuation_db_per_m"],
         noise_snr_db=spec_raw["noise_snr_db"],
         sample_rate_hz=spec_raw["sample_rate_hz"],
-        record_length=int(spec_raw["record_length"]),
+        record_length=_integer("specimen.record_length", spec_raw["record_length"]),
         reflection_coeff=spec_raw["reflection_coeff"],
     )
-    seed = int(merged["seed"])
+    seed = _integer("seed", merged["seed"])
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {merged['seed']!r}")
     return ExperimentConfig(

@@ -709,3 +709,26 @@ def test_evaluate_detects_orphans(learned, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "test_01.txt" in err and "test_99.txt" in err
+
+
+# ------------------------------------------------------- no filter design
+
+
+def test_pipeline_stages_run_without_designing_a_filter(tmp_path, monkeypatch):
+    # every stage reads the band only through its closed-form |H|²
+    data = tmp_path / "data"
+    build_dataset(
+        data, prototypes=[900.0 + 400.0 * k for k in range(6)], tests=[1500.0, 2100.0], seed=4
+    )
+
+    def no_design(*args, **kwargs):
+        raise AssertionError("sps.butter called")
+
+    monkeypatch.setattr("aeloc.signals.sps.butter", no_design)
+    cal, db = tmp_path / "cal.csv", tmp_path / "p.db"
+    band = ["--calibration", str(cal)]
+    grid = ["--f-start", "30000", "--f-stop", "50000", "--step", "5000"]
+    assert cli.main(["calibrate", str(data), "--report", str(cal), *grid]) == 0
+    assert cli.main(["learn", str(data), "--db", str(db), *band]) == 0
+    assert cli.main(["locate", str(db), str(data / "test_00.txt"), *band]) == 0
+    assert cli.main(["evaluate", str(db), str(data), "--report", str(tmp_path / "e.csv"), *band]) == 0

@@ -1,4 +1,5 @@
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,41 @@ def test_power_response_matches_sosfreqz(fs, f_low, f_high, order):
     omega = 2.0 * np.pi * np.fft.rfftfreq(19_200)  # rfft bins from 0 to pi
     _, h = sps.sosfreqz(filt.sos, worN=omega)
     assert np.allclose(filt.power_response(omega), np.abs(h) ** 2, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+@pytest.mark.parametrize(
+    "fs,f_low,f_high",
+    [(FS, 35_000.0, 45_000.0), (FS, 489_000.0, 499_000.0), (90_000.0, 34_000.0, 44_000.0)],
+)
+def test_power_response_is_half_at_the_edges_and_one_at_the_prewarped_centre(
+    fs, f_low, f_high, order
+):
+    filt = design_bandpass(FilterSpec(f_low, f_high, order), fs)
+    edges = filt.power_response(2.0 * np.pi * np.array([f_low, f_high]) / fs)
+    assert np.allclose(edges, 0.5, rtol=0.0, atol=1e-12)
+    x1, x2 = np.tan(np.pi * f_low / fs), np.tan(np.pi * f_high / fs)
+    centre = 2.0 * np.arctan(np.sqrt(x1 * x2))  # tan²(ω/2) = x1·x2
+    assert filt.power_response(np.array([centre]))[0] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("order", [1, 4, 200])
+def test_power_response_is_exactly_zero_at_dc_without_warnings(order):
+    filt = design_bandpass(FilterSpec(35_000.0, 45_000.0, order), FS)
+    omega = 2.0 * np.pi * np.fft.rfftfreq(19_200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        power = filt.power_response(omega)
+    assert power[0] == 0.0
+    assert np.all(np.isfinite(power)) and np.all((power >= 0.0) & (power <= 1.0))
+
+
+def test_sos_is_the_scipy_design_bit_for_bit():
+    spec = FilterSpec(35_000.0, 45_000.0, 4)
+    filt = design_bandpass(spec, FS)
+    sos = sps.butter(4, [35_000.0, 45_000.0], btype="bandpass", fs=FS, output="sos")
+    assert filt.sos.tobytes() == sos.tobytes()
+    assert filt.sos is filt.sos  # designed once, on first use
 
 
 def test_band_selectivity_power_ratio():

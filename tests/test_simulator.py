@@ -276,6 +276,37 @@ def test_config_refuses_a_negative_seed():
         parse_config({"seed": -1})
 
 
+@pytest.mark.parametrize(
+    "raw,key",
+    [
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": "3"}, "seed"),
+        ({"specimen": {"record_length": 8192.7}}, "specimen.record_length"),
+        ({"specimen": {"record_length": False}}, "specimen.record_length"),
+    ],
+)
+def test_config_refuses_non_integers_instead_of_truncating(raw, key):
+    with pytest.raises(ValueError, match=rf"^{key} must be an integer, got "):
+        parse_config(raw)
+
+
+def test_config_accepts_integral_numbers():
+    cfg = parse_config({"seed": 3.0, "specimen": {"record_length": 16384.0}})
+    assert (cfg.seed, cfg.model.record_length) == (3, 16384)
+    assert type(cfg.seed) is int and type(cfg.model.record_length) is int
+
+
+def test_simulate_exits_2_on_a_fractional_seed(tmp_path, capsys):
+    from aeloc import cli
+
+    path = tmp_path / "cfg.json"
+    path.write_text('{"seed": 1.5}')
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "d")]) == 2
+    assert "seed must be an integer, got 1.5" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown configuration keys"):
         parse_config({"velocity": 1.7})
