@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -259,7 +260,13 @@ def _cmd_evaluate(args) -> int:
     return 2 if report.failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every :func:`main` call.
+
+    Parsing leaves it unchanged (each call fills a fresh ``Namespace``), so it
+    must not be modified by callers either.
+    """
     parser = _Parser(
         prog="aeloc",
         description="Acoustic-emission source location on a 1-D waveguide: "

@@ -17,7 +17,7 @@ import orjson
 from scipy import fft as sp_fft
 from scipy import signal as sps
 
-from .util import atomic_write_text
+from .util import atomic_write_bytes
 
 
 class NoSignalError(ValueError):
@@ -276,13 +276,19 @@ def write_waveform_pair(path: str | Path, ch1: Waveform, ch2: Waveform) -> Path:
     if abs(rate - ch1.sample_rate) > 1e-6:
         raise ValueError(f"file format stores integer sample rates, got {ch1.sample_rate}")
     # orjson writes each double as its shortest round-trip text; in the flat array
-    # ch1, ch2, ch1, ... every second comma ends a line (the reader turns newlines back)
-    flat = orjson.dumps(
-        np.column_stack([ch1.samples, ch2.samples]).ravel(), option=orjson.OPT_SERIALIZE_NUMPY
+    # ch1, ch2, ch1, ... every second comma ends a line (the reader turns newlines back),
+    # the closing bracket ends the last line and the opening one is not written;
+    # the edits happen in place, so the file's body is the one buffer orjson returned
+    text = bytearray(
+        orjson.dumps(
+            np.column_stack([ch1.samples, ch2.samples]).ravel(),
+            option=orjson.OPT_SERIALIZE_NUMPY,
+        )
     )
-    body = np.frombuffer(flat, np.uint8)[1:-1].copy()
-    body[np.flatnonzero(body == ord(","))[1::2]] = ord("\n")
-    return atomic_write_text(path, f"# sample_rate_hz={rate}\n{body.tobytes().decode()}\n")
+    view = np.frombuffer(text, np.uint8)
+    view[np.flatnonzero(view == ord(","))[1::2]] = ord("\n")
+    view[-1] = ord("\n")
+    return atomic_write_bytes(path, b"# sample_rate_hz=%d\n" % rate, memoryview(text)[1:])
 
 
 def read_sample_rate(fh) -> float:

@@ -1,4 +1,6 @@
+import argparse
 import json
+import os
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -105,6 +107,55 @@ def test_simulate_names_the_pair_it_could_not_write(tmp_path, capsys):
 
 def test_usage_error_exit_code():
     assert cli.main(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_written_files_follow_the_umask(tmp_path, umask):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(test_positions_mm=[1500.0])))
+    out = tmp_path / "data"
+    previous = os.umask(umask)
+    try:
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    for name in (MANIFEST_NAME, "test_00.txt"):
+        assert (out / name).stat().st_mode & 0o777 == 0o666 & ~umask, name
+
+
+# ----------------------------------------------------------------- parser
+
+
+def test_main_builds_one_parser_tree_for_many_calls(monkeypatch):
+    constructed = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert cli.main(["frobnicate"]) == 1
+    assert len(constructed) == 6  # the root parser and one per subcommand
+    assert cli.main(["locate"]) == 1
+    assert len(constructed) == 6
+
+
+def test_shared_parser_keeps_no_state_between_calls(learned, capsys):
+    _, data, report, db = learned
+    argv = ["locate", str(db), str(data / "test_02.txt"), "--calibration", str(report)]
+    assert cli.main(argv + ["--no-refine"]) == 0
+    unrefined = capsys.readouterr()
+    assert cli.main(argv + ["--bogus"]) == 1
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert cli.main(argv) == 0
+    after = capsys.readouterr()
+    cli.build_parser.cache_clear()
+    assert cli.main(argv) == 0
+    fresh = capsys.readouterr()
+    assert (after.out, after.err) == (fresh.out, fresh.err)
+    assert after.out != unrefined.out  # refinement is back on
 
 
 _FLAG_ARGV = {
@@ -641,6 +692,27 @@ def test_evaluate_refuses_swapped_manifest_sensors(learned, tmp_path, capsys):
     )
     assert code == 2
     assert "must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_evaluate_refuses_a_nan_test_position(learned, tmp_path, capsys):
+    import shutil
+
+    _, data, report, db = learned
+    broken = tmp_path / "broken"
+    shutil.copytree(data, broken)
+    manifest = broken / MANIFEST_NAME
+    lines = manifest.read_text().splitlines()
+    ln = next(i for i, line in enumerate(lines, start=1) if line.startswith("test_01.txt,"))
+    name, role, _, kind = lines[ln - 1].split(",")
+    lines[ln - 1] = ",".join([name, role, "nan", kind])
+    manifest.write_text("\n".join(lines) + "\n")
+    code = cli.main(
+        ["evaluate", str(db), str(broken), "--report", str(tmp_path / "r.csv"),
+         "--calibration", str(report)]
+    )
+    assert code == 2
+    assert f"error: {manifest}:{ln}: position_mm: number must be finite" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
 
 

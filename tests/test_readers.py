@@ -1,4 +1,4 @@
-"""Every text reader names ``<path>:<line>:`` when a number in the file is malformed."""
+"""Every text reader names ``<path>:<line>:`` when a number in the file is malformed or not finite."""
 
 import re
 
@@ -28,6 +28,18 @@ CASES = {
         "# given_dim=1 hidden_dim=1\n-0.001,900.0,0.0001\n0.0,abc,0.0001\n",
         3,
     ),
+    "database-nan-field": (
+        load_prototypes,
+        "p.db",
+        "# given_dim=1 hidden_dim=1\n-0.001,900.0,0.0001\n0.0,nan,0.0001\n",
+        3,
+    ),
+    "database-infinite-sigma": (
+        load_prototypes,
+        "p.db",
+        "# given_dim=1 hidden_dim=1\n-0.001,900.0,-inf\n0.0,1000.0,0.0001\n",
+        2,
+    ),
     "manifest-header-token": (
         read_manifest,
         "manifest.txt",
@@ -42,11 +54,37 @@ CASES = {
         + "prototype_01.txt,prototype,9x0,discrete-burst\n",
         4,
     ),
+    "manifest-nan-position": (
+        read_manifest,
+        "manifest.txt",
+        _MANIFEST_HEADER + _MANIFEST_COLUMNS
+        + "prototype_00.txt,prototype,900.0,discrete-burst\n"
+        + "test_00.txt,test,nan,continuous-noise\n",
+        4,
+    ),
+    "manifest-infinite-sensor": (
+        read_manifest,
+        "manifest.txt",
+        "# sensor_1_mm=800.0 sensor_2_mm=inf\n" + _MANIFEST_COLUMNS,
+        1,
+    ),
     "report-velocity": (
         read_calibration_summary,
         "calibration.csv",
         _REPORT.replace("velocity_km_s=1.7", "velocity_km_s=abc"),
         6,
+    ),
+    "report-nan-velocity": (
+        read_calibration_summary,
+        "calibration.csv",
+        _REPORT.replace("velocity_km_s=1.7", "velocity_km_s=nan"),
+        6,
+    ),
+    "report-infinite-band-edge": (
+        read_calibration_summary,
+        "calibration.csv",
+        _REPORT.replace("best_f_low_hz=35000.0", "best_f_low_hz=-Infinity"),
+        3,
     ),
     "report-band-edge": (
         read_calibration_summary,

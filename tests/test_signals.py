@@ -3,6 +3,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -394,9 +395,13 @@ def test_waveform_pair_roundtrip_is_bit_exact(pairs):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "pair.txt"
         write_waveform_pair(path, Waveform(data[:, 0], FS), Waveform(data[:, 1], FS))
+        written = path.read_bytes()
         ra, rb = read_waveform_pair(path)
     assert np.array_equal(ra.samples.view(np.int64), data[:, 0].view(np.int64))
     assert np.array_equal(rb.samples.view(np.int64), data[:, 1].view(np.int64))
+    # the bytes: the header, then one line per pair of each value's own orjson text
+    lines = [b"%s,%s\n" % (orjson.dumps(float(a)), orjson.dumps(float(b))) for a, b in data]
+    assert written == b"# sample_rate_hz=1000000\n" + b"".join(lines)
 
 
 def test_reader_matches_loadtxt_on_a_simulated_dataset(tmp_path):
