@@ -15,12 +15,10 @@ import numpy as np
 
 from .signals import (
     CrossSpectra,
-    DelayWindowError,
     FilterSpec,
-    NoSignalError,
     apply_filter,  # noqa: F401  (kept importable by name for perfbench's alias test)
     design_bandpass,
-    estimate_delay,
+    pick_delays,
 )
 from .util import KM_S_TO_MM_S, atomic_write_text, fmt, parse_number
 
@@ -171,9 +169,9 @@ def sweep_bands(
     warning; bands where fewer than three delays survive get infinite rmse.
     Ties on rmse resolve to the lowest f_low.
 
-    Delays come from :func:`~aeloc.signals.filtered_delay`'s estimator: the
-    spectra are taken once (:class:`~aeloc.signals.CrossSpectra`), and each
-    band costs one batched inverse FFT over all pairs.
+    Delays come from :func:`~aeloc.signals.filtered_delay`'s estimator: the spectra
+    are taken once (:class:`~aeloc.signals.CrossSpectra`), and each band costs one
+    batched inverse FFT and one :func:`~aeloc.signals.pick_delays` over all pairs.
     """
     pairs = list(prototype_signals)
     positions = np.array([float(z) for z, _ in pairs])
@@ -191,12 +189,8 @@ def sweep_bands(
         except ValueError as exc:
             warnings.warn(f"skipping band {spec.f_low}-{spec.f_high} Hz: {exc}", stacklevel=2)
             continue
-        delays = np.full(positions.size, np.nan)
-        for i, r in enumerate(spectra.correlations(filt)):
-            try:
-                delays[i] = estimate_delay(r, refine=refine).delay
-            except (NoSignalError, DelayWindowError):
-                pass
+        windows = spectra.correlations(filt)
+        delays, _ = pick_delays(windows, spectra.lag, spectra.sample_rate, refine)
         records.append(_band_record(spec, delays, positions, spectra.sample_rate))
     if not records:
         raise ValueError("every band in the grid was invalid for this sample rate")

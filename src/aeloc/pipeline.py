@@ -11,13 +11,11 @@ from . import grnn
 from .signals import (
     BandpassFilter,
     CrossSpectra,
-    DelayWindowError,
-    NoSignalError,
     Waveform,
-    estimate_delay,
     filtered_delay,
     lag_window,
     pair_delay,  # noqa: F401  (kept importable by name for perfbench's alias test)
+    pick_delays,
     read_waveform_pair,
 )
 from .simulator import MANIFEST_NAME, ManifestRow, read_manifest
@@ -118,21 +116,12 @@ def learn_prototypes(
         )
     max_lag = lag_window(max_delay_s, entries[0][1][0].sample_rate)
     spectra = CrossSpectra.of_pairs([chans for _, chans in entries], max_lag)
-    delays: list[float] = []
-    kept: list[float] = []
-    skipped: list[tuple[str, str]] = []
-    for (row, _), r in zip(entries, spectra.correlations(filt)):
-        try:
-            delays.append(estimate_delay(r, refine=refine).delay)
-        except (DelayWindowError, NoSignalError) as exc:
-            skipped.append((row.file, str(exc)))
-            continue
-        kept.append(row.position_mm)
-    if len(delays) < 2:
-        raise ValueError(
-            f"only {len(delays)} prototypes survived delay estimation; need at least 2"
-        )
-    return grnn.PrototypeSet.from_data(given=delays, hidden=kept), skipped
+    delays, errors = pick_delays(spectra.correlations(filt), max_lag, spectra.sample_rate, refine)
+    skipped = [(entries[i][0].file, str(exc)) for i, exc in errors.items()]
+    kept = ~np.isnan(delays)
+    if kept.sum() < 2:
+        raise ValueError(f"only {kept.sum()} prototypes survived delay estimation; need at least 2")
+    return grnn.PrototypeSet.from_data(delays[kept], np.asarray(positions)[kept]), skipped
 
 
 def write_location_report(path, rows) -> None:
@@ -175,11 +164,11 @@ class EvaluationReport:
 
 
 def _mad_outliers(errors: np.ndarray, floor_mm: float = OUTLIER_FLOOR_MM) -> np.ndarray:
-    """Boolean mask of 3xMAD outliers with an absolute floor at quantization scale."""
-    med = np.median(errors)
-    deviation = np.abs(errors - med)
-    mad = np.median(deviation)
-    return (deviation > 3.0 * mad) & (deviation > floor_mm)
+    """Boolean mask of errors more than 3xMAD, and more than a floor at quantization scale,
+    above the median; an error below the median is never an outlier."""
+    excess = errors - np.median(errors)
+    mad = np.median(np.abs(excess))
+    return (excess > 3.0 * mad) & (excess > floor_mm)
 
 
 def evaluate_dataset(

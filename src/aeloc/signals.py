@@ -8,14 +8,15 @@ location share that one estimator, signed as :func:`pair_delay`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import orjson
 from scipy import fft as sp_fft
-from scipy import signal as sps
+
+# scipy.signal takes about a second to load: the three functions using it, no stage's, import it
 
 from .util import atomic_write_bytes
 
@@ -70,7 +71,7 @@ class FilterSpec:
 
 @dataclass(frozen=True, eq=False)
 class BandpassFilter:
-    """Butterworth bandpass as ``sps.butter`` designs it at one sample rate, read as |H|²."""
+    """Butterworth bandpass as scipy.signal.butter designs it at one sample rate, read as |H|²."""
 
     spec: FilterSpec
     sample_rate: float
@@ -78,6 +79,7 @@ class BandpassFilter:
     @cached_property
     def sos(self) -> np.ndarray:
         """Second-order sections, designed on first use; only :func:`apply_filter` needs them."""
+        from scipy import signal as sps
         spec = self.spec
         return sps.butter(
             spec.order, [spec.f_low, spec.f_high], "bandpass", output="sos", fs=self.sample_rate
@@ -111,12 +113,13 @@ def apply_filter(filt: BandpassFilter, w: Waveform) -> Waveform:
         raise ValueError(
             f"filter designed for {filt.sample_rate} Hz cannot be applied at {w.sample_rate} Hz"
         )
+    from scipy import signal as sps
     return Waveform(sps.sosfilt(filt.sos, w.samples), w.sample_rate)
 
 
 @dataclass(frozen=True, eq=False)
 class CorrelationFunction:
-    """Unnormalized correlation sums over lags -max_lag..+max_lag."""
+    """Unnormalized correlation sums over lags -max_lag..+max_lag (:func:`cross_correlate`)."""
 
     values: np.ndarray
     max_lag: int
@@ -139,8 +142,6 @@ class CrossSpectra:
     lag: int
     nfft: int
     sample_rate: float
-    # each band's product, refilled in place (one caller at a time): fresh arrays page-fault
-    scratch: np.ndarray
 
     @classmethod
     def of_pairs(cls, pairs, max_lag: int) -> CrossSpectra:
@@ -171,10 +172,10 @@ class CrossSpectra:
         # pair_delay; numpy rounds in-place complex products differently from out-of-place
         cross = spectra(channels[: len(pairs)])
         cross *= np.conj(spectra(channels[len(pairs) :]))
-        return cls(cross, lag, nfft, rate, np.empty_like(cross))
+        return cls(cross, lag, nfft, rate)
 
-    def correlations(self, filt: BandpassFilter | None = None) -> list[CorrelationFunction]:
-        """Every pair's correlation, signed as in :func:`pair_delay`, through ``filt`` if given."""
+    def correlations(self, filt: BandpassFilter | None = None) -> np.ndarray:
+        """A row per pair: correlation at lags -lag..+lag through ``filt``, signed as pair_delay."""
         cross = self.values
         if filt is not None:
             if filt.sample_rate != self.sample_rate:
@@ -182,11 +183,9 @@ class CrossSpectra:
                     f"filter designed for {filt.sample_rate} Hz cannot be applied at "
                     f"{self.sample_rate} Hz"
                 )
-            power = filt.power_response(2.0 * np.pi * sp_fft.rfftfreq(self.nfft))
-            cross = np.multiply(cross, power, out=self.scratch)
+            cross = cross * filt.power_response(2.0 * np.pi * sp_fft.rfftfreq(self.nfft))
         circ = sp_fft.irfft(cross, self.nfft, axis=-1)
-        windows = np.concatenate((circ[:, -self.lag :], circ[:, : self.lag + 1]), axis=1)
-        return [CorrelationFunction(v, self.lag, self.sample_rate) for v in windows]
+        return np.concatenate((circ[:, -self.lag :], circ[:, : self.lag + 1]), axis=1)
 
 
 def cross_correlate(y1: Waveform, y2: Waveform, max_lag: int) -> CorrelationFunction:
@@ -196,13 +195,15 @@ def cross_correlate(y1: Waveform, y2: Waveform, max_lag: int) -> CorrelationFunc
     lags -max_lag..+max_lag are computed (:class:`CrossSpectra`); short records
     take the direct sum in place of the FFT values, free of FFT rounding.
     """
-    (r,) = CrossSpectra.of_pairs([(y2, y1)], max_lag).correlations()
+    from scipy import signal as sps
+    spectra = CrossSpectra.of_pairs([(y2, y1)], max_lag)
+    (values,) = spectra.correlations()
     a, b = y1.samples, y2.samples
     if sps.choose_conv_method(b, a[::-1], mode="full") == "direct":
         full = np.convolve(b, a[::-1])
         centre = len(a) - 1  # index of lag 0 in the full correlation
-        return replace(r, values=full[centre - r.max_lag : centre + r.max_lag + 1])
-    return r
+        values = full[centre - spectra.lag : centre + spectra.lag + 1]
+    return CorrelationFunction(values, spectra.lag, spectra.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -212,27 +213,42 @@ class DelayEstimate:
     delay: float
 
 
-def estimate_delay(r: CorrelationFunction, refine: bool = True) -> DelayEstimate:
-    """Locate the correlation peak and convert its lag to seconds.
+def pick_delays(
+    windows: np.ndarray, max_lag: int, sample_rate: float, refine: bool = True
+) -> tuple[np.ndarray, dict[int, ValueError]]:
+    """Peak lag in seconds of every row of ``windows``, correlations over lags -max_lag..+max_lag.
 
-    With ``refine`` the integer peak is sharpened by three-point parabolic
-    interpolation (at most half a sample of correction).
+    The first maximum wins; ``refine`` sharpens it by three-point parabolic interpolation (at
+    most half a sample).  A row with no usable peak reads NaN; its error is keyed by row.
     """
-    v = r.values
-    if not np.any(v):
-        raise NoSignalError("no signal: correlation function is identically zero")
-    i = int(np.argmax(v))
-    if i == 0 or i == v.size - 1:
-        raise DelayWindowError(
-            f"delay window exceeded: correlation peak at boundary lag "
-            f"{i - r.max_lag:+d}; increase max_lag"
-        )
+    v = np.asarray(windows, dtype=np.float64)
+    peak = np.argmax(v, axis=1)
+    silent = ~np.any(v, axis=1)
+    failed = silent | (peak == 0) | (peak == v.shape[1] - 1)
     offset = 0.0
     if refine:
-        denom = v[i - 1] - 2.0 * v[i] + v[i + 1]
-        if denom != 0.0:
-            offset = float(np.clip(0.5 * (v[i - 1] - v[i + 1]) / denom, -0.5, 0.5))
-    return DelayEstimate(delay=float((i - r.max_lag + offset) / r.sample_rate))
+        # boundary rows fail anyway; clamping keeps their neighbours inside the row
+        i, rows = np.clip(peak, 1, v.shape[1] - 2), np.arange(len(v))
+        left, mid, right = v[rows, i - 1], v[rows, i], v[rows, i + 1]
+        denom = left - 2.0 * mid + right
+        with np.errstate(divide="ignore", invalid="ignore"):
+            offset = np.where(denom != 0.0, np.clip(0.5 * (left - right) / denom, -0.5, 0.5), 0.0)
+    delays = np.where(failed, np.nan, (peak - max_lag + offset) / sample_rate)
+    silence = "no signal: correlation function is identically zero"
+    edge = "delay window exceeded: correlation peak at boundary lag {:+d}; increase max_lag"
+    errors: dict[int, ValueError] = {  # in row order, as callers report them
+        i: NoSignalError(silence) if silent[i] else DelayWindowError(edge.format(peak[i] - max_lag))
+        for i in np.flatnonzero(failed).tolist()
+    }
+    return delays, errors
+
+
+def estimate_delay(r: CorrelationFunction, refine: bool = True) -> DelayEstimate:
+    """:func:`pick_delays` of one correlation; raises the error of a row with no usable peak."""
+    (delay,), errors = pick_delays(r.values[np.newaxis], r.max_lag, r.sample_rate, refine)
+    if errors:
+        raise errors[0]
+    return DelayEstimate(delay=float(delay))
 
 
 def pair_delay(ch1: Waveform, ch2: Waveform, max_lag: int, refine: bool = True) -> DelayEstimate:
@@ -248,8 +264,8 @@ def filtered_delay(
     filt: BandpassFilter, ch1: Waveform, ch2: Waveform, max_lag: int, refine: bool = True
 ) -> DelayEstimate:
     """:func:`pair_delay` of both channels through ``filt``: the one band-delay estimator."""
-    (r,) = CrossSpectra.of_pairs([(ch1, ch2)], max_lag).correlations(filt)
-    return estimate_delay(r, refine=refine)
+    (values,) = CrossSpectra.of_pairs([(ch1, ch2)], max_lag).correlations(filt)
+    return estimate_delay(CorrelationFunction(values, int(max_lag), ch1.sample_rate), refine)
 
 
 def lag_window(max_delay_s: float, sample_rate: float) -> int:

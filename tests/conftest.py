@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from aeloc import parse_config, run_experiment
@@ -35,3 +36,39 @@ def noiseless_dataset(tmp_path_factory):
         tests=[900.0, 1000.0, 1700.0, 2000.0, 3100.0],
     )
     return out, cfg
+
+
+def scalar_delay_reference(values, max_lag, sample_rate, refine=True):
+    """The peak rule for one correlation, written as a scalar: delay in s, or raises.
+
+    The reference :func:`aeloc.signals.pick_delays` must match bit for bit,
+    error type and message included.
+    """
+    from aeloc.signals import DelayWindowError, NoSignalError
+
+    v = np.asarray(values)
+    if not np.any(v):
+        raise NoSignalError("no signal: correlation function is identically zero")
+    i = int(np.argmax(v))
+    if i == 0 or i == v.size - 1:
+        raise DelayWindowError(
+            f"delay window exceeded: correlation peak at boundary lag "
+            f"{i - max_lag:+d}; increase max_lag"
+        )
+    offset = 0.0
+    if refine:
+        denom = v[i - 1] - 2.0 * v[i] + v[i + 1]
+        if denom != 0.0:
+            offset = float(np.clip(0.5 * (v[i - 1] - v[i + 1]) / denom, -0.5, 0.5))
+    return float((i - max_lag + offset) / sample_rate)
+
+
+def reference_rows(windows, max_lag, sample_rate, refine=True):
+    """:func:`scalar_delay_reference` of every row: (delays with NaN, {row: error})."""
+    delays, errors = np.full(len(windows), np.nan), {}
+    for i, row in enumerate(windows):
+        try:
+            delays[i] = scalar_delay_reference(row, max_lag, sample_rate, refine)
+        except ValueError as exc:
+            errors[i] = exc
+    return delays, errors

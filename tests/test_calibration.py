@@ -13,8 +13,9 @@ from aeloc.calibration import (
     sweep_bands,
     write_calibration_report,
 )
-from aeloc.pipeline import learn_prototypes, load_prototype_pairs
+from aeloc.pipeline import evaluate_dataset, learn_prototypes, load_prototype_pairs
 from aeloc.signals import (
+    CrossSpectra,
     DelayWindowError,
     FilterSpec,
     NoSignalError,
@@ -26,7 +27,7 @@ from aeloc.signals import (
 )
 from aeloc.simulator import parse_config, run_experiment
 
-from conftest import build_dataset
+from conftest import build_dataset, reference_rows
 
 MAX_LAG = 2500
 SWEEP_GRID = BandGrid(f_start=25_000.0, f_stop=55_000.0, step=2_000.0)  # the fixture's grid
@@ -274,16 +275,37 @@ def test_zero_phase_sweep_agrees_with_causal_pass_on_plateau(sweep_result):
     _assert_same_choice(result, fits, best, bands)
 
 
-def test_learned_delays_equal_the_sweep_best_band_delays(tmp_path):
-    run_experiment(parse_config({}), tmp_path)
-    _, entries = load_prototype_pairs(tmp_path)
-    result = sweep_bands(
-        [(row.position_mm, chans) for row, chans in entries], BandGrid(), 4, max_lag=MAX_LAG
-    )
-    filt = design_bandpass(result.best_band, entries[0][1][0].sample_rate)
-    pset, skipped = learn_prototypes(tmp_path, filt)  # default window: MAX_LAG at 1 MHz
+@pytest.fixture(scope="module")
+def default_dataset(tmp_path_factory):
+    """The paper-default dataset (seed 0) and its prototype pairs."""
+    out = tmp_path_factory.mktemp("default")
+    run_experiment(parse_config({}), out)
+    _, entries = load_prototype_pairs(out)
+    return out, [(row.position_mm, chans) for row, chans in entries]
+
+
+def test_learned_delays_equal_the_sweep_best_band_delays(default_dataset):
+    out, pairs = default_dataset
+    result = sweep_bands(pairs, BandGrid(), 4, max_lag=MAX_LAG)
+    filt = design_bandpass(result.best_band, pairs[0][1][0].sample_rate)
+    pset, skipped = learn_prototypes(out, filt)  # default window: MAX_LAG at 1 MHz
     assert skipped == []
     assert np.array_equal(pset.given[:, 0], result.best_delays)
+
+
+@pytest.mark.parametrize("max_lag", [MAX_LAG, 40])  # 40: a window too short for many pairs
+def test_sweep_delays_equal_the_scalar_rule_in_every_default_band(default_dataset, max_lag):
+    _, pairs = default_dataset
+    result = sweep_bands(pairs, BandGrid(), 4, max_lag=max_lag)
+    spectra = CrossSpectra.of_pairs([chans for _, chans in pairs], max_lag)
+    assert len(result.records) == 61
+    failures = 0
+    for rec in result.records:
+        windows = spectra.correlations(design_bandpass(rec.band, spectra.sample_rate))
+        oracle, errors = reference_rows(windows, max_lag, spectra.sample_rate)
+        assert np.array_equal(rec.delays, oracle, equal_nan=True), rec.band
+        failures += len(errors)
+    assert (failures > 0) == (max_lag == 40)
 
 
 def test_sweep_rejects_mixed_sample_rates(sweep_result):
@@ -409,3 +431,19 @@ def test_summary_parse_rejects_incomplete_report(tmp_path):
     path.write_text("f_low_hz,f_high_hz,rmse_mm,slope_s_per_mm\n# velocity_km_s=1.7\n")
     with pytest.raises(ValueError, match="missing"):
         read_calibration_summary(path)
+
+
+# --------------------------------------------------------- evaluation trim
+
+
+def test_trim_flags_only_errors_above_the_median(tmp_path):
+    # no velocity plateau: the sweep settles on 40-50 kHz, where the middle tests land
+    # within a millimetre and a few terminal ones tens of millimetres off
+    raw = {"specimen": {"velocity_points_hz_km_s": [[0, 1.02], [80000, 2.38], [500000, 2.38]]}}
+    run_experiment(parse_config(raw), tmp_path)
+    filt = design_bandpass(FilterSpec(40_000.0, 50_000.0, 4), 1e6)
+    pset, _ = learn_prototypes(tmp_path, filt)
+    report = evaluate_dataset(pset, filt, tmp_path)
+    assert [row.file for row in report.rows if row.outlier] == ["test_22.txt"]
+    assert report.trimmed_mean_error_mm < report.mean_error_mm
+    assert report.trimmed_mean_error_mm == pytest.approx(21.43, abs=0.01)

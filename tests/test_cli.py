@@ -11,7 +11,13 @@ import pytest
 from aeloc import cli, pipeline
 from aeloc.calibration import read_calibration_summary
 from aeloc.grnn import load_prototypes
-from aeloc.signals import Waveform, design_bandpass, read_waveform_pair, write_waveform_pair
+from aeloc.signals import (
+    FilterSpec,
+    Waveform,
+    design_bandpass,
+    read_waveform_pair,
+    write_waveform_pair,
+)
 from aeloc.simulator import MANIFEST_NAME, default_config
 
 from conftest import build_dataset
@@ -440,6 +446,25 @@ def test_learn_skips_out_of_window_prototypes(tmp_path, capsys):
     assert len(load_prototypes(db)) == 2
 
 
+def test_learn_lists_silent_and_out_of_window_prototypes_in_manifest_order(tmp_path):
+    # prototype_01 peaks past a 100-sample window; prototype_03, after it, is silent
+    write_synthetic_prototypes(
+        tmp_path, shifts=[-20, 300, 20, 0, 40], positions=[100.0, 200.0, 300.0, 400.0, 500.0]
+    )
+    silent = Waveform(np.zeros(4096), FS)
+    write_waveform_pair(tmp_path / "prototype_03.txt", silent, silent)
+    filt = design_bandpass(FilterSpec(35_000.0, 45_000.0), FS)
+    pset, skipped = pipeline.learn_prototypes(tmp_path, filt, max_delay_s=1e-4)
+    assert skipped == [
+        (
+            "prototype_01.txt",
+            "delay window exceeded: correlation peak at boundary lag +100; increase max_lag",
+        ),
+        ("prototype_03.txt", "no signal: correlation function is identically zero"),
+    ]
+    assert pset.hidden[:, 0].tolist() == [100.0, 300.0, 500.0]
+
+
 def test_learn_fails_when_too_few_survive(tmp_path, capsys):
     write_synthetic_prototypes(
         tmp_path, shifts=[-300, 300, 325], positions=[100.0, 200.0, 300.0]
@@ -794,9 +819,9 @@ def test_pipeline_stages_run_without_designing_a_filter(tmp_path, monkeypatch):
     )
 
     def no_design(*args, **kwargs):
-        raise AssertionError("sps.butter called")
+        raise AssertionError("scipy.signal.butter called")
 
-    monkeypatch.setattr("aeloc.signals.sps.butter", no_design)
+    monkeypatch.setattr("scipy.signal.butter", no_design)
     cal, db = tmp_path / "cal.csv", tmp_path / "p.db"
     band = ["--calibration", str(cal)]
     grid = ["--f-start", "30000", "--f-stop", "50000", "--step", "5000"]

@@ -66,3 +66,12 @@ def test_every_public_definition_is_used_outside_the_tests():
             if not any(node.name in _names_used(tree, skip=node.name) for tree in trees):
                 unused.append(f"{path.stem}.{node.name}")
     assert not unused, f"public but used only by tests: {unused}"
+
+
+def test_importing_the_cli_leaves_scipy_signal_unloaded():
+    # scipy.signal pulls in scipy.stats, optimize, interpolate and spatial: about a second
+    # of start-up for every CLI call, and no stage uses it
+    probe = "import sys, aeloc.cli; print('scipy.signal' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), *sys.path])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.stdout.split() == ["False"], out.stderr

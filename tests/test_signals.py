@@ -1,3 +1,4 @@
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import signal as sps
 
 from aeloc.signals import (
+    CorrelationFunction,
     DelayWindowError,
     FilterSpec,
     NoSignalError,
@@ -21,11 +23,12 @@ from aeloc.signals import (
     filtered_delay,
     lag_window,
     pair_delay,
+    pick_delays,
     read_waveform_pair,
     write_waveform_pair,
 )
 
-from conftest import build_dataset
+from conftest import build_dataset, reference_rows
 
 FS = 1_000_000.0
 DEFAULT_BAND = FilterSpec(35_000.0, 45_000.0, 4)
@@ -349,6 +352,71 @@ def test_boundary_peak_rejected():
     y = np.concatenate([np.zeros(110), x[:-110]])
     with pytest.raises(DelayWindowError):
         estimate_delay(cross_correlate(Waveform(x, FS), Waveform(y, FS), 60))
+
+
+# ------------------------------------------------------------ batched picker
+
+# max_lag 3: seven lags per row
+PICKER_ROWS = {
+    "all zero": [0.0] * 7,
+    "first lag": [5.0, 4.0, 3.0, 2.0, 1.0, 0.0, -1.0],
+    "last lag": [-1.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
+    "interior": [0.0, 1.0, 3.0, 4.0, 2.0, 0.0, -1.0],
+    "plateau": [0.0, 1.0, 2.0, 2.0, 1.0, 0.0, 0.0],
+    # v[i-1] - 2 v[i] rounds to -v[i]: the parabola's denominator is exactly zero
+    "zero denominator": [0.0, 0.0, np.nextafter(1.0, 0.0), 1.0, 1.0, 0.0, 0.0],
+    "tie": [0.0, 2.0, 0.0, 1.0, 0.0, 2.0, 0.0],
+}
+
+
+def _bits(delays):
+    return np.asarray(delays, dtype=np.float64).view(np.uint64)
+
+
+def _same_errors(got, want):
+    assert list(got) == list(want)
+    for i in want:
+        assert type(got[i]) is type(want[i]) and str(got[i]) == str(want[i])
+
+
+@pytest.mark.parametrize("refine", [True, False])
+def test_picker_matches_the_scalar_rule_on_hand_built_rows(refine):
+    windows = np.array(list(PICKER_ROWS.values()))
+    delays, errors = pick_delays(windows, 3, 1000.0, refine)
+    want, want_errors = reference_rows(windows, 3, 1000.0, refine)
+    assert np.array_equal(_bits(delays), _bits(want))
+    _same_errors(errors, want_errors)
+    assert sorted(errors) == [0, 1, 2]
+    assert type(errors[0]) is NoSignalError  # no signal wins over the edge peak
+    assert str(errors[1]).startswith("delay window exceeded: correlation peak at boundary lag -3;")
+    assert str(errors[2]).startswith("delay window exceeded: correlation peak at boundary lag +3;")
+    v = windows[5]
+    assert v[2] - 2.0 * v[3] + v[4] == 0.0
+    assert delays[5] == 0.0 and delays[6] == -2e-3  # no offset; the first maximum wins
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.booleans())
+def test_picker_matches_the_scalar_rule_on_random_rows(seed, refine):
+    rng = np.random.default_rng(seed)
+    # small integers make ties, boundary peaks and all-zero rows common
+    windows = rng.integers(-2, 3, size=(40, 9)) * rng.choice([0.0, 1.0, 1e-7], size=(40, 1))
+    windows[::7] += rng.normal(size=(6, 9))
+    delays, errors = pick_delays(windows, 4, FS, refine)
+    want, want_errors = reference_rows(windows, 4, FS, refine)
+    assert np.array_equal(_bits(delays), _bits(want))
+    _same_errors(errors, want_errors)
+
+
+@pytest.mark.parametrize("name", list(PICKER_ROWS))
+def test_estimate_delay_is_the_one_row_picker(name):
+    r = CorrelationFunction(np.array(PICKER_ROWS[name]), 3, 1000.0)
+    (delay,), errors = pick_delays(r.values[np.newaxis], 3, 1000.0)
+    if errors:
+        with pytest.raises(type(errors[0]), match=re.escape(str(errors[0]))):
+            estimate_delay(r)
+    else:
+        assert _bits(estimate_delay(r).delay) == _bits(delay)
 
 
 def test_lag_window_refuses_a_product_beyond_the_float_range():
