@@ -160,7 +160,6 @@ def sweep_bands(
     order: int = 4,
     *,
     max_lag: int,
-    refine: bool = True,
 ) -> CalibrationResult:
     """Evaluate every band in the grid on the prototype pairs and pick the flattest fit.
 
@@ -190,7 +189,7 @@ def sweep_bands(
             warnings.warn(f"skipping band {spec.f_low}-{spec.f_high} Hz: {exc}", stacklevel=2)
             continue
         windows = spectra.correlations(filt)
-        delays, _ = pick_delays(windows, spectra.lag, spectra.sample_rate, refine)
+        delays, _ = pick_delays(windows, spectra.lag, spectra.sample_rate)
         records.append(_band_record(spec, delays, positions, spectra.sample_rate))
     if not records:
         raise ValueError("every band in the grid was invalid for this sample rate")
@@ -215,7 +214,7 @@ def rmse_surface_is_flat(result: CalibrationResult, sample_rate: float) -> bool:
     return max(finite) <= max(2.0 * min(finite), floor)
 
 
-def write_calibration_report(path, result: CalibrationResult, order: int) -> None:
+def write_calibration_report(path, result: CalibrationResult) -> None:
     """Delimited per-band table plus a '#'-prefixed summary block."""
     lines = ["f_low_hz,f_high_hz,rmse_mm,slope_s_per_mm"]
     for rec in result.records:
@@ -225,7 +224,7 @@ def write_calibration_report(path, result: CalibrationResult, order: int) -> Non
         )
     lines.append(f"# best_f_low_hz={fmt(result.best_band.f_low)}")
     lines.append(f"# best_f_high_hz={fmt(result.best_band.f_high)}")
-    lines.append(f"# filter_order={order}")
+    lines.append(f"# filter_order={result.best_band.order}")
     lines.append(f"# velocity_km_s={fmt(result.velocity_km_s)}")
     lines.append("# outlier_indices=" + ",".join(str(i) for i in result.outliers))
     atomic_write_text(path, "\n".join(lines) + "\n")
@@ -248,4 +247,10 @@ def read_calibration_summary(path) -> tuple[FilterSpec, float]:
         return parse_number(value, f"{path}:{ln}: {key}", kind)
 
     low, high = number("best_f_low_hz"), number("best_f_high_hz")
-    return FilterSpec(low, high, number("filter_order", int)), number("velocity_km_s")
+    order = number("filter_order", int)
+    try:
+        spec = FilterSpec(low, high, order)
+    except ValueError as exc:  # FilterSpec checks the order before the band edges
+        key = "filter_order" if order < 1 else "best_f_low_hz"
+        raise ValueError(f"{path}:{summary[key][0]}: {exc}") from None
+    return spec, number("velocity_km_s")

@@ -91,11 +91,6 @@ def _add_delay_flags(parser: argparse.ArgumentParser) -> None:
         default=pipeline.DEFAULT_MAX_DELAY_S,
         help="largest |delay| searched in the correlation, in seconds",
     )
-    parser.add_argument(
-        "--no-refine",
-        action="store_true",
-        help="disable sub-sample parabolic refinement of the correlation peak",
-    )
 
 
 def _resolve_filter(args) -> FilterSpec:
@@ -138,9 +133,8 @@ def _cmd_calibrate(args) -> int:
         grid,
         args.order,
         max_lag=lag_window(args.max_delay_s, sample_rate),
-        refine=not args.no_refine,
     )
-    write_calibration_report(args.report, result, args.order)
+    write_calibration_report(args.report, result)
     if args.svg:
         xs, ys = linear_fit_points(
             result.positions_mm, result.best.slope_s_per_mm, result.best.intercept_s
@@ -188,9 +182,7 @@ def _cmd_learn(args) -> int:
     filt = design_bandpass(
         filt_spec, _dataset_sample_rate(args.dataset, meta, manifest, "prototype")
     )
-    pset, skipped = pipeline.learn_prototypes(
-        args.dataset, filt, max_delay_s=args.max_delay_s, refine=not args.no_refine
-    )
+    pset, skipped = pipeline.learn_prototypes(args.dataset, filt, max_delay_s=args.max_delay_s)
     for name, reason in skipped:
         print(f"warning: skipped {name}: {reason}", file=sys.stderr)
     grnn.save_prototypes(args.db, pset)
@@ -207,9 +199,7 @@ def _cmd_locate(args) -> int:
         try:
             ch1, ch2 = read_waveform_pair(name)
             filt = design_bandpass(filt_spec, ch1.sample_rate)
-            est = pipeline.locate_pair(
-                pset, filt, ch1, ch2, max_delay_s=args.max_delay_s, refine=not args.no_refine
-            )
+            est = pipeline.locate_pair(pset, filt, ch1, ch2, max_delay_s=args.max_delay_s)
         except (ValueError, OSError) as exc:
             failures += 1
             rows.append((name, None, f"failed: {exc}"))
@@ -230,14 +220,7 @@ def _cmd_evaluate(args) -> int:
     pset = grnn.load_prototypes(args.db)
     meta, manifest = read_manifest(Path(args.dataset) / MANIFEST_NAME)
     filt = design_bandpass(filt_spec, _dataset_sample_rate(args.dataset, meta, manifest, "test"))
-    report = pipeline.evaluate_dataset(
-        pset,
-        filt,
-        args.dataset,
-        max_delay_s=args.max_delay_s,
-        refine=not args.no_refine,
-        sensor_separation_mm=args.sensor_separation,
-    )
+    report = pipeline.evaluate_dataset(pset, filt, args.dataset, max_delay_s=args.max_delay_s)
     pipeline.write_evaluation_report(args.report, report)
     if args.svg:
         protos = [row.position_mm for row in manifest if row.role == "prototype"]
@@ -317,11 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", help="dataset directory containing manifest.txt")
     p.add_argument("--report", required=True, help="evaluation report output path")
     p.add_argument("--svg", help="optional estimated-vs-actual scatter")
-    p.add_argument(
-        "--sensor-separation",
-        type=_positive_float,
-        help="sensor separation in mm (defaults to manifest metadata)",
-    )
     _add_filter_flags(p)
     _add_delay_flags(p)
     p.set_defaults(func=_cmd_evaluate)

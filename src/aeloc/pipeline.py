@@ -46,7 +46,6 @@ def locate_pair(
     ch2: Waveform,
     *,
     max_delay_s: float = DEFAULT_MAX_DELAY_S,
-    refine: bool = True,
 ) -> LocationEstimate:
     """Filter both channels, estimate their arrival-time difference, and regress a position.
 
@@ -56,7 +55,7 @@ def locate_pair(
     """
     if pset.given_dim != 1 or pset.hidden_dim != 1:
         raise ValueError("the location pipeline expects a (delay -> position) database")
-    delay = filtered_delay(filt, ch1, ch2, lag_window(max_delay_s, ch1.sample_rate), refine)
+    delay = filtered_delay(filt, ch1, ch2, lag_window(max_delay_s, ch1.sample_rate))
     est = grnn.estimate(pset, [delay.delay])
     delays = pset.given[:, 0]
     outside = delay.delay < delays.min() or delay.delay > delays.max()
@@ -92,11 +91,7 @@ def load_prototype_pairs(dataset_dir):
 
 
 def learn_prototypes(
-    dataset_dir,
-    filt: BandpassFilter,
-    *,
-    max_delay_s: float = DEFAULT_MAX_DELAY_S,
-    refine: bool = True,
+    dataset_dir, filt: BandpassFilter, *, max_delay_s: float = DEFAULT_MAX_DELAY_S
 ) -> tuple[grnn.PrototypeSet, list[tuple[str, str]]]:
     """Build the (delay -> position) prototype database from a calibration dataset.
 
@@ -116,7 +111,7 @@ def learn_prototypes(
         )
     max_lag = lag_window(max_delay_s, entries[0][1][0].sample_rate)
     spectra = CrossSpectra.of_pairs([chans for _, chans in entries], max_lag)
-    delays, errors = pick_delays(spectra.correlations(filt), max_lag, spectra.sample_rate, refine)
+    delays, errors = pick_delays(spectra.correlations(filt), max_lag, spectra.sample_rate)
     skipped = [(entries[i][0].file, str(exc)) for i, exc in errors.items()]
     kept = ~np.isnan(delays)
     if kept.sum() < 2:
@@ -177,39 +172,35 @@ def evaluate_dataset(
     dataset_dir,
     *,
     max_delay_s: float = DEFAULT_MAX_DELAY_S,
-    refine: bool = True,
-    sensor_separation_mm: float | None = None,
 ) -> EvaluationReport:
     """Locate every manifest test source and compare against the recorded truth.
 
-    The sensor separation defaults to the manifest metadata; both raw and
-    3xMAD-trimmed averages are reported.
+    Relative errors divide by the manifest's sensor separation, sensor_2_mm -
+    sensor_1_mm; both raw and 3xMAD-trimmed averages are reported.
     """
     dataset_dir = Path(dataset_dir)
-    meta, manifest = read_manifest(dataset_dir / MANIFEST_NAME)
+    manifest_path = dataset_dir / MANIFEST_NAME
+    meta, manifest = read_manifest(manifest_path)
     tests = [row for row in manifest if row.role == "test"]
     if not tests:
         raise ValueError(f"{dataset_dir}: manifest lists no test sources")
     _check_orphans(dataset_dir, tests)
-    if sensor_separation_mm is None:
-        try:
-            sensor_separation_mm = meta["sensor_2_mm"] - meta["sensor_1_mm"]
-        except KeyError as exc:
-            raise ValueError(
-                "manifest metadata lacks sensor positions; pass sensor_separation_mm"
-            ) from exc
-        if not 0.0 < sensor_separation_mm < np.inf:
-            raise ValueError(
-                f"{dataset_dir / MANIFEST_NAME}: sensor separation sensor_2_mm - sensor_1_mm "
-                f"= {sensor_separation_mm} mm must be finite and positive"
-            )
+    for key in ("sensor_1_mm", "sensor_2_mm"):
+        if key not in meta:
+            raise ValueError(f"{manifest_path}: header lacks {key!r}")
+    sensor_separation_mm = meta["sensor_2_mm"] - meta["sensor_1_mm"]
+    if not 0.0 < sensor_separation_mm < np.inf:
+        raise ValueError(
+            f"{manifest_path}: sensor separation sensor_2_mm - sensor_1_mm "
+            f"= {sensor_separation_mm} mm must be finite and positive"
+        )
 
     located: list[tuple[ManifestRow, LocationEstimate]] = []
     failed: list[tuple[str, str]] = []
     for row in tests:
         try:
             ch1, ch2 = read_waveform_pair(dataset_dir / row.file)
-            est = locate_pair(pset, filt, ch1, ch2, max_delay_s=max_delay_s, refine=refine)
+            est = locate_pair(pset, filt, ch1, ch2, max_delay_s=max_delay_s)
         except (ValueError, OSError) as exc:
             failed.append((row.file, str(exc)))
             continue

@@ -251,21 +251,21 @@ def estimate_delay(r: CorrelationFunction, refine: bool = True) -> DelayEstimate
     return DelayEstimate(delay=float(delay))
 
 
-def pair_delay(ch1: Waveform, ch2: Waveform, max_lag: int, refine: bool = True) -> DelayEstimate:
+def pair_delay(ch1: Waveform, ch2: Waveform, max_lag: int) -> DelayEstimate:
     """Arrival-time difference t(ch1) - t(ch2) of a common wavefront, in seconds.
 
     Positive when the wave reaches channel 2 first.  This is the delay the
     calibration sweep and the locator feed to the regression stage.
     """
-    return estimate_delay(cross_correlate(ch2, ch1, max_lag), refine=refine)
+    return estimate_delay(cross_correlate(ch2, ch1, max_lag))
 
 
 def filtered_delay(
-    filt: BandpassFilter, ch1: Waveform, ch2: Waveform, max_lag: int, refine: bool = True
+    filt: BandpassFilter, ch1: Waveform, ch2: Waveform, max_lag: int
 ) -> DelayEstimate:
     """:func:`pair_delay` of both channels through ``filt``: the one band-delay estimator."""
     (values,) = CrossSpectra.of_pairs([(ch1, ch2)], max_lag).correlations(filt)
-    return estimate_delay(CorrelationFunction(values, int(max_lag), ch1.sample_rate), refine)
+    return estimate_delay(CorrelationFunction(values, int(max_lag), ch1.sample_rate))
 
 
 def lag_window(max_delay_s: float, sample_rate: float) -> int:

@@ -356,6 +356,10 @@ def read_manifest(path: str | Path) -> tuple[dict, list[ManifestRow]]:
             fields = line.split(",")
             if len(fields) != 4:
                 raise ValueError(f"{path}:{ln}: expected 4 fields")
+            if fields[1] not in ("prototype", "test"):
+                raise ValueError(
+                    f"{path}:{ln}: role must be 'prototype' or 'test', got {fields[1]!r}"
+                )
             position = parse_number(fields[2], f"{path}:{ln}: position_mm")
             rows.append(ManifestRow(fields[0], fields[1], position, fields[3]))
     return meta, rows

@@ -417,7 +417,7 @@ def test_sweep_skips_invalid_bands_with_warning(sweep_result):
 def test_report_roundtrip(tmp_path, sweep_result):
     _, result = sweep_result
     path = tmp_path / "calibration.csv"
-    write_calibration_report(path, result, 4)
+    write_calibration_report(path, result)
     lines = path.read_text().splitlines()
     assert lines[0] == "f_low_hz,f_high_hz,rmse_mm,slope_s_per_mm"
     assert len([l for l in lines if not l.startswith("#")]) == 1 + len(result.records)

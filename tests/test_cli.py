@@ -151,8 +151,8 @@ def test_main_builds_one_parser_tree_for_many_calls(monkeypatch):
 def test_shared_parser_keeps_no_state_between_calls(learned, capsys):
     _, data, report, db = learned
     argv = ["locate", str(db), str(data / "test_02.txt"), "--calibration", str(report)]
-    assert cli.main(argv + ["--no-refine"]) == 0
-    unrefined = capsys.readouterr()
+    assert cli.main(argv + ["--max-delay-s", "1e-4"]) == 0
+    narrow = capsys.readouterr()
     assert cli.main(argv + ["--bogus"]) == 1
     assert "unrecognized arguments: --bogus" in capsys.readouterr().err
     assert cli.main(argv) == 0
@@ -161,7 +161,7 @@ def test_shared_parser_keeps_no_state_between_calls(learned, capsys):
     assert cli.main(argv) == 0
     fresh = capsys.readouterr()
     assert (after.out, after.err) == (fresh.out, fresh.err)
-    assert after.out != unrefined.out  # refinement is back on
+    assert after.out != narrow.out  # the default window is back
 
 
 _FLAG_ARGV = {
@@ -181,7 +181,6 @@ _FLAG_ARGV = {
         ("learn", "--max-delay-s"),
         ("locate", "--max-delay-s"),
         ("evaluate", "--max-delay-s"),
-        ("evaluate", "--sensor-separation"),
         ("calibrate", "--width"),
         ("calibrate", "--step"),
         ("calibrate", "--f-start"),
@@ -196,6 +195,18 @@ def test_float_flags_refuse_non_finite_and_non_positive(tmp_path, monkeypatch, c
     assert cli.main([*_FLAG_ARGV[command], f"{flag}={value}"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and flag in err and repr(value) in err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, "--no-refine") for command in ("calibrate", "learn", "locate", "evaluate")]
+    + [("evaluate", "--sensor-separation=2400")],
+)
+def test_retired_flags_are_usage_errors(tmp_path, monkeypatch, capsys, command, flag):
+    # every stage refines its delays, and evaluate takes the separation from the manifest
+    monkeypatch.chdir(tmp_path)  # nothing is read: the flag fails while parsing
+    assert cli.main([*_FLAG_ARGV[command], flag]) == 1
+    assert "unrecognized arguments: " + flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -301,6 +312,25 @@ def test_manifest_rate_disagreeing_with_files_is_a_data_error(tmp_path, capsys, 
     }[command]
     assert cli.main(argv) == 2
     assert "differs from the manifest's 500000.0 Hz" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "learn"])
+def test_manifest_row_with_an_unknown_role_is_a_data_error(tmp_path, capsys, command):
+    build_dataset(tmp_path, specimen={"noise_snr_db": None}, seed=4)
+    manifest = tmp_path / MANIFEST_NAME
+    lines = manifest.read_text().splitlines()
+    ln = next(i for i, line in enumerate(lines, start=1) if line.startswith("prototype_03.txt,"))
+    lines[ln - 1] = lines[ln - 1].replace(",prototype,", ",prototyp,")
+    manifest.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    argv = {
+        "calibrate": ["calibrate", str(tmp_path), "--report", str(out)],
+        "learn": ["learn", str(tmp_path), "--db", str(out), "--f-low", "3e4", "--f-high", "4e4"],
+    }[command]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {manifest}:{ln}: role must be 'prototype' or 'test', got 'prototyp'" in err
     assert not out.exists()
 
 
@@ -720,6 +750,27 @@ def test_evaluate_refuses_swapped_manifest_sensors(learned, tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("key", ["sensor_1_mm", "sensor_2_mm"])
+def test_evaluate_names_a_manifest_header_without_sensor_positions(learned, tmp_path, capsys,
+                                                                    key):
+    import shutil
+
+    _, data, report, db = learned
+    bare = tmp_path / "bare"
+    shutil.copytree(data, bare)
+    manifest = bare / MANIFEST_NAME
+    text = manifest.read_text()
+    token = next(t for t in text.splitlines()[0].split() if t.startswith(key + "="))
+    manifest.write_text(text.replace(token + " ", "", 1))
+    code = cli.main(
+        ["evaluate", str(db), str(bare), "--report", str(tmp_path / "r.csv"),
+         "--calibration", str(report)]
+    )
+    assert code == 2
+    assert f"error: {manifest}: header lacks {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_evaluate_refuses_a_nan_test_position(learned, tmp_path, capsys):
     import shutil
 
@@ -771,23 +822,6 @@ def test_evaluate_noiseless_nondispersive_mean_error_under_5mm(tmp_path, capsys)
         if l.startswith("#") and "files" not in l
     }
     assert summary["mean_error_mm"] < 5.0
-
-
-def test_locate_without_subsample_refinement(learned, capsys):
-    _, data, report, db = learned
-    code = cli.main(
-        [
-            "locate",
-            str(db),
-            str(data / "test_02.txt"),
-            "--calibration",
-            str(report),
-            "--no-refine",
-        ]
-    )
-    assert code == 0
-    position = float(capsys.readouterr().out.split("position")[1].split("mm")[0])
-    assert abs(position - 1700.0) <= 5.0
 
 
 def test_evaluate_detects_orphans(learned, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The package root serves the scripts and the README, and no public name is test-only."""
 
+import argparse
 import ast
 import importlib.util
 import os
@@ -7,6 +8,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from aeloc import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -75,3 +78,20 @@ def test_importing_the_cli_leaves_scipy_signal_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), *sys.path])}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert out.stdout.split() == ["False"], out.stderr
+
+
+def _parser_flags(parser: argparse.ArgumentParser) -> set[str]:
+    flags = set()
+    for action in parser._actions:
+        flags.update(s for s in action.option_strings if s.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _parser_flags(sub)
+    return flags
+
+
+def test_readme_names_exactly_the_flags_the_parser_defines():
+    # a flag the README names but the parser lacks is a stale sentence, and the reverse
+    # is an undocumented flag; the install block's pip flag is not aeloc's
+    readme = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", (ROOT / "README.md").read_text()))
+    assert readme - {"--no-build-isolation"} == _parser_flags(cli.build_parser())

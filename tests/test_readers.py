@@ -1,4 +1,5 @@
-"""Every text reader names ``<path>:<line>:`` when a number in the file is malformed or not finite."""
+"""Every text reader names ``<path>:<line>:`` when a number in the file is malformed, not finite
+or out of range."""
 
 import re
 
@@ -97,6 +98,18 @@ CASES = {
         "calibration.csv",
         _REPORT.replace("filter_order=4", "filter_order=4.5"),
         5,
+    ),
+    "report-zero-filter-order": (
+        read_calibration_summary,
+        "calibration.csv",
+        _REPORT.replace("filter_order=4", "filter_order=0"),
+        5,
+    ),
+    "report-inverted-band-edges": (
+        read_calibration_summary,
+        "calibration.csv",
+        _REPORT.replace("best_f_low_hz=35000.0", "best_f_low_hz=55000.0"),
+        3,
     ),
     "pair-zero-sample-rate": (
         read_waveform_pair,
