@@ -71,15 +71,17 @@ def load_prototype_pairs(dataset_dir):
     """Read every manifest prototype pair; returns (meta, [(ManifestRow, (ch1, ch2)), ...]).
 
     A pair whose sample rate differs from the manifest's ``sample_rate_hz`` is
-    an error: callers size the lag window from the manifest rate.
+    an error: callers size the lag window from the manifest rate.  So is a listed
+    prototype file missing on disk, or a ``prototype_*.txt`` file the manifest
+    does not list.
     """
     dataset_dir = Path(dataset_dir)
     meta, manifest = read_manifest(dataset_dir / MANIFEST_NAME)
     rate = meta.get("sample_rate_hz")
+    prototypes = [row for row in manifest if row.role == "prototype"]
+    _check_orphans(dataset_dir, prototypes, "prototype")
     entries = []
-    for row in manifest:
-        if row.role != "prototype":
-            continue
+    for row in prototypes:
         pair = read_waveform_pair(dataset_dir / row.file)
         if rate is not None and abs(pair[0].sample_rate - rate) > 1e-6:
             raise ValueError(
@@ -184,7 +186,7 @@ def evaluate_dataset(
     tests = [row for row in manifest if row.role == "test"]
     if not tests:
         raise ValueError(f"{dataset_dir}: manifest lists no test sources")
-    _check_orphans(dataset_dir, tests)
+    _check_orphans(dataset_dir, tests, "test")
     for key in ("sensor_1_mm", "sensor_2_mm"):
         if key not in meta:
             raise ValueError(f"{manifest_path}: header lacks {key!r}")
@@ -237,10 +239,11 @@ def evaluate_dataset(
     )
 
 
-def _check_orphans(dataset_dir: Path, tests: list[ManifestRow]) -> None:
-    listed = {row.file for row in tests}
+def _check_orphans(dataset_dir: Path, rows: list[ManifestRow], role: str) -> None:
+    """Refuse a listed ``role`` file missing on disk, or a ``<role>_*.txt`` file not listed."""
+    listed = {row.file for row in rows}
     missing = sorted(name for name in listed if not (dataset_dir / name).exists())
-    on_disk = {p.name for p in dataset_dir.glob("test_*.txt")}
+    on_disk = {p.name for p in dataset_dir.glob(f"{role}_*.txt")}
     unlisted = sorted(on_disk - listed)
     if missing or unlisted:
         parts = []

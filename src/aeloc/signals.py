@@ -7,6 +7,7 @@ location share that one estimator, signed as :func:`pair_delay`.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,6 +20,10 @@ from scipy import fft as sp_fft
 # scipy.signal takes about a second to load: the three functions using it, no stage's, import it
 
 from .util import atomic_write_bytes
+
+# rows per inverse FFT in CrossSpectra.correlations: the sweep's working set holds one
+# block of filtered spectra and circular correlations, not one per pair
+CORRELATION_BLOCK = 2
 
 
 class NoSignalError(ValueError):
@@ -135,7 +140,8 @@ class CrossSpectra:
     correlation equals the linear one there.  Both channels pass the same
     filter, so a band's correlation is the inverse FFT of the raw cross-spectrum
     times the band's closed-form |H|² (Knapp & Carter 1976): zero-phase, free of
-    filter start-up edges, no filter design, and one batched inverse FFT per band.
+    filter start-up edges, no filter design, and one inverse FFT per pair and band,
+    taken ``CORRELATION_BLOCK`` rows at a time.
     """
 
     values: np.ndarray
@@ -161,31 +167,41 @@ class CrossSpectra:
                 f"(lengths {min(lengths)}..{max(lengths)})"
             )
         nfft = sp_fft.next_fast_len(max(lengths) + lag, real=True)
-
-        def spectra(waveforms) -> np.ndarray:
-            stack = np.zeros((len(waveforms), max(lengths)))
-            for row, w in zip(stack, waveforms):
-                row[: len(w)] = w.samples
-            return sp_fft.rfft(stack, nfft, axis=-1)
-
+        # filled a pair at a time, so only that pair's two spectra are held beside the result;
         # rfft(ch1) * conj(rfft(ch2)) is the spectrum of cross_correlate(ch2, ch1), as in
         # pair_delay; numpy rounds in-place complex products differently from out-of-place
-        cross = spectra(channels[: len(pairs)])
-        cross *= np.conj(spectra(channels[len(pairs) :]))
+        cross = np.empty((len(pairs), nfft // 2 + 1), np.complex128)
+        for row, (ch1, ch2) in zip(cross, pairs):
+            row[:] = sp_fft.rfft(ch1.samples, nfft)
+            conj = sp_fft.rfft(ch2.samples, nfft)
+            row *= np.conj(conj, out=conj)
         return cls(cross, lag, nfft, rate)
 
     def correlations(self, filt: BandpassFilter | None = None) -> np.ndarray:
-        """A row per pair: correlation at lags -lag..+lag through ``filt``, signed as pair_delay."""
-        cross = self.values
+        """A row per pair: correlation at lags -lag..+lag through ``filt``, signed as pair_delay.
+
+        Rows go through the inverse FFT ``CORRELATION_BLOCK`` at a time, so only one
+        block of filtered spectra and circular correlations is held beside the result.
+        """
         if filt is not None:
             if filt.sample_rate != self.sample_rate:
                 raise ValueError(
                     f"filter designed for {filt.sample_rate} Hz cannot be applied at "
                     f"{self.sample_rate} Hz"
                 )
-            cross = cross * filt.power_response(2.0 * np.pi * sp_fft.rfftfreq(self.nfft))
-        circ = sp_fft.irfft(cross, self.nfft, axis=-1)
-        return np.concatenate((circ[:, -self.lag :], circ[:, : self.lag + 1]), axis=1)
+            power = filt.power_response(2.0 * np.pi * sp_fft.rfftfreq(self.nfft))
+        lag = self.lag
+        windows = np.empty((len(self.values), 2 * lag + 1))
+        block = np.empty((CORRELATION_BLOCK, self.values.shape[1]), np.complex128)
+        for start in range(0, len(windows), CORRELATION_BLOCK):
+            rows = slice(start, start + CORRELATION_BLOCK)
+            cross = self.values[rows]
+            if filt is not None:
+                cross = np.multiply(cross, power, out=block[: len(cross)])
+            circ = sp_fft.irfft(cross, self.nfft, axis=-1)
+            windows[rows, :lag] = circ[:, -lag:]
+            windows[rows, lag:] = circ[:, : lag + 1]
+        return windows
 
 
 def cross_correlate(y1: Waveform, y2: Waveform, max_lag: int) -> CorrelationFunction:
@@ -332,28 +348,35 @@ def read_waveform_pair(path: str | Path) -> tuple[Waveform, Waveform]:
     with ``<path>:<line>:`` in front, the header counting as line 1.
     """
     path = Path(path)
+    # one flat JSON array, "[" + body + "]", read into place: the body is held once, and
+    # each newline is later turned into a comma in place, so a byte offset still finds its line
     with open(path, "rb") as fh:
         rate = read_sample_rate(fh)
-        body = fh.read()
-    if b"\r" in body:
-        body = body.replace(b"\r\n", b"\n")
-    body = body.rstrip(b"\n")
-    if not body:
+        text = bytearray(max(os.fstat(fh.fileno()).st_size - fh.tell(), 0) + 2)
+        with memoryview(text) as view:
+            got = fh.readinto(view[1:-1])
+        text[1 + got :] = fh.read() + b"]"  # to end of file, whatever the size said
+    text[0] = ord("[")
+    if b"\r" in text:
+        text = text.replace(b"\r\n", b"\n")
+    end = len(text) - 1  # the closing bracket; empty lines at the end are dropped
+    while text[end - 1] == ord("\n"):
+        end -= 1
+    del text[end:-1]
+    if len(text) == 2:
         raise ValueError(f"{path}:2: no samples after the header")
-    # one flat JSON array: "[" + body + "]", each newline later turned into a comma in place,
-    # so a byte offset into it still finds its line
-    text = np.empty(len(body) + 2, np.uint8)
-    text[0], text[1:-1], text[-1] = ord("["), np.frombuffer(body, np.uint8), ord("]")
-    newlines = np.flatnonzero(text == ord("\n"))
+    chars = np.frombuffer(text, np.uint8)
+    newlines = np.flatnonzero(chars == ord("\n"))
 
     def line_at(offset: int) -> int:
         return int(np.searchsorted(newlines, offset)) + 2
 
-    foreign = body.translate(None, _SAMPLE_BYTES)  # in file order, so [0] is the first one
+    # the brackets cut off; in file order, so [0] is the first one
+    foreign = text.translate(None, _SAMPLE_BYTES)[1:-1]
     if foreign:
-        at = body.index(foreign[:1]) + 1
+        at = text.index(foreign[:1], 1)
         raise ValueError(f"{path}:{line_at(at)}: unexpected character {chr(foreign[0])!r}")
-    commas = np.flatnonzero(text == ord(","))
+    commas = np.flatnonzero(chars == ord(","))
     # one comma per line: one more comma than newlines, and each newline between two commas
     fits = commas.size == newlines.size + 1
     if not (fits and np.all(commas[:-1] < newlines) and np.all(newlines < commas[1:])):
@@ -362,9 +385,9 @@ def read_waveform_pair(path: str | Path) -> tuple[Waveform, Waveform]:
         raise ValueError(
             f"{path}:{line + 2}: expected one 'ch1,ch2' pair, found {per_line[line]} commas"
         )
-    text[newlines] = ord(",")
+    chars[newlines] = ord(",")
     try:
-        values = orjson.loads(text.data)
+        values = orjson.loads(text)
     except orjson.JSONDecodeError as exc:
         raise ValueError(f"{path}:{line_at(exc.pos)}: {exc.msg}") from None
     data = np.fromiter(values, np.float64, len(values)).reshape(-1, 2)

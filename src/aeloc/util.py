@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 from pathlib import Path
 
 KM_S_TO_MM_S = 1e6
@@ -13,18 +12,16 @@ KM_S_TO_MM_S = 1e6
 def atomic_write_bytes(path: str | Path, *chunks) -> Path:
     """Write the byte ``chunks`` one after another to ``path`` via a temp file + rename.
 
-    The temp file sits in the same directory.  The file gets the mode
-    ``open(path, "w")`` gives a new file, 0o666 less the process umask
-    (``mkstemp`` alone would leave it owner-only).
+    The temp file sits in the same directory under a fresh random name.  It is
+    created with mode 0o666, so the kernel applies the process umask as it does
+    for ``open(path, "w")``; the umask itself is never read or changed.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:

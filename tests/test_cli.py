@@ -129,6 +129,25 @@ def test_written_files_follow_the_umask(tmp_path, umask):
         assert (out / name).stat().st_mode & 0o777 == 0o666 & ~umask, name
 
 
+def test_writes_leave_the_umask_alone(tmp_path, monkeypatch):
+    # the umask is process-wide: setting it to read it races with files other threads create
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(test_positions_mm=[1500.0])))
+    out = tmp_path / "data"
+    previous = os.umask(0o027)
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(os, "umask", lambda mask: pytest.fail("os.umask called"))
+            assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [MANIFEST_NAME, "test_00.txt"] + [f"prototype_{i:02d}.txt" for i in range(6)]
+    )
+    for path in out.iterdir():
+        assert path.stat().st_mode & 0o777 == 0o640, path.name
+
+
 # ----------------------------------------------------------------- parser
 
 
@@ -331,6 +350,22 @@ def test_manifest_row_with_an_unknown_role_is_a_data_error(tmp_path, capsys, com
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert f"error: {manifest}:{ln}: role must be 'prototype' or 'test', got 'prototyp'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "learn"])
+def test_prototype_file_missing_from_the_manifest_is_a_data_error(tmp_path, capsys, command):
+    build_dataset(tmp_path, specimen={"noise_snr_db": None}, seed=4)
+    manifest = tmp_path / MANIFEST_NAME
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(ln for ln in lines if not ln.startswith("prototype_03.txt,")))
+    out = tmp_path / "out"
+    argv = {
+        "calibrate": ["calibrate", str(tmp_path), "--report", str(out)],
+        "learn": ["learn", str(tmp_path), "--db", str(out), "--f-low", "3e4", "--f-high", "4e4"],
+    }[command]
+    assert cli.main(argv) == 2
+    assert "on disk but not in manifest: prototype_03.txt" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -20,7 +20,7 @@ def _readme_library_code() -> str:
 
 
 def test_scripts_and_readme_imports_resolve():
-    for script in ("run_band_experiment", "density_sweep"):
+    for script in ("run_band_experiment", "density_sweep", "stage_memory"):
         spec = importlib.util.spec_from_file_location(script, ROOT / "scripts" / f"{script}.py")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)  # runs the imports; main() stays behind __main__

@@ -1,5 +1,6 @@
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from scipy import signal as sps
 
 from aeloc.signals import (
+    CORRELATION_BLOCK,
     CorrelationFunction,
+    CrossSpectra,
     DelayWindowError,
     FilterSpec,
     NoSignalError,
@@ -432,6 +435,56 @@ def test_pair_delay_sign_convention():
     later = np.concatenate([np.zeros(d), x[:-d]])
     est = pair_delay(Waveform(later, FS), Waveform(x, FS), 80)
     assert est.delay == pytest.approx(d / FS, abs=0.1 / FS)
+
+
+# ------------------------------------------------------------- cross-spectra
+
+
+def _noise_pairs(lengths, seed=0):
+    rng = np.random.default_rng(seed)
+    return [
+        (Waveform(rng.standard_normal(n1), FS), Waveform(rng.standard_normal(n2), FS))
+        for n1, n2 in lengths
+    ]
+
+
+def test_a_pair_reads_the_same_alone_and_in_a_batch():
+    # every pair holds the longest record, so each one-pair batch has the same nfft
+    lengths = [(3000, 1200), (2048, 3000), (3000, 3000), (1777, 3000), (3000, 2501)]
+    assert len(lengths) % CORRELATION_BLOCK != 0
+    pairs = _noise_pairs(lengths)
+    filt = design_bandpass(FilterSpec(30_000.0, 60_000.0), FS)
+    batch = CrossSpectra.of_pairs(pairs, 300)
+    windows, filtered = batch.correlations(), batch.correlations(filt)
+    for i, pair in enumerate(pairs):
+        alone = CrossSpectra.of_pairs([pair], 300)
+        assert alone.nfft == batch.nfft
+        assert alone.values[0].tobytes() == batch.values[i].tobytes(), i
+        assert alone.correlations()[0].tobytes() == windows[i].tobytes(), i
+        assert alone.correlations(filt)[0].tobytes() == filtered[i].tobytes(), i
+
+
+def _traced_peak(fn):
+    """``fn()`` and the most bytes traced above what was held when it started."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_cross_spectra_hold_one_pair_and_one_block_of_temporaries():
+    # the default dataset's shape: 12 pairs of 16384 samples, lags -2500..2500
+    pairs = _noise_pairs([(16_384, 16_384)] * 12)
+    spectra, peak = _traced_peak(lambda: CrossSpectra.of_pairs(pairs, 2500))
+    assert peak <= 1.5 * spectra.values.nbytes
+    filt = design_bandpass(FilterSpec(35_000.0, 45_000.0), FS)
+    for band in (None, filt):
+        windows, peak = _traced_peak(lambda: spectra.correlations(band))
+        assert peak <= windows.nbytes + spectra.values.nbytes, band
 
 
 # ------------------------------------------------------------------- file I/O
