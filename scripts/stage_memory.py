@@ -1,39 +1,50 @@
 #!/usr/bin/env python3
-"""Peak traced memory of each pipeline stage on the default dataset.
+"""Peak traced memory of each CLI stage on the default dataset.
 
-Simulates the 12-prototype / 23-test dataset into a temporary directory, then
-loads the prototype pairs, sweeps the default band grid, learns the database
-through the best band and evaluates the test sources, all in this process.
-For each stage it prints the ``tracemalloc`` peak above what was held when the
-stage began, and what the stage still holds when it returns.  The sweep runs
-on the pairs the load stage returned, so their bytes are in the load figure,
-not the sweep's.  Only allocations made through Python and numpy are traced;
-native buffers such as scipy's FFT plans are not.
+Runs simulate, calibrate, learn, locate and evaluate on a temporary directory
+through ``aeloc.cli.main``, in this process and with the criterion-7 chain's
+arguments, so every stage runs as the command line runs it: calibrate and
+learn stream the prototype records into the cross-spectra, one file at a
+time, and evaluate locates one test at a time.  For comparison, the row
+``held`` reads every prototype record into memory at once
+(``pipeline.load_prototype_pairs``), the working set that streaming avoids.
+For each row it prints the ``tracemalloc`` peak above what was held when the
+step began, and what the step still holds when it returns.  The stages' own
+output is discarded.  Only allocations made through Python and numpy are
+traced; native buffers such as scipy's FFT plans are not.
 """
 
 import argparse
+import contextlib
+import io
 import tempfile
 import tracemalloc
+from pathlib import Path
 
-from aeloc import design_bandpass, parse_config, run_experiment
-from aeloc.calibration import BandGrid, sweep_bands
-from aeloc.pipeline import (
-    DEFAULT_MAX_DELAY_S,
-    evaluate_dataset,
-    learn_prototypes,
-    load_prototype_pairs,
-)
-from aeloc.signals import lag_window
+from aeloc import cli
+from aeloc.pipeline import load_prototype_pairs
 
 
-def traced(stage: str, fn):
+def traced(stage: str, fn) -> None:
     """Run ``fn()`` and print its peak and retained traced bytes in MB."""
     tracemalloc.reset_peak()
     held = tracemalloc.get_traced_memory()[0]
     result = fn()
     current, peak = tracemalloc.get_traced_memory()
+    del result
     print(f"{stage:>10} {(peak - held) / 1e6:10.2f} {(current - held) / 1e6:10.2f}")
-    return result
+
+
+def command(argv: list[str]):
+    """``cli.main(argv)`` as a step, its output discarded; a non-zero exit ends the script."""
+
+    def run() -> None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        if code != 0:
+            raise SystemExit(f"aeloc {argv[0]} exited {code}")
+
+    return run
 
 
 def main() -> int:
@@ -41,24 +52,21 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0, help="dataset seed")
     args = parser.parse_args()
 
-    config = parse_config({"seed": args.seed})
     print(f"{'stage':>10} {'peak [MB]':>10} {'kept [MB]':>10}")
     tracemalloc.start()
     try:
-        with tempfile.TemporaryDirectory() as data:
-            traced("simulate", lambda: run_experiment(config, data))
-            _, entries = traced("load", lambda: load_prototype_pairs(data))
-            rate = entries[0][1][0].sample_rate
-            prototypes = [(row.position_mm, chans) for row, chans in entries]
-            result = traced(
-                "sweep",
-                lambda: sweep_bands(
-                    prototypes, BandGrid(), max_lag=lag_window(DEFAULT_MAX_DELAY_S, rate)
-                ),
-            )
-            filt = design_bandpass(result.best_band, rate)
-            pset, _ = traced("learn", lambda: learn_prototypes(data, filt))
-            traced("evaluate", lambda: evaluate_dataset(pset, filt, data))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            data, cal, db = str(root / "data"), str(root / "calibration.csv"), str(root / "p.db")
+            band = ["--calibration", cal]
+            tests = [str(root / "data" / f"test_{i:02d}.txt") for i in (0, 11, 22)]
+            traced("simulate", command(["simulate", "--out", data, "--seed", str(args.seed)]))
+            traced("held", lambda: load_prototype_pairs(data))
+            traced("calibrate", command(["calibrate", data, "--report", cal]))
+            traced("learn", command(["learn", data, "--db", db, *band]))
+            traced("locate", command(["locate", db, *tests, *band, "--out", str(root / "l.csv")]))
+            report = ["--report", str(root / "e.csv")]
+            traced("evaluate", command(["evaluate", db, data, *report, *band]))
     finally:
         tracemalloc.stop()
     return 0

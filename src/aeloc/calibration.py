@@ -154,6 +154,36 @@ def _band_record(
     )
 
 
+class _ChannelsOf:
+    """The (ch1, ch2) of (position_mm, (ch1, ch2)) items, with their length, for
+    :meth:`~aeloc.signals.CrossSpectra.of_pairs`; iterating appends each position to
+    ``positions`` and drops the pair before the next item is read."""
+
+    def __init__(self, items):
+        self.items = items
+        self.positions: list[float] = []
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def __iter__(self):
+        for z, chans in self.items:
+            self.positions.append(float(z))
+            yield chans
+            del chans
+
+
+def prototype_spectra(prototype_signals, max_lag: int) -> tuple[np.ndarray, CrossSpectra]:
+    """Positions and cross-spectra of (position_mm, (ch1, ch2)) items, read in one pass.
+
+    ``prototype_signals`` is any iterable with a length; a lazy one, such as
+    :func:`~aeloc.pipeline.load_dataset`'s, holds one pair's waveforms at a time.
+    """
+    channels = _ChannelsOf(prototype_signals)
+    spectra = CrossSpectra.of_pairs(channels, max_lag)
+    return np.array(channels.positions), spectra
+
+
 def sweep_bands(
     prototype_signals,
     grid: BandGrid,
@@ -163,22 +193,20 @@ def sweep_bands(
 ) -> CalibrationResult:
     """Evaluate every band in the grid on the prototype pairs and pick the flattest fit.
 
-    ``prototype_signals`` is a sequence of (position_mm, (ch1, ch2)) with
-    Waveform channels.  Bands invalid for the sample rate are skipped with a
-    warning; bands where fewer than three delays survive get infinite rmse.
-    Ties on rmse resolve to the lowest f_low.
+    ``prototype_signals`` is an iterable with a length of (position_mm, (ch1, ch2))
+    with Waveform channels, read once (:func:`prototype_spectra`).  Bands invalid
+    for the sample rate are skipped with a warning; bands where fewer than three
+    delays survive get infinite rmse.  Ties on rmse resolve to the lowest f_low.
 
     Delays come from :func:`~aeloc.signals.filtered_delay`'s estimator: the spectra
     are taken once (:class:`~aeloc.signals.CrossSpectra`), and each band costs one
     batched inverse FFT and one :func:`~aeloc.signals.pick_delays` over all pairs.
     """
-    pairs = list(prototype_signals)
-    positions = np.array([float(z) for z, _ in pairs])
-    if positions.size < 3:
-        raise ValueError(f"calibration needs at least 3 prototypes, got {positions.size}")
+    if len(prototype_signals) < 3:
+        raise ValueError(f"calibration needs at least 3 prototypes, got {len(prototype_signals)}")
+    positions, spectra = prototype_spectra(prototype_signals, max_lag)
     if np.unique(positions).size < 2:
         raise ValueError("prototype positions are all identical")
-    spectra = CrossSpectra.of_pairs([chans for _, chans in pairs], max_lag)
 
     records = []
     for f_low in grid.band_lows():
@@ -188,8 +216,8 @@ def sweep_bands(
         except ValueError as exc:
             warnings.warn(f"skipping band {spec.f_low}-{spec.f_high} Hz: {exc}", stacklevel=2)
             continue
-        windows = spectra.correlations(filt)
-        delays, _ = pick_delays(windows, spectra.lag, spectra.sample_rate)
+        # the windows go straight to the picker: no band's outlive its delays
+        delays, _ = pick_delays(spectra.correlations(filt), spectra.lag, spectra.sample_rate)
         records.append(_band_record(spec, delays, positions, spectra.sample_rate))
     if not records:
         raise ValueError("every band in the grid was invalid for this sample rate")

@@ -11,7 +11,6 @@ import json
 import math
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from . import grnn, pipeline
 from .calibration import (
@@ -21,15 +20,8 @@ from .calibration import (
     sweep_bands,
     write_calibration_report,
 )
-from .signals import FilterSpec, design_bandpass, lag_window, read_sample_rate, read_waveform_pair
-from .simulator import (
-    MANIFEST_NAME,
-    default_config,
-    load_config,
-    parse_config,
-    read_manifest,
-    run_experiment,
-)
+from .signals import FilterSpec, design_bandpass, lag_window, read_waveform_pair
+from .simulator import default_config, load_config, parse_config, run_experiment
 from .svgplot import linear_fit_points, scatter_svg
 from .util import atomic_write_text
 
@@ -124,15 +116,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    meta, entries = pipeline.load_prototype_pairs(args.dataset)
+    dataset = pipeline.load_dataset(args.dataset, "prototype")
     grid = BandGrid(width=args.width, step=args.step, f_start=args.f_start, f_stop=args.f_stop)
-    rows = [row for row, _ in entries]
-    sample_rate = _dataset_sample_rate(args.dataset, meta, rows, "prototype")
+    sample_rate = dataset.sample_rate
     result = sweep_bands(
-        [(row.position_mm, chans) for row, chans in entries],
-        grid,
-        args.order,
-        max_lag=lag_window(args.max_delay_s, sample_rate),
+        dataset, grid, args.order, max_lag=lag_window(args.max_delay_s, sample_rate)
     )
     write_calibration_report(args.report, result)
     if args.svg:
@@ -164,25 +152,11 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
-def _dataset_sample_rate(dataset, meta, manifest, role: str) -> float:
-    """The manifest's sample rate, else the header rate of the first ``role`` signal file."""
-    sample_rate = meta.get("sample_rate_hz")
-    if sample_rate is None:
-        first = next((row for row in manifest if row.role == role), None)
-        if first is None:
-            raise ValueError(f"{dataset}: manifest lists no {role} sources")
-        with open(Path(dataset) / first.file, "rb") as fh:
-            sample_rate = read_sample_rate(fh)
-    return sample_rate
-
-
 def _cmd_learn(args) -> int:
     filt_spec = _resolve_filter(args)
-    meta, manifest = read_manifest(Path(args.dataset) / MANIFEST_NAME)
-    filt = design_bandpass(
-        filt_spec, _dataset_sample_rate(args.dataset, meta, manifest, "prototype")
-    )
-    pset, skipped = pipeline.learn_prototypes(args.dataset, filt, max_delay_s=args.max_delay_s)
+    dataset = pipeline.load_dataset(args.dataset, "prototype")
+    filt = design_bandpass(filt_spec, dataset.sample_rate)
+    pset, skipped = pipeline.learn_prototypes(dataset, filt, max_delay_s=args.max_delay_s)
     for name, reason in skipped:
         print(f"warning: skipped {name}: {reason}", file=sys.stderr)
     grnn.save_prototypes(args.db, pset)
@@ -218,12 +192,12 @@ def _cmd_locate(args) -> int:
 def _cmd_evaluate(args) -> int:
     filt_spec = _resolve_filter(args)
     pset = grnn.load_prototypes(args.db)
-    meta, manifest = read_manifest(Path(args.dataset) / MANIFEST_NAME)
-    filt = design_bandpass(filt_spec, _dataset_sample_rate(args.dataset, meta, manifest, "test"))
-    report = pipeline.evaluate_dataset(pset, filt, args.dataset, max_delay_s=args.max_delay_s)
+    dataset = pipeline.load_dataset(args.dataset, "test")
+    filt = design_bandpass(filt_spec, dataset.sample_rate)
+    report = pipeline.evaluate_dataset(pset, filt, dataset, max_delay_s=args.max_delay_s)
     pipeline.write_evaluation_report(args.report, report)
     if args.svg:
-        protos = [row.position_mm for row in manifest if row.role == "prototype"]
+        protos = [row.position_mm for row in dataset.manifest if row.role == "prototype"]
         atomic_write_text(
             args.svg, pipeline.evaluation_scatter_svg(report, protos or None)
         )

@@ -8,14 +8,15 @@ from pathlib import Path
 import numpy as np
 
 from . import grnn
+from .calibration import prototype_spectra
 from .signals import (
     BandpassFilter,
-    CrossSpectra,
     Waveform,
     filtered_delay,
     lag_window,
     pair_delay,  # noqa: F401  (kept importable by name for perfbench's alias test)
     pick_delays,
+    read_sample_rate,
     read_waveform_pair,
 )
 from .simulator import MANIFEST_NAME, ManifestRow, read_manifest
@@ -67,58 +68,112 @@ def locate_pair(
     )
 
 
-def load_prototype_pairs(dataset_dir):
-    """Read every manifest prototype pair; returns (meta, [(ManifestRow, (ch1, ch2)), ...]).
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """One role's records of a dataset directory, from :func:`load_dataset`.
 
-    A pair whose sample rate differs from the manifest's ``sample_rate_hz`` is
-    an error: callers size the lag window from the manifest rate.  So is a listed
-    prototype file missing on disk, or a ``prototype_*.txt`` file the manifest
-    does not list.
+    ``rows`` are the manifest rows of that role, ``manifest`` every row.
+    Iterating yields ``(position_mm, (ch1, ch2))`` per row, the form
+    :func:`~aeloc.calibration.sweep_bands` takes, and reads each file only when
+    it gets there; ``len`` counts the rows.  A record whose sample count differs
+    from the first one's is refused: the spectra share one FFT length.
     """
-    dataset_dir = Path(dataset_dir)
-    meta, manifest = read_manifest(dataset_dir / MANIFEST_NAME)
-    rate = meta.get("sample_rate_hz")
-    prototypes = [row for row in manifest if row.role == "prototype"]
-    _check_orphans(dataset_dir, prototypes, "prototype")
-    entries = []
-    for row in prototypes:
-        pair = read_waveform_pair(dataset_dir / row.file)
+
+    directory: Path
+    meta: dict
+    manifest: list[ManifestRow]
+    rows: list[ManifestRow]
+    sample_rate: float
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        first = None
+        for row in self.rows:
+            pair = self.read(row)
+            if first is None:
+                first = (row.file, len(pair[0]))
+            elif len(pair[0]) != first[1]:
+                raise ValueError(
+                    f"{self.directory / row.file}: {len(pair[0])} samples, but "
+                    f"{self.directory / first[0]} has {first[1]}; a dataset's "
+                    f"{row.role} records must share one length"
+                )
+            yield row.position_mm, pair
+            del pair  # dropped before the next file is read
+
+    def read(self, row: ManifestRow) -> tuple[Waveform, Waveform]:
+        """The pair file of ``row``; its rate must match the manifest's, where one is given."""
+        pair = read_waveform_pair(self.directory / row.file)
+        rate = self.meta.get("sample_rate_hz")
         if rate is not None and abs(pair[0].sample_rate - rate) > 1e-6:
             raise ValueError(
                 f"{row.file}: sample rate {pair[0].sample_rate} Hz differs from the "
                 f"manifest's {rate} Hz"
             )
-        entries.append((row, pair))
-    return meta, entries
+        return pair
+
+
+def load_dataset(dataset_dir, role: str) -> Dataset:
+    """The manifest of ``dataset_dir`` and its ``role`` rows, whose files are read lazily.
+
+    The manifest is read once.  A listed file missing on disk, or a
+    ``<role>_*.txt`` file the manifest does not list, is an error.  The sample
+    rate is the manifest's ``sample_rate_hz``, else the header rate of the first
+    ``role`` file.
+    """
+    dataset_dir = Path(dataset_dir)
+    meta, manifest = read_manifest(dataset_dir / MANIFEST_NAME)
+    rows = [row for row in manifest if row.role == role]
+    _check_orphans(dataset_dir, rows, role)
+    rate = meta.get("sample_rate_hz")
+    if rate is None:
+        if not rows:
+            raise ValueError(f"{dataset_dir}: manifest lists no {role} sources")
+        with open(dataset_dir / rows[0].file, "rb") as fh:
+            rate = read_sample_rate(fh)
+    return Dataset(dataset_dir, meta, manifest, rows, rate)
+
+
+def load_prototype_pairs(dataset_dir):
+    """Read every manifest prototype pair; returns (meta, [(ManifestRow, (ch1, ch2)), ...]).
+
+    The records of :func:`load_dataset`, all held at once.
+    """
+    dataset = load_dataset(dataset_dir, "prototype")
+    return dataset.meta, [(row, pair) for row, (_, pair) in zip(dataset.rows, dataset)]
 
 
 def learn_prototypes(
-    dataset_dir, filt: BandpassFilter, *, max_delay_s: float = DEFAULT_MAX_DELAY_S
+    dataset, filt: BandpassFilter, *, max_delay_s: float = DEFAULT_MAX_DELAY_S
 ) -> tuple[grnn.PrototypeSet, list[tuple[str, str]]]:
     """Build the (delay -> position) prototype database from a calibration dataset.
 
+    ``dataset`` is a directory or its :func:`load_dataset` of the prototypes.
     The delays come from one batched pass through ``filt``, the calibration
-    sweep's estimator (:class:`~aeloc.signals.CrossSpectra`).  Prototypes whose
-    delay estimation fails are skipped and reported; smoothing widths follow
-    the half-nearest-neighbor rule.
+    sweep's estimator (:class:`~aeloc.signals.CrossSpectra`), over records read
+    one at a time.  Prototypes whose delay estimation fails are skipped and
+    reported; smoothing widths follow the half-nearest-neighbor rule.
     """
-    _, entries = load_prototype_pairs(dataset_dir)
-    if not entries:
-        raise ValueError(f"{dataset_dir}: manifest lists no prototype sources")
-    positions = [row.position_mm for row, _ in entries]
-    duplicates = sorted({z for z in positions if positions.count(z) > 1})
+    if not isinstance(dataset, Dataset):
+        dataset = load_dataset(dataset, "prototype")
+    if not dataset.rows:
+        raise ValueError(f"{dataset.directory}: manifest lists no prototype sources")
+    max_lag = lag_window(max_delay_s, dataset.sample_rate)
+    positions, spectra = prototype_spectra(dataset, max_lag)
+    listed = positions.tolist()
+    duplicates = sorted({z for z in listed if listed.count(z) > 1})
     if duplicates:
         raise ValueError(
             f"duplicate prototype positions {duplicates} mm: smoothing widths are undefined"
         )
-    max_lag = lag_window(max_delay_s, entries[0][1][0].sample_rate)
-    spectra = CrossSpectra.of_pairs([chans for _, chans in entries], max_lag)
     delays, errors = pick_delays(spectra.correlations(filt), max_lag, spectra.sample_rate)
-    skipped = [(entries[i][0].file, str(exc)) for i, exc in errors.items()]
+    skipped = [(dataset.rows[i].file, str(exc)) for i, exc in errors.items()]
     kept = ~np.isnan(delays)
     if kept.sum() < 2:
         raise ValueError(f"only {kept.sum()} prototypes survived delay estimation; need at least 2")
-    return grnn.PrototypeSet.from_data(delays[kept], np.asarray(positions)[kept]), skipped
+    return grnn.PrototypeSet.from_data(delays[kept], positions[kept]), skipped
 
 
 def write_location_report(path, rows) -> None:
@@ -171,22 +226,23 @@ def _mad_outliers(errors: np.ndarray, floor_mm: float = OUTLIER_FLOOR_MM) -> np.
 def evaluate_dataset(
     pset: grnn.PrototypeSet,
     filt: BandpassFilter,
-    dataset_dir,
+    dataset,
     *,
     max_delay_s: float = DEFAULT_MAX_DELAY_S,
 ) -> EvaluationReport:
     """Locate every manifest test source and compare against the recorded truth.
 
-    Relative errors divide by the manifest's sensor separation, sensor_2_mm -
-    sensor_1_mm; both raw and 3xMAD-trimmed averages are reported.
+    ``dataset`` is a directory or its :func:`load_dataset` of the tests, which
+    are read and located one at a time.  Relative errors divide by the
+    manifest's sensor separation, sensor_2_mm - sensor_1_mm; both raw and
+    3xMAD-trimmed averages are reported.
     """
-    dataset_dir = Path(dataset_dir)
-    manifest_path = dataset_dir / MANIFEST_NAME
-    meta, manifest = read_manifest(manifest_path)
-    tests = [row for row in manifest if row.role == "test"]
-    if not tests:
-        raise ValueError(f"{dataset_dir}: manifest lists no test sources")
-    _check_orphans(dataset_dir, tests, "test")
+    if not isinstance(dataset, Dataset):
+        dataset = load_dataset(dataset, "test")
+    manifest_path = dataset.directory / MANIFEST_NAME
+    meta = dataset.meta
+    if not dataset.rows:
+        raise ValueError(f"{dataset.directory}: manifest lists no test sources")
     for key in ("sensor_1_mm", "sensor_2_mm"):
         if key not in meta:
             raise ValueError(f"{manifest_path}: header lacks {key!r}")
@@ -199,9 +255,9 @@ def evaluate_dataset(
 
     located: list[tuple[ManifestRow, LocationEstimate]] = []
     failed: list[tuple[str, str]] = []
-    for row in tests:
+    for row in dataset.rows:
         try:
-            ch1, ch2 = read_waveform_pair(dataset_dir / row.file)
+            ch1, ch2 = dataset.read(row)
             est = locate_pair(pset, filt, ch1, ch2, max_delay_s=max_delay_s)
         except (ValueError, OSError) as exc:
             failed.append((row.file, str(exc)))

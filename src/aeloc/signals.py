@@ -135,8 +135,8 @@ class CorrelationFunction:
 class CrossSpectra:
     """Cross-spectra ``rfft(ch1) * conj(rfft(ch2))`` of two-channel records, one row per pair.
 
-    Rows are zero-padded to ``nfft`` points, the longest record plus the lag
-    window, so no wrap-around reaches |lag| <= ``lag`` and the circular
+    Rows are zero-padded to ``nfft`` points, the first pair's longest record plus
+    the lag window, so no wrap-around reaches |lag| <= ``lag`` and the circular
     correlation equals the linear one there.  Both channels pass the same
     filter, so a band's correlation is the inverse FFT of the raw cross-spectrum
     times the band's closed-form |H|² (Knapp & Carter 1976): zero-phase, free of
@@ -151,30 +151,45 @@ class CrossSpectra:
 
     @classmethod
     def of_pairs(cls, pairs, max_lag: int) -> CrossSpectra:
-        """Spectra of (ch1, ch2) records, of any lengths, for lags -max_lag..+max_lag."""
-        channels = [ch1 for ch1, _ in pairs] + [ch2 for _, ch2 in pairs]
-        rate = channels[0].sample_rate
-        for w in channels:
-            if w.sample_rate != rate:
-                raise ValueError(f"sample rates differ: {rate} Hz vs {w.sample_rate} Hz")
-        lengths = [len(w) for w in channels]
+        """Spectra of (ch1, ch2) records for lags -max_lag..+max_lag, taken a pair at a time.
+
+        ``pairs`` is any iterable with a length, read once in order, so a lazy one
+        holds a single pair at a time.  The first pair fixes the sample rate and
+        ``nfft``; no later record may be longer than the first pair's longest.
+        """
         lag = int(max_lag)
         if lag != max_lag or lag < 1:
             raise ValueError(f"max_lag must be a positive integer, got {max_lag!r}")
-        if lag >= min(lengths):
-            raise ValueError(
-                f"max_lag={lag} must be smaller than every record "
-                f"(lengths {min(lengths)}..{max(lengths)})"
-            )
-        nfft = sp_fft.next_fast_len(max(lengths) + lag, real=True)
-        # filled a pair at a time, so only that pair's two spectra are held beside the result;
-        # rfft(ch1) * conj(rfft(ch2)) is the spectrum of cross_correlate(ch2, ch1), as in
-        # pair_delay; numpy rounds in-place complex products differently from out-of-place
-        cross = np.empty((len(pairs), nfft // 2 + 1), np.complex128)
-        for row, (ch1, ch2) in zip(cross, pairs):
+        cross = rate = longest = nfft = None
+        taken = 0  # not enumerate: its reused result tuple would keep the last pair alive
+        for ch1, ch2 in pairs:
+            if cross is None:
+                rate, longest = ch1.sample_rate, max(len(ch1), len(ch2))
+                nfft = sp_fft.next_fast_len(longest + lag, real=True)
+                cross = np.empty((len(pairs), nfft // 2 + 1), np.complex128)
+            for w in (ch1, ch2):
+                if w.sample_rate != rate:
+                    raise ValueError(f"sample rates differ: {rate} Hz vs {w.sample_rate} Hz")
+            if lag >= min(len(ch1), len(ch2)):
+                raise ValueError(
+                    f"max_lag={lag} must be smaller than every record "
+                    f"(pair {taken}: lengths {len(ch1)} and {len(ch2)})"
+                )
+            if max(len(ch1), len(ch2)) > longest:
+                raise ValueError(
+                    f"pair {taken}: a record of {max(len(ch1), len(ch2))} samples is longer "
+                    f"than pair 0's longest ({longest}), which fixed the FFT length"
+                )
+            # rfft(ch1) * conj(rfft(ch2)) is the spectrum of cross_correlate(ch2, ch1), as in
+            # pair_delay; numpy rounds in-place complex products differently from out-of-place
+            row = cross[taken]
             row[:] = sp_fft.rfft(ch1.samples, nfft)
             conj = sp_fft.rfft(ch2.samples, nfft)
             row *= np.conj(conj, out=conj)
+            taken += 1
+            del ch1, ch2, w, conj  # unbound before the next pair is read
+        if taken == 0 or taken != len(cross):
+            raise ValueError(f"pairs yielded {taken} records but have a length of {len(pairs)}")
         return cls(cross, lag, nfft, rate)
 
     def correlations(self, filt: BandpassFilter | None = None) -> np.ndarray:

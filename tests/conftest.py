@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -72,3 +74,15 @@ def reference_rows(windows, max_lag, sample_rate, refine=True):
         except ValueError as exc:
             errors[i] = exc
     return delays, errors
+
+
+def traced_peak(fn):
+    """``fn()`` and the most bytes traced above what was held when it started."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()

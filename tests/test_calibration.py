@@ -1,8 +1,11 @@
+import contextlib
+import io
 import threading
 
 import numpy as np
 import pytest
 
+from aeloc import cli
 from aeloc.calibration import (
     BandGrid,
     _robust_fit,
@@ -13,7 +16,8 @@ from aeloc.calibration import (
     sweep_bands,
     write_calibration_report,
 )
-from aeloc.pipeline import evaluate_dataset, learn_prototypes, load_prototype_pairs
+from aeloc.grnn import PrototypeSet
+from aeloc.pipeline import evaluate_dataset, learn_prototypes, load_dataset, load_prototype_pairs
 from aeloc.signals import (
     CrossSpectra,
     DelayWindowError,
@@ -24,10 +28,11 @@ from aeloc.signals import (
     design_bandpass,
     filtered_delay,
     pair_delay,
+    read_waveform_pair,
 )
 from aeloc.simulator import parse_config, run_experiment
 
-from conftest import build_dataset, reference_rows
+from conftest import build_dataset, reference_rows, traced_peak
 
 MAX_LAG = 2500
 SWEEP_GRID = BandGrid(f_start=25_000.0, f_stop=55_000.0, step=2_000.0)  # the fixture's grid
@@ -291,6 +296,45 @@ def test_learned_delays_equal_the_sweep_best_band_delays(default_dataset):
     pset, skipped = learn_prototypes(out, filt)  # default window: MAX_LAG at 1 MHz
     assert skipped == []
     assert np.array_equal(pset.given[:, 0], result.best_delays)
+
+
+def test_streamed_sweep_and_learn_equal_the_in_memory_ones_bit_for_bit(default_dataset):
+    out, pairs = default_dataset
+    held = sweep_bands(pairs, BandGrid(), 4, max_lag=MAX_LAG)
+    streamed = sweep_bands(load_dataset(out, "prototype"), BandGrid(), 4, max_lag=MAX_LAG)
+    assert len(streamed.records) == len(held.records) == 61
+    assert streamed.positions_mm.tobytes() == held.positions_mm.tobytes()
+    for lazy, eager in zip(streamed.records, held.records):
+        assert lazy.band == eager.band
+        assert lazy.delays.tobytes() == eager.delays.tobytes(), lazy.band
+        fit = [lazy.rmse_mm, lazy.slope_s_per_mm, lazy.intercept_s]
+        assert np.array(fit).tobytes() == np.array(
+            [eager.rmse_mm, eager.slope_s_per_mm, eager.intercept_s]
+        ).tobytes(), lazy.band
+        assert lazy.outlier_indices == eager.outlier_indices
+    filt = design_bandpass(held.best_band, pairs[0][1][0].sample_rate)
+    learned, _ = learn_prototypes(load_dataset(out, "prototype"), filt)
+    reference = PrototypeSet.from_data(held.best_delays, held.positions_mm)
+    for field in ("given", "hidden", "sigmas"):
+        assert getattr(learned, field).tobytes() == getattr(reference, field).tobytes(), field
+
+
+def test_calibrate_and_learn_hold_the_spectra_and_one_record_being_read(default_dataset, tmp_path):
+    # bound: the spectra, the reader's working set for one file, and one pair's waveforms;
+    # the records are streamed into the spectra, and all 12 held at once exceed it by 2 MB
+    out, pairs = default_dataset
+    _, reading = traced_peak(lambda: read_waveform_pair(out / "prototype_00.txt"))
+    spectra_bytes = CrossSpectra.of_pairs([pairs[0][1]], MAX_LAG).values.nbytes * len(pairs)
+    bound = spectra_bytes + reading + 2 * pairs[0][1][0].samples.nbytes
+    report, db = tmp_path / "calibration.csv", tmp_path / "prototypes.db"
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (
+            ["calibrate", str(out), "--report", str(report)],
+            ["learn", str(out), "--db", str(db), "--calibration", str(report)],
+        ):
+            code, peak = traced_peak(lambda: cli.main(argv))
+            assert code == 0
+            assert peak <= bound, (argv[0], peak / 1e6, bound / 1e6)
 
 
 @pytest.mark.parametrize("max_lag", [MAX_LAG, 40])  # 40: a window too short for many pairs

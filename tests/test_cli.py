@@ -2,13 +2,14 @@ import argparse
 import json
 import os
 import warnings
+import weakref
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aeloc import cli, pipeline
+from aeloc import cli, pipeline, simulator
 from aeloc.calibration import read_calibration_summary
 from aeloc.grnn import load_prototypes
 from aeloc.signals import (
@@ -367,6 +368,45 @@ def test_prototype_file_missing_from_the_manifest_is_a_data_error(tmp_path, caps
     assert cli.main(argv) == 2
     assert "on disk but not in manifest: prototype_03.txt" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "learn"])
+def test_truncated_prototype_file_is_a_data_error(tmp_path, capsys, command):
+    # a short record would be zero-padded to the others' FFT length without a word
+    build_dataset(tmp_path, specimen={"noise_snr_db": None}, seed=4)
+    cut = tmp_path / "prototype_03.txt"
+    lines = cut.read_text().splitlines(keepends=True)
+    cut.write_text("".join(lines[:6001]))  # the header and 6000 of 8192 sample lines
+    out = tmp_path / "out"
+    argv = {
+        "calibrate": ["calibrate", str(tmp_path), "--report", str(out)],
+        "learn": ["learn", str(tmp_path), "--db", str(out), "--f-low", "3e4", "--f-high", "4e4"],
+    }[command]
+    assert cli.main(argv) == 2
+    first = tmp_path / "prototype_00.txt"
+    assert f"error: {cut}: 6000 samples, but {first} has 8192" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "learn"])
+def test_prototype_records_are_dropped_before_the_next_is_read(tmp_path, monkeypatch, command):
+    build_dataset(tmp_path, specimen={"noise_snr_db": None}, seed=4)
+    read, alive, refs = pipeline.read_waveform_pair, [], []
+
+    def reading(path):
+        alive.append(sum(ref() is not None for ref in refs))
+        pair = read(path)
+        refs.extend(weakref.ref(w) for w in pair)
+        return pair
+
+    monkeypatch.setattr(pipeline, "read_waveform_pair", reading)
+    argv = {
+        "calibrate": ["calibrate", str(tmp_path), "--report", str(tmp_path / "r.csv")],
+        "learn": ["learn", str(tmp_path), "--db", str(tmp_path / "p.db"),
+                  "--f-low", "3e4", "--f-high", "4e4"],
+    }[command]
+    assert cli.main(argv) == 0
+    assert alive == [0] * 6
 
 
 def test_calibrate_warns_on_flat_rmse_surface(tmp_path, capsys):
@@ -875,6 +915,25 @@ def test_evaluate_detects_orphans(learned, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "test_01.txt" in err and "test_99.txt" in err
+
+
+@pytest.mark.parametrize("command", ["learn", "evaluate"])
+def test_learn_and_evaluate_read_the_manifest_once(learned, tmp_path, monkeypatch, command):
+    _, data, report, db = learned
+    read, calls = simulator.read_manifest, []
+
+    def counted(path):
+        calls.append(path)
+        return read(path)
+
+    for module in (cli, pipeline):  # every module that could read it
+        monkeypatch.setattr(module, "read_manifest", counted, raising=False)
+    argv = {
+        "learn": ["learn", str(data), "--db", str(tmp_path / "p.db")],
+        "evaluate": ["evaluate", str(db), str(data), "--report", str(tmp_path / "e.csv")],
+    }[command]
+    assert cli.main(argv + ["--calibration", str(report)]) == 0
+    assert calls == [data / MANIFEST_NAME]
 
 
 # ------------------------------------------------------- no filter design

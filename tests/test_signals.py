@@ -1,7 +1,7 @@
 import re
 import tempfile
-import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from aeloc.signals import (
     write_waveform_pair,
 )
 
-from conftest import build_dataset, reference_rows
+from conftest import build_dataset, reference_rows, traced_peak
 
 FS = 1_000_000.0
 DEFAULT_BAND = FilterSpec(35_000.0, 45_000.0, 4)
@@ -464,26 +464,52 @@ def test_a_pair_reads_the_same_alone_and_in_a_batch():
         assert alone.correlations(filt)[0].tobytes() == filtered[i].tobytes(), i
 
 
-def _traced_peak(fn):
-    """``fn()`` and the most bytes traced above what was held when it started."""
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        held = tracemalloc.get_traced_memory()[0]
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - held
-    finally:
-        tracemalloc.stop()
+class _Lazy:
+    """Pairs made on demand, with a length: each one checks that the last is gone."""
+
+    def __init__(self, lengths):
+        self.lengths = lengths
+        self.dead = []
+
+    def __len__(self):
+        return len(self.lengths)
+
+    def __iter__(self):
+        last = None
+        for n1, n2 in self.lengths:
+            self.dead.append(last is None or last() is None)
+            (pair,) = _noise_pairs([(n1, n2)], seed=len(self.dead))
+            last = weakref.ref(pair[0])
+            yield pair
+            del pair
+
+
+def test_cross_spectra_take_a_lazy_pair_at_a_time():
+    lengths = [(3000, 1200), (2048, 3000), (3000, 3000)]
+    lazy = _Lazy(lengths)
+    spectra = CrossSpectra.of_pairs(lazy, 300)
+    assert lazy.dead == [True] * len(lengths)
+    held = CrossSpectra.of_pairs(
+        [_noise_pairs([n], seed=k)[0] for k, n in enumerate(lengths, start=1)], 300
+    )
+    assert spectra.values.tobytes() == held.values.tobytes()
+
+
+def test_cross_spectra_refuse_a_later_record_longer_than_the_first_pair():
+    # the first pair fixes the FFT length, so a longer record would wrap around
+    pairs = _noise_pairs([(2000, 1800), (1500, 1500), (1900, 2400)])
+    with pytest.raises(ValueError, match=r"^pair 2: a record of 2400 samples is longer than"):
+        CrossSpectra.of_pairs(pairs, 300)
 
 
 def test_cross_spectra_hold_one_pair_and_one_block_of_temporaries():
     # the default dataset's shape: 12 pairs of 16384 samples, lags -2500..2500
     pairs = _noise_pairs([(16_384, 16_384)] * 12)
-    spectra, peak = _traced_peak(lambda: CrossSpectra.of_pairs(pairs, 2500))
+    spectra, peak = traced_peak(lambda: CrossSpectra.of_pairs(pairs, 2500))
     assert peak <= 1.5 * spectra.values.nbytes
     filt = design_bandpass(FilterSpec(35_000.0, 45_000.0), FS)
     for band in (None, filt):
-        windows, peak = _traced_peak(lambda: spectra.correlations(band))
+        windows, peak = traced_peak(lambda: spectra.correlations(band))
         assert peak <= windows.nbytes + spectra.values.nbytes, band
 
 
