@@ -187,7 +187,7 @@ def prototype_spectra(prototype_signals, max_lag: int) -> tuple[np.ndarray, Cros
 def sweep_bands(
     prototype_signals,
     grid: BandGrid,
-    order: int = 4,
+    order: int,
     *,
     max_lag: int,
 ) -> CalibrationResult:

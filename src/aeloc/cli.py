@@ -10,7 +10,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import grnn, pipeline
 from .calibration import (
@@ -71,9 +71,8 @@ def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--f-low", type=_positive_float, help="bandpass lower edge in Hz")
     parser.add_argument("--f-high", type=_positive_float, help="bandpass upper edge in Hz")
-    parser.add_argument(
-        "--order", type=_positive_int, help="poles per band edge with --f-low/--f-high (default 4)"
-    )
+    order_help = f"poles per band edge with --f-low/--f-high (default {FilterSpec.order})"
+    parser.add_argument("--order", type=_positive_int, help=order_help)
 
 
 def _add_delay_flags(parser: argparse.ArgumentParser) -> None:
@@ -93,7 +92,7 @@ def _resolve_filter(args) -> FilterSpec:
         return spec
     if args.f_low is None or args.f_high is None:
         raise UsageError("a filter is required: pass --calibration or --f-low and --f-high")
-    return FilterSpec(args.f_low, args.f_high, 4 if args.order is None else args.order)
+    return FilterSpec(args.f_low, args.f_high, args.order or FilterSpec.order)
 
 
 def _cmd_simulate(args) -> int:
@@ -197,10 +196,7 @@ def _cmd_evaluate(args) -> int:
     report = pipeline.evaluate_dataset(pset, filt, dataset, max_delay_s=args.max_delay_s)
     pipeline.write_evaluation_report(args.report, report)
     if args.svg:
-        protos = [row.position_mm for row in dataset.manifest if row.role == "prototype"]
-        atomic_write_text(
-            args.svg, pipeline.evaluation_scatter_svg(report, protos or None)
-        )
+        atomic_write_text(args.svg, pipeline.evaluation_scatter_svg(report, pset.hidden[:, 0]))
     for name, reason in report.failed:
         print(f"warning: could not locate {name}: {reason}", file=sys.stderr)
     print(
@@ -246,13 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", help="dataset directory containing manifest.txt")
     p.add_argument("--report", required=True, help="calibration report output path")
     p.add_argument("--svg", help="optional delay-vs-position scatter for the best band")
-    p.add_argument("--width", type=_positive_float, default=10_000.0, help="band width in Hz")
-    p.add_argument("--step", type=_positive_float, default=1_000.0, help="band step in Hz")
-    p.add_argument("--f-start", type=_positive_float, default=5_000.0, help="sweep start in Hz")
-    p.add_argument("--f-stop", type=_positive_float, default=75_000.0, help="sweep stop in Hz")
-    p.add_argument("--order", type=_positive_int, default=4, help="poles per band edge")
+    p.add_argument("--width", type=_positive_float, help="band width in Hz")
+    p.add_argument("--step", type=_positive_float, help="band step in Hz")
+    p.add_argument("--f-start", type=_positive_float, help="sweep start in Hz")
+    p.add_argument("--f-stop", type=_positive_float, help="sweep stop in Hz")
+    p.add_argument("--order", type=_positive_int, help="poles per band edge")
     _add_delay_flags(p)
-    p.set_defaults(func=_cmd_calibrate)
+    p.set_defaults(func=_cmd_calibrate, order=FilterSpec.order, **asdict(BandGrid()))
 
     p = sub.add_parser("learn", help="build the prototype database from calibration signals")
     p.add_argument("dataset", help="dataset directory containing manifest.txt")

@@ -72,7 +72,7 @@ def locate_pair(
 class Dataset:
     """One role's records of a dataset directory, from :func:`load_dataset`.
 
-    ``rows`` are the manifest rows of that role, ``manifest`` every row.
+    ``rows`` are the manifest rows of that role.
     Iterating yields ``(position_mm, (ch1, ch2))`` per row, the form
     :func:`~aeloc.calibration.sweep_bands` takes, and reads each file only when
     it gets there; ``len`` counts the rows.  A record whose sample count differs
@@ -81,7 +81,6 @@ class Dataset:
 
     directory: Path
     meta: dict
-    manifest: list[ManifestRow]
     rows: list[ManifestRow]
     sample_rate: float
 
@@ -133,7 +132,7 @@ def load_dataset(dataset_dir, role: str) -> Dataset:
             raise ValueError(f"{dataset_dir}: manifest lists no {role} sources")
         with open(dataset_dir / rows[0].file, "rb") as fh:
             rate = read_sample_rate(fh)
-    return Dataset(dataset_dir, meta, manifest, rows, rate)
+    return Dataset(dataset_dir, meta, rows, rate)
 
 
 def load_prototype_pairs(dataset_dir):
@@ -331,20 +330,16 @@ def write_evaluation_report(path, report: EvaluationReport) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def evaluation_scatter_svg(report: EvaluationReport, prototype_positions=None) -> str:
-    """Estimated-vs-actual scatter with the identity line (and prototype marks if given)."""
+def evaluation_scatter_svg(report: EvaluationReport, prototype_positions) -> str:
+    """Estimated-vs-actual scatter with the identity line and the prototype positions marked."""
     actual = [row.true_mm for row in report.rows]
     estimated = [row.estimated_mm for row in report.rows]
-    lo = min(actual + estimated)
-    hi = max(actual + estimated)
-    series = [("test source", actual, estimated, "circle")]
-    if prototype_positions is not None:
-        protos = list(map(float, prototype_positions))
-        series.insert(0, ("prototype source", protos, protos, "plus"))
+    lo, hi = min(actual + estimated), max(actual + estimated)
+    protos = ("prototype source", prototype_positions, prototype_positions, "plus")
     return scatter_svg(
         "Estimated vs actual source position",
         "actual position [mm]",
         "estimated position [mm]",
-        series,
+        [protos, ("test source", actual, estimated, "circle")],
         lines=[("ideal", [lo, hi], [lo, hi])],
     )

@@ -55,12 +55,12 @@ class SpecimenModel:
     length_mm: float
     sensor_1_mm: float
     sensor_2_mm: float
-    velocity_points: tuple = ()
-    attenuation_db_per_m: float | tuple = 0.0
-    noise_snr_db: float | None = None
-    sample_rate_hz: float = 1_000_000.0
-    record_length: int = 16384
-    reflection_coeff: float = 0.0
+    velocity_points: tuple
+    attenuation_db_per_m: float | tuple
+    noise_snr_db: float | None
+    sample_rate_hz: float
+    record_length: int
+    reflection_coeff: float
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.sensor_1_mm < self.sensor_2_mm <= self.length_mm):
@@ -107,11 +107,11 @@ class SourceSpec:
     """One synthetic emission event: position, excitation kind, and reproducibility seed."""
 
     position_mm: float
-    kind: str = DISCRETE_BURST
-    amplitude: float = 1.0
-    burst_center_freq_hz: float = 40_000.0
-    band_hz: tuple[float, float] = (30_000.0, 50_000.0)
-    seed: int = 0
+    kind: str
+    amplitude: float
+    burst_center_freq_hz: float
+    band_hz: tuple[float, float]
+    seed: int
 
     def __post_init__(self) -> None:
         if self.kind not in (DISCRETE_BURST, CONTINUOUS_NOISE):
@@ -124,15 +124,28 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(stream)]))
 
 
-def synth_source(spec: SourceSpec, model: SpecimenModel) -> np.ndarray:
-    """Source excitation at the emission site, one record long, deterministic per seed."""
-    n = model.record_length
-    fs = model.sample_rate_hz
-    nyquist = fs / 2.0
+def _check_source(spec: SourceSpec, model: SpecimenModel) -> None:
+    """Refuse a source outside the specimen, or an excitation beyond the model's Nyquist."""
+    if not 0.0 <= spec.position_mm <= model.length_mm:
+        raise ValueError(f"source position {spec.position_mm} mm outside the specimen")
+    nyquist = model.sample_rate_hz / 2.0
     if spec.kind == DISCRETE_BURST:
         f0 = spec.burst_center_freq_hz
         if not 0.0 < f0 < nyquist:
             raise ValueError(f"burst center {f0} Hz outside (0, Nyquist={nyquist} Hz)")
+    else:
+        lo, hi = spec.band_hz
+        if not 0.0 <= lo < hi < nyquist:
+            raise ValueError(f"source band {spec.band_hz} Hz outside [0, Nyquist={nyquist} Hz)")
+
+
+def synth_source(spec: SourceSpec, model: SpecimenModel) -> np.ndarray:
+    """Source excitation at the emission site, one record long, deterministic per seed."""
+    _check_source(spec, model)
+    n = model.record_length
+    fs = model.sample_rate_hz
+    if spec.kind == DISCRETE_BURST:
+        f0 = spec.burst_center_freq_hz
         n_burst = max(3, round(BURST_CYCLES / f0 * fs))
         t = np.arange(n_burst) / fs
         burst = np.hanning(n_burst) * np.sin(2.0 * np.pi * f0 * t)
@@ -144,8 +157,6 @@ def synth_source(spec: SourceSpec, model: SpecimenModel) -> np.ndarray:
         out[start : start + n_burst] = burst
         return out
     lo, hi = spec.band_hz
-    if not 0.0 <= lo < hi < nyquist:
-        raise ValueError(f"source band {spec.band_hz} Hz outside [0, Nyquist={nyquist} Hz)")
     rng = _rng(spec.seed, 0)
     white = rng.standard_normal(n)
     spectrum = np.fft.rfft(white)
@@ -173,8 +184,7 @@ def propagate(
     n = model.record_length
     if x.shape != (n,):
         raise ValueError(f"excitation must have record_length={n} samples")
-    if not 0.0 <= spec.position_mm <= model.length_mm:
-        raise ValueError(f"source position {spec.position_mm} mm outside the specimen")
+    _check_source(spec, model)
     if not model.sensor_1_mm <= spec.position_mm <= model.sensor_2_mm:
         warnings.warn(
             f"source at {spec.position_mm} mm lies outside the sensor span "
@@ -274,23 +284,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     unknown = set(raw) - set(merged)
     if unknown:
         raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
-    spec_raw = dict(merged["specimen"])
-    spec_raw.update(raw.get("specimen", {}))
+    spec_raw = {**merged["specimen"], **raw.get("specimen", {})}
     unknown = set(spec_raw) - set(merged["specimen"])
     if unknown:
         raise ValueError(f"unknown specimen keys: {sorted(unknown)}")
     merged.update({k: v for k, v in raw.items() if k != "specimen"})
-    model = SpecimenModel(
-        length_mm=spec_raw["length_mm"],
-        sensor_1_mm=spec_raw["sensor_1_mm"],
-        sensor_2_mm=spec_raw["sensor_2_mm"],
-        velocity_points=spec_raw["velocity_points_hz_km_s"],
-        attenuation_db_per_m=spec_raw["attenuation_db_per_m"],
-        noise_snr_db=spec_raw["noise_snr_db"],
-        sample_rate_hz=spec_raw["sample_rate_hz"],
-        record_length=_integer("specimen.record_length", spec_raw["record_length"]),
-        reflection_coeff=spec_raw["reflection_coeff"],
-    )
+    spec_raw["velocity_points"] = spec_raw.pop("velocity_points_hz_km_s")
+    spec_raw["record_length"] = _integer("specimen.record_length", spec_raw["record_length"])
+    model = SpecimenModel(**spec_raw)
     seed = _integer("seed", merged["seed"])
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {merged['seed']!r}")
@@ -375,16 +376,16 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> list[Manife
 
     Prototype sources are always discrete bursts (the calibration excitation);
     test sources use the configured kind.  Output bytes depend only on the
-    configuration, so equal seeds give identical datasets.
+    configuration, so equal seeds give identical datasets.  Every source is
+    checked before the first file is written, so a bad setting writes nothing.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     model = config.model
-    rows: list[ManifestRow] = []
     groups = (
         ("prototype", DISCRETE_BURST, config.prototype_positions_mm),
         ("test", config.test_source_kind, config.test_positions_mm),
     )
+    sources: list[tuple[ManifestRow, SourceSpec]] = []
     for role_index, (role, kind, positions) in enumerate(groups):
         for i, z in enumerate(positions):
             spec = SourceSpec(
@@ -395,12 +396,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> list[Manife
                 band_hz=config.continuous_band_hz,
                 seed=_source_seed(config.seed, role_index, i),
             )
-            ch1, ch2 = propagate(synth_source(spec, model), spec, model)
-            name = f"{role}_{i:02d}.txt"
-            try:
-                write_waveform_pair(out / name, ch1, ch2)
-            except OSError as exc:
-                raise OSError(f"failed writing {out / name}: {exc}") from exc
-            rows.append(ManifestRow(name, role, float(z), kind))
+            _check_source(spec, model)
+            sources.append((ManifestRow(f"{role}_{i:02d}.txt", role, float(z), kind), spec))
+    out.mkdir(parents=True, exist_ok=True)
+    for row, spec in sources:
+        ch1, ch2 = propagate(synth_source(spec, model), spec, model)
+        try:
+            write_waveform_pair(out / row.file, ch1, ch2)
+        except OSError as exc:
+            raise OSError(f"failed writing {out / row.file}: {exc}") from exc
+    rows = [row for row, _ in sources]
     write_manifest(out / MANIFEST_NAME, model, rows)
     return rows

@@ -38,10 +38,11 @@ def scatter_svg(
     ``series``: iterable of (label, xs, ys, marker); ``lines``: iterable of
     (label, xs, ys).  Returns the SVG document as a string.
     """
-    series = [(lab, list(map(float, xs)), list(map(float, ys)), mk) for lab, xs, ys, mk in series]
-    lines = [(lab, list(map(float, xs)), list(map(float, ys))) for lab, xs, ys in lines]
-    all_x = [x for _, xs, _, _ in series for x in xs] + [x for _, xs, _ in lines for x in xs]
-    all_y = [y for _, _, ys, _ in series for y in ys] + [y for _, _, ys in lines for y in ys]
+    # lines first, then series, each in its own colour; marker None draws a polyline
+    drawn = [(lab, xs, ys, None) for lab, xs, ys in lines] + list(series)
+    drawn = [(lab, list(map(float, xs)), list(map(float, ys)), mk) for lab, xs, ys, mk in drawn]
+    all_x = [x for _, xs, _, _ in drawn for x in xs]
+    all_y = [y for _, _, ys, _ in drawn for y in ys]
     if not all_x:
         raise ValueError("nothing to plot")
     x_lo, x_hi = _bounds(all_x)
@@ -97,34 +98,24 @@ def scatter_svg(
         f'transform="rotate(-90 20 {_MARGIN_T + plot_h / 2:.1f})">{ylabel}</text>'
     )
     legend_y = _MARGIN_T + 16
-    color_idx = 0
-    for label, xs, ys in lines:
+    for color_idx, (label, xs, ys, marker) in enumerate(drawn):
         color = _COLORS[color_idx % len(_COLORS)]
-        color_idx += 1
-        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-        out.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        if label:
-            out.append(
-                f'<text x="{_WIDTH - _MARGIN_R - 8}" y="{legend_y}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="12" fill="{color}">{label}</text>'
-            )
-            legend_y += 16
-    for label, xs, ys, marker in series:
-        color = _COLORS[color_idx % len(_COLORS)]
-        color_idx += 1
-        for x, y in zip(xs, ys):
-            cx, cy = px(x), py(y)
-            if marker == "plus":
-                out.append(
-                    f'<path d="M {cx - 4:.2f} {cy:.2f} H {cx + 4:.2f} '
-                    f'M {cx:.2f} {cy - 4:.2f} V {cy + 4:.2f}" '
-                    f'stroke="{color}" stroke-width="1.5"/>'
-                )
-            else:
-                out.append(
-                    f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3.5" fill="none" '
-                    f'stroke="{color}" stroke-width="1.5"/>'
-                )
+        stroke = f'stroke="{color}" stroke-width="1.5"'
+        if marker is None:
+            points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+            out.append(f'<polyline points="{points}" fill="none" {stroke}/>')
+        else:
+            for x, y in zip(xs, ys):
+                cx, cy = px(x), py(y)
+                if marker == "plus":
+                    out.append(
+                        f'<path d="M {cx - 4:.2f} {cy:.2f} H {cx + 4:.2f} '
+                        f'M {cx:.2f} {cy - 4:.2f} V {cy + 4:.2f}" {stroke}/>'
+                    )
+                else:
+                    out.append(
+                        f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3.5" fill="none" {stroke}/>'
+                    )
         if label:
             out.append(
                 f'<text x="{_WIDTH - _MARGIN_R - 8}" y="{legend_y}" text-anchor="end" '

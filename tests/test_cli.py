@@ -99,6 +99,35 @@ def test_simulate_writes_default_config(tmp_path):
     cfg = json.loads(path.read_text())
     assert len(cfg["prototype_positions_mm"]) == 12
     assert len(cfg["test_positions_mm"]) == 23
+    # the written file is every default: simulating from it changes no byte
+    plain, configured = tmp_path / "plain", tmp_path / "configured"
+    assert cli.main(["simulate", "--out", str(plain), "--seed", "3"]) == 0
+    argv = ["simulate", "--config", str(path), "--out", str(configured), "--seed", "3"]
+    assert cli.main(argv) == 0
+    names = sorted(p.name for p in plain.iterdir())
+    assert names == sorted(p.name for p in configured.iterdir()) and len(names) == 36
+    for name in names:
+        assert (plain / name).read_bytes() == (configured / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "setting,message",
+    [
+        ({"test_source_kind": "bogus"}, "unknown source kind 'bogus'"),
+        ({"continuous_band_hz": [50000.0, 30000.0]}, "source band (50000.0, 30000.0) Hz outside"),
+        ({"test_positions_mm": [900.0, 5000.0]}, "source position 5000.0 mm outside the specimen"),
+    ],
+    ids=["kind", "band", "position"],
+)
+def test_simulate_refuses_a_bad_source_before_writing_any_pair(tmp_path, capsys, setting, message):
+    cfg = {**default_config(), **setting}
+    cfg["specimen"]["record_length"] = 4096
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "data"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(out.glob("*.txt")) == []
 
 
 def test_simulate_names_the_pair_it_could_not_write(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -31,9 +32,23 @@ def nondispersive(**overrides) -> SpecimenModel:
         noise_snr_db=None,
         sample_rate_hz=1e6,
         record_length=8192,
+        reflection_coeff=0.0,
     )
     base.update(overrides)
     return SpecimenModel(**base)
+
+
+def paper_source(**settings) -> SourceSpec:
+    """A source with default_config()'s amplitude, burst centre and noise band, seed 0."""
+    paper = parse_config({})
+    base = dict(
+        amplitude=paper.source_amplitude,
+        burst_center_freq_hz=paper.burst_center_freq_hz,
+        band_hz=paper.continuous_band_hz,
+        seed=0,
+    )
+    base.update(settings)
+    return SourceSpec(**base)
 
 
 # ----------------------------------------------------------------- geometry
@@ -68,24 +83,33 @@ def test_sensor_ordering_enforced():
         nondispersive(sensor_1_mm=3200.0, sensor_2_mm=800.0)
 
 
+def test_specimen_and_source_take_every_setting_from_the_caller():
+    # default_config() is the one copy of the paper settings
+    for cls in (SpecimenModel, SourceSpec):
+        defaulted = [
+            f.name for f in fields(cls) if (f.default, f.default_factory) != (MISSING, MISSING)
+        ]
+        assert defaulted == [], cls.__name__
+
+
 # ------------------------------------------------------------------ sources
 
 
 def test_burst_peak_amplitude_is_normalized():
-    spec = SourceSpec(position_mm=1000.0, kind=DISCRETE_BURST, amplitude=1.0, seed=1)
+    spec = paper_source(position_mm=1000.0, kind=DISCRETE_BURST, amplitude=1.0, seed=1)
     x = synth_source(spec, nondispersive())
     assert np.max(np.abs(x)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_same_seed_gives_identical_source():
     model = nondispersive()
-    spec = SourceSpec(position_mm=1000.0, kind=CONTINUOUS_NOISE, seed=42)
+    spec = paper_source(position_mm=1000.0, kind=CONTINUOUS_NOISE, seed=42)
     assert np.array_equal(synth_source(spec, model), synth_source(spec, model))
 
 
 def test_continuous_source_band_limited():
     model = nondispersive()
-    spec = SourceSpec(position_mm=1000.0, kind=CONTINUOUS_NOISE, band_hz=(30e3, 50e3), seed=2)
+    spec = paper_source(position_mm=1000.0, kind=CONTINUOUS_NOISE, band_hz=(30e3, 50e3), seed=2)
     x = synth_source(spec, model)
     spectrum = np.abs(np.fft.rfft(x)) ** 2
     freqs = np.fft.rfftfreq(x.size, d=1.0 / model.sample_rate_hz)
@@ -94,13 +118,13 @@ def test_continuous_source_band_limited():
 
 
 def test_burst_center_beyond_nyquist_rejected():
-    spec = SourceSpec(position_mm=1000.0, kind=DISCRETE_BURST, burst_center_freq_hz=600e3)
+    spec = paper_source(position_mm=1000.0, kind=DISCRETE_BURST, burst_center_freq_hz=600e3)
     with pytest.raises(ValueError, match="Nyquist"):
         synth_source(spec, nondispersive())
 
 
 def test_continuous_band_beyond_nyquist_rejected():
-    spec = SourceSpec(position_mm=1000.0, kind=CONTINUOUS_NOISE, band_hz=(30e3, 600e3))
+    spec = paper_source(position_mm=1000.0, kind=CONTINUOUS_NOISE, band_hz=(30e3, 600e3))
     with pytest.raises(ValueError, match="Nyquist"):
         synth_source(spec, nondispersive())
 
@@ -110,7 +134,7 @@ def test_continuous_band_beyond_nyquist_rejected():
 
 def test_midpoint_source_gives_identical_channels():
     model = nondispersive()
-    spec = SourceSpec(position_mm=2000.0, kind=DISCRETE_BURST, seed=3)
+    spec = paper_source(position_mm=2000.0, kind=DISCRETE_BURST, seed=3)
     ch1, ch2 = propagate(synth_source(spec, model), spec, model)
     scale = np.max(np.abs(ch1.samples))
     assert np.max(np.abs(ch1.samples - ch2.samples)) <= 1e-9 * scale
@@ -118,7 +142,7 @@ def test_midpoint_source_gives_identical_channels():
 
 def test_geometric_delay_recovered_at_first_hole():
     model = nondispersive()
-    spec = SourceSpec(position_mm=900.0, kind=DISCRETE_BURST, seed=4)
+    spec = paper_source(position_mm=900.0, kind=DISCRETE_BURST, seed=4)
     ch1, ch2 = propagate(synth_source(spec, model), spec, model)
     est = pair_delay(ch1, ch2, MAX_LAG)
     # (d1 - d2) / v = (100 - 2300) mm / 1.7 km/s
@@ -127,14 +151,14 @@ def test_geometric_delay_recovered_at_first_hole():
 
 def test_source_equidistant_from_sensors_zero_delay():
     model = nondispersive(noise_snr_db=35.0)
-    spec = SourceSpec(position_mm=2000.0, kind=CONTINUOUS_NOISE, seed=5)
+    spec = paper_source(position_mm=2000.0, kind=CONTINUOUS_NOISE, seed=5)
     ch1, ch2 = propagate(synth_source(spec, model), spec, model)
     est = pair_delay(ch1, ch2, MAX_LAG)
     assert abs(est.delay) <= 1.0 / model.sample_rate_hz
 
 
 def test_doubling_attenuation_doubles_channel_level_difference_db():
-    spec = SourceSpec(position_mm=1200.0, kind=DISCRETE_BURST, seed=6)
+    spec = paper_source(position_mm=1200.0, kind=DISCRETE_BURST, seed=6)
 
     def level_diff_db(alpha):
         model = nondispersive(attenuation_db_per_m=alpha)
@@ -150,7 +174,7 @@ def test_doubling_attenuation_doubles_channel_level_difference_db():
 
 def test_allpass_propagation_conserves_energy():
     model = nondispersive()
-    spec = SourceSpec(position_mm=1100.0, kind=DISCRETE_BURST, seed=7)
+    spec = paper_source(position_mm=1100.0, kind=DISCRETE_BURST, seed=7)
     x = synth_source(spec, model)
     ch1, ch2 = propagate(x, spec, model)
     for ch in (ch1, ch2):
@@ -160,7 +184,7 @@ def test_allpass_propagation_conserves_energy():
 def test_configured_snr_is_realized():
     noisy = nondispersive(noise_snr_db=20.0, attenuation_db_per_m=5.0)
     clean = nondispersive(noise_snr_db=None, attenuation_db_per_m=5.0)
-    spec = SourceSpec(position_mm=1500.0, kind=CONTINUOUS_NOISE, seed=8)
+    spec = paper_source(position_mm=1500.0, kind=CONTINUOUS_NOISE, seed=8)
     x = synth_source(spec, noisy)
     n1, n2 = propagate(x, spec, noisy)
     c1, c2 = propagate(x, spec, clean)
@@ -174,7 +198,7 @@ def test_prefilter_delay_neutrality():
     from aeloc.signals import FilterSpec, apply_filter, design_bandpass
 
     model = nondispersive(noise_snr_db=30.0)
-    spec = SourceSpec(position_mm=1300.0, kind=CONTINUOUS_NOISE, seed=11)
+    spec = paper_source(position_mm=1300.0, kind=CONTINUOUS_NOISE, seed=11)
     ch1, ch2 = propagate(synth_source(spec, model), spec, model)
     raw = pair_delay(ch1, ch2, MAX_LAG)
     filt = design_bandpass(FilterSpec(35e3, 45e3, 4), model.sample_rate_hz)
@@ -184,7 +208,7 @@ def test_prefilter_delay_neutrality():
 
 def test_out_of_span_source_warns():
     model = nondispersive()
-    spec = SourceSpec(position_mm=700.0, kind=DISCRETE_BURST, seed=9)
+    spec = paper_source(position_mm=700.0, kind=DISCRETE_BURST, seed=9)
     with pytest.warns(UserWarning, match="outside the sensor span"):
         propagate(synth_source(spec, model), spec, model)
 
@@ -203,7 +227,7 @@ def test_run_experiment_passes_the_out_of_span_warning_to_the_caller(tmp_path):
 
 def test_source_outside_specimen_rejected():
     model = nondispersive()
-    spec = SourceSpec(position_mm=4500.0, kind=DISCRETE_BURST, seed=9)
+    spec = paper_source(position_mm=4500.0, kind=DISCRETE_BURST, seed=9)
     with pytest.raises(ValueError, match="outside the specimen"):
         propagate(synth_source(spec, model), spec, model)
 
@@ -211,7 +235,7 @@ def test_source_outside_specimen_rejected():
 def test_single_reflection_term_adds_echo():
     plain = nondispersive()
     reflective = nondispersive(reflection_coeff=0.5)
-    spec = SourceSpec(position_mm=1100.0, kind=DISCRETE_BURST, seed=10)
+    spec = paper_source(position_mm=1100.0, kind=DISCRETE_BURST, seed=10)
     x = synth_source(spec, plain)
     direct, _ = propagate(x, spec, plain)
     echoed, _ = propagate(x, spec, reflective)
