@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 import orjson
@@ -80,6 +82,8 @@ class BandpassFilter:
 
     spec: FilterSpec
     sample_rate: float
+    # rfft_power's responses by FFT length, computed on first use like sos
+    _rfft_powers: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def sos(self) -> np.ndarray:
@@ -101,6 +105,15 @@ class BandpassFilter:
         # ω = 0 divides to -inf and large orders overflow to inf: both give exactly 0
         with np.errstate(divide="ignore", over="ignore"):
             return 1.0 / (1.0 + ((x * x - x1 * x2) / ((x2 - x1) * x)) ** (2 * self.spec.order))
+
+    def rfft_power(self, nfft: int) -> np.ndarray:
+        """:meth:`power_response` at the bins of an ``nfft``-point rfft, once per ``nfft``."""
+        power = self._rfft_powers.get(nfft)
+        if power is None:
+            power = self.power_response(2.0 * np.pi * sp_fft.rfftfreq(nfft))
+            power.flags.writeable = False
+            self._rfft_powers[nfft] = power
+        return power
 
 
 def design_bandpass(spec: FilterSpec, sample_rate: float) -> BandpassFilter:
@@ -204,7 +217,7 @@ class CrossSpectra:
                     f"filter designed for {filt.sample_rate} Hz cannot be applied at "
                     f"{self.sample_rate} Hz"
                 )
-            power = filt.power_response(2.0 * np.pi * sp_fft.rfftfreq(self.nfft))
+            power = filt.rfft_power(self.nfft)
         lag = self.lag
         windows = np.empty((len(self.values), 2 * lag + 1))
         block = np.empty((CORRELATION_BLOCK, self.values.shape[1]), np.complex128)
@@ -308,8 +321,7 @@ def lag_window(max_delay_s: float, sample_rate: float) -> int:
 
 
 _RATE_LINE = re.compile(rb"^#\s*sample_rate_hz=(\d+)\s*$")
-# the bytes a sample line may hold: those of JSON numbers, blanks and the two separators;
-# any other JSON value (true, null, "1", ...) would parse and then convert to a number
+# the bytes a sample line may hold: those of JSON numbers, blanks and the two separators
 _SAMPLE_BYTES = b"0123456789+-.eE \t,\n"
 
 
@@ -364,7 +376,7 @@ def read_waveform_pair(path: str | Path) -> tuple[Waveform, Waveform]:
     """
     path = Path(path)
     # one flat JSON array, "[" + body + "]", read into place: the body is held once, and
-    # each newline is later turned into a comma in place, so a byte offset still finds its line
+    # each newline is turned into a comma in place for the parse (and back if it fails)
     with open(path, "rb") as fh:
         rate = read_sample_rate(fh)
         text = bytearray(max(os.fstat(fh.fileno()).st_size - fh.tell(), 0) + 2)
@@ -381,6 +393,45 @@ def read_waveform_pair(path: str | Path) -> tuple[Waveform, Waveform]:
     if len(text) == 2:
         raise ValueError(f"{path}:2: no samples after the header")
     chars = np.frombuffer(text, np.uint8)
+    mask = chars == ord("\n")
+    mask |= chars == ord(",")
+    seps = np.flatnonzero(mask)
+    kinds = chars[seps]
+    del mask
+    # one comma per line: the separators alternate comma, newline, ..., comma.  Once orjson
+    # accepts the array and every value packs as a double, a byte outside _SAMPLE_BYTES can
+    # only be a lone CR (JSON whitespace) or in a true/false (packed as 1.0/0.0): null,
+    # strings, arrays and objects fail the pack, and orjson refuses every other byte.
+    # Any refusal goes to _diagnose, which names the fault
+    if (
+        kinds.size % 2
+        and np.all(kinds[::2] == ord(","))
+        and np.all(kinds[1::2] == ord("\n"))
+        and b"\r" not in text
+        and b"t" not in text
+        and b"f" not in text
+    ):
+        chars[seps[1::2]] = ord(",")
+        del seps, kinds  # not held beside the values
+        try:
+            values = orjson.loads(text)
+            data = np.empty(len(values))
+            struct.pack_into(f"{len(values)}d", data, 0, *values)
+        except (orjson.JSONDecodeError, struct.error):
+            # only commas separate now, and every second one was a newline
+            chars[np.flatnonzero(chars == ord(","))[1::2]] = ord("\n")
+        else:
+            data = data.reshape(-1, 2)
+            return Waveform(data[:, 0], rate), Waveform(data[:, 1], rate)
+    _diagnose(path, text, chars)
+
+
+def _diagnose(path: Path, text: bytearray, chars: np.ndarray) -> NoReturn:
+    """Raise the error of the first fault in a body that :func:`read_waveform_pair` refused.
+
+    ``text`` is the body as ``"[" + lines + "]"`` and ``chars`` a byte view of it.  The
+    checks run in order: foreign bytes, one comma per line, then orjson's own message.
+    """
     newlines = np.flatnonzero(chars == ord("\n"))
 
     def line_at(offset: int) -> int:
@@ -392,18 +443,16 @@ def read_waveform_pair(path: str | Path) -> tuple[Waveform, Waveform]:
         at = text.index(foreign[:1], 1)
         raise ValueError(f"{path}:{line_at(at)}: unexpected character {chr(foreign[0])!r}")
     commas = np.flatnonzero(chars == ord(","))
-    # one comma per line: one more comma than newlines, and each newline between two commas
-    fits = commas.size == newlines.size + 1
-    if not (fits and np.all(commas[:-1] < newlines) and np.all(newlines < commas[1:])):
-        per_line = np.bincount(np.searchsorted(newlines, commas), minlength=newlines.size + 1)
-        line = int(np.flatnonzero(per_line != 1)[0])
+    per_line = np.bincount(np.searchsorted(newlines, commas), minlength=newlines.size + 1)
+    bad = np.flatnonzero(per_line != 1)
+    if bad.size:
+        line = int(bad[0])
         raise ValueError(
             f"{path}:{line + 2}: expected one 'ch1,ch2' pair, found {per_line[line]} commas"
         )
     chars[newlines] = ord(",")
     try:
-        values = orjson.loads(text)
+        orjson.loads(text)
     except orjson.JSONDecodeError as exc:
         raise ValueError(f"{path}:{line_at(exc.pos)}: {exc.msg}") from None
-    data = np.fromiter(values, np.float64, len(values)).reshape(-1, 2)
-    return Waveform(data[:, 0], rate), Waveform(data[:, 1], rate)
+    raise AssertionError(f"{path}: refused by the reader, yet no fault found")

@@ -124,8 +124,19 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(stream)]))
 
 
+def _burst(spec: SourceSpec, model: SpecimenModel) -> np.ndarray:
+    """The Hann-windowed carrier burst of ``spec``, scaled to a peak of its amplitude."""
+    f0, fs = spec.burst_center_freq_hz, model.sample_rate_hz
+    n_burst = max(3, round(BURST_CYCLES / f0 * fs))
+    t = np.arange(n_burst) / fs
+    burst = np.hanning(n_burst) * np.sin(2.0 * np.pi * f0 * t)
+    burst *= spec.amplitude / np.max(np.abs(burst))
+    return burst
+
+
 def _check_source(spec: SourceSpec, model: SpecimenModel) -> None:
-    """Refuse a source outside the specimen, or an excitation beyond the model's Nyquist."""
+    """Refuse a source outside the specimen, an excitation beyond the model's Nyquist, or
+    a burst whose arrival at the farther sensor would wrap past the record end."""
     if not 0.0 <= spec.position_mm <= model.length_mm:
         raise ValueError(f"source position {spec.position_mm} mm outside the specimen")
     nyquist = model.sample_rate_hz / 2.0
@@ -133,6 +144,21 @@ def _check_source(spec: SourceSpec, model: SpecimenModel) -> None:
         f0 = spec.burst_center_freq_hz
         if not 0.0 < f0 < nyquist:
             raise ValueError(f"burst center {f0} Hz outside (0, Nyquist={nyquist} Hz)")
+        n, burst = model.record_length, _burst(spec, model)
+        if n // 8 + burst.size > n:
+            raise ValueError("record too short to hold the burst")
+        # the last nonzero sample of synth_source's record: the window's end samples are zero
+        last = n // 8 + int(np.flatnonzero(burst)[-1])
+        worst_mm = max(
+            abs(spec.position_mm - model.sensor_1_mm),
+            abs(spec.position_mm - model.sensor_2_mm),
+        )
+        v_min_mm_s = model.min_velocity_km_s * KM_S_TO_MM_S
+        if last + worst_mm / v_min_mm_s * model.sample_rate_hz >= n:
+            raise ValueError(
+                f"record too short: the delayed burst from {spec.position_mm} mm "
+                "would wrap past the record end"
+            )
     else:
         lo, hi = spec.band_hz
         if not 0.0 <= lo < hi < nyquist:
@@ -145,16 +171,9 @@ def synth_source(spec: SourceSpec, model: SpecimenModel) -> np.ndarray:
     n = model.record_length
     fs = model.sample_rate_hz
     if spec.kind == DISCRETE_BURST:
-        f0 = spec.burst_center_freq_hz
-        n_burst = max(3, round(BURST_CYCLES / f0 * fs))
-        t = np.arange(n_burst) / fs
-        burst = np.hanning(n_burst) * np.sin(2.0 * np.pi * f0 * t)
-        burst *= spec.amplitude / np.max(np.abs(burst))
-        start = n // 8
-        if start + n_burst > n:
-            raise ValueError("record too short to hold the burst")
+        burst = _burst(spec, model)
         out = np.zeros(n)
-        out[start : start + n_burst] = burst
+        out[n // 8 : n // 8 + burst.size] = burst
         return out
     lo, hi = spec.band_hz
     rng = _rng(spec.seed, 0)
@@ -192,18 +211,6 @@ def propagate(
             stacklevel=2,
         )
     fs = model.sample_rate_hz
-    v_min_mm_s = model.min_velocity_km_s * KM_S_TO_MM_S
-    if spec.kind == DISCRETE_BURST:
-        nonzero = np.nonzero(x)[0]
-        last = int(nonzero[-1]) if nonzero.size else 0
-        worst_mm = max(
-            abs(spec.position_mm - model.sensor_1_mm),
-            abs(spec.position_mm - model.sensor_2_mm),
-        )
-        if last + worst_mm / v_min_mm_s * fs >= n:
-            raise ValueError(
-                "record too short: the delayed burst would wrap past the record end"
-            )
     freqs = np.fft.rfftfreq(n, d=1.0 / fs)
     spectrum = np.fft.rfft(x)
     channels = []
@@ -396,7 +403,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> list[Manife
                 band_hz=config.continuous_band_hz,
                 seed=_source_seed(config.seed, role_index, i),
             )
-            _check_source(spec, model)
+            try:
+                _check_source(spec, model)
+            except ValueError as exc:
+                raise ValueError(f"{role} source {i}: {exc}") from None
             sources.append((ManifestRow(f"{role}_{i:02d}.txt", role, float(z), kind), spec))
     out.mkdir(parents=True, exist_ok=True)
     for row, spec in sources:

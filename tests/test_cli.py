@@ -115,13 +115,24 @@ def test_simulate_writes_default_config(tmp_path):
     [
         ({"test_source_kind": "bogus"}, "unknown source kind 'bogus'"),
         ({"continuous_band_hz": [50000.0, 30000.0]}, "source band (50000.0, 30000.0) Hz outside"),
-        ({"test_positions_mm": [900.0, 5000.0]}, "source position 5000.0 mm outside the specimen"),
+        (
+            {"test_positions_mm": [900.0, 5000.0]},
+            "test source 1: source position 5000.0 mm outside the specimen",
+        ),
+        (
+            {
+                "specimen": {"record_length": 3800},
+                "test_source_kind": "discrete-burst",
+                "test_positions_mm": [900.0, 0.0],
+            },
+            "test source 1: record too short: the delayed burst from 0.0 mm would wrap past "
+            "the record end",
+        ),
     ],
-    ids=["kind", "band", "position"],
+    ids=["kind", "band", "position", "wrapping-burst"],
 )
 def test_simulate_refuses_a_bad_source_before_writing_any_pair(tmp_path, capsys, setting, message):
-    cfg = {**default_config(), **setting}
-    cfg["specimen"]["record_length"] = 4096
+    cfg = {**default_config(), "specimen": {"record_length": 4096}, **setting}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "data"

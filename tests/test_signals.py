@@ -13,6 +13,7 @@ from scipy import signal as sps
 
 from aeloc.signals import (
     CORRELATION_BLOCK,
+    BandpassFilter,
     CorrelationFunction,
     CrossSpectra,
     DelayWindowError,
@@ -30,6 +31,7 @@ from aeloc.signals import (
     read_waveform_pair,
     write_waveform_pair,
 )
+from aeloc.simulator import CONTINUOUS_NOISE, SourceSpec, parse_config, propagate, synth_source
 
 from conftest import build_dataset, reference_rows, traced_peak
 
@@ -161,6 +163,28 @@ def test_power_response_is_exactly_zero_at_dc_without_warnings(order):
         power = filt.power_response(omega)
     assert power[0] == 0.0
     assert np.all(np.isfinite(power)) and np.all((power >= 0.0) & (power <= 1.0))
+
+
+def test_rfft_power_is_computed_once_per_filter_and_fft_length(monkeypatch):
+    calls = []
+    response = BandpassFilter.power_response
+
+    def counted(self, omega):
+        calls.append(omega.size)
+        return response(self, omega)
+
+    monkeypatch.setattr(BandpassFilter, "power_response", counted)
+    spectra = CrossSpectra.of_pairs(_noise_pairs([(3000, 3000)] * 3), 200)
+    filt = design_bandpass(DEFAULT_BAND, FS)
+    first, second = spectra.correlations(filt), spectra.correlations(filt)
+    assert first.tobytes() == second.tobytes()
+    assert calls == [spectra.nfft // 2 + 1]
+    power = filt.rfft_power(spectra.nfft)
+    fresh = response(filt, 2.0 * np.pi * np.fft.rfftfreq(spectra.nfft))
+    assert power.tobytes() == fresh.tobytes() and not power.flags.writeable
+    # each filter holds its own: a new one computes its response again
+    spectra.correlations(design_bandpass(DEFAULT_BAND, FS))
+    assert len(calls) == 2
 
 
 def test_sos_is_the_scipy_design_bit_for_bit():
@@ -590,39 +614,164 @@ def test_reader_accepts_line_endings_and_blanks(tmp_path, body, ch1, ch2):
     assert np.array_equal(got2.samples.view(np.int64), np.array(ch2).view(np.int64))
 
 
-# (body after the header, 1-based file line of the fault with the header as line 1)
-_MALFORMED = {
-    "three-fields-then-one": ("1,2\n1,2,3\n4\n5,6\n", 3),
-    "one-field-then-three": ("1,2\n4\n1,2,3\n5,6\n", 3),
-    "truncated-after-comma": ("1,2\n3,4\n5,", 4),
-    "truncated-one-field": ("1,2\n3,4\n5", 4),
-    "truncated-mid-number": ("1,2\n3,4\n5,6e", 4),
-    "non-numeric-token": ("1,2\n0.1,abc\n3,4\n", 3),
-    "json-literal": ("1,2\ntrue,4\n", 3),
-    "nan": ("1,2\n3,4\nnan,5\n", 4),
-    "NaN": ("NaN,5\n", 2),
-    "inf": ("1,2\n3,inf\n", 3),
-    "-Infinity": ("1,2\n3,-Infinity\n", 3),
-    "overflow": ("1,2\n3,1e400\n", 3),
-    "leading-plus": ("1,2\n+1,2\n", 3),
-    "leading-dot": ("1,2\n3,4\n.5,2\n", 4),
-    "trailing-dot": ("1.,2\n", 2),
-    "blank-line-between-samples": ("1,2\n\n3,4\n", 3),
-    "comment-after-header": ("# channel 1 = left\n1,2\n", 2),
-    "comment-with-comma": ("1,2\n# a, b\n3,4\n", 3),
-    "space-delimited": ("1,2\n3 4\n", 3),
-    "header-only": ("", 2),
-    "header-then-empty-lines": ("\n\n", 2),
+_NUM = rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+_ORACLE_LINE = re.compile(rb"[ \t]*(" + _NUM + rb")[ \t]*,[ \t]*(" + _NUM + rb")[ \t]*")
+_INTEGER = re.compile(rb"-?(?:0|[1-9][0-9]*)")
+
+
+def grammar_oracle(body):
+    """The pair-file body grammar, line by line: (ch1, ch2) doubles, or None if refused."""
+    lines = body.replace(b"\r\n", b"\n").split(b"\n")
+    while lines and not lines[-1]:
+        lines.pop()
+    values = []
+    for line in lines:
+        m = _ORACLE_LINE.fullmatch(line)
+        if m is None:
+            return None
+        for tok in m.groups():
+            try:
+                value = float(int(tok)) if _INTEGER.fullmatch(tok) else float(tok)
+            except OverflowError:  # an integer beyond the double range
+                return None
+            if not np.isfinite(value):
+                return None
+            values.append(value)
+    return (np.array(values[0::2]), np.array(values[1::2])) if values else None
+
+
+def read_or_refuse(body):
+    """:func:`read_waveform_pair` of a file holding ``body`` after the header, as the oracle."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pair.txt"
+        path.write_bytes(_HEADER.encode() + body)
+        try:
+            ch1, ch2 = read_waveform_pair(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}:"), exc
+            return None
+    return ch1.samples, ch2.samples
+
+
+def assert_same_doubles(got, expected):
+    # bit patterns, not ==, so that -0.0 and +0.0 differ
+    if expected is None:
+        assert got is None
+    else:
+        assert got is not None
+        for g, e in zip(got, expected):
+            assert g.view(np.int64).tolist() == np.asarray(e, np.float64).view(np.int64).tolist()
+
+
+_ORACLE_TABLE = {
+    "lone-cr": (b"1,2\r3,4\n", None),
+    "lone-cr-at-end": (b"1,2\r\n3,4\r", None),
+    "true": (b"true,1\n", None),
+    "false": (b"1,false\n", None),
+    "null": (b"1,2\nnull,1\n", None),
+    "string": (b'"1",2\n', None),
+    "array": (b"[1],2\n", None),
+    "object": (b'1,2\n{"a":1},2\n', None),
+    "utf8-bom": (b"\xef\xbb\xbf1,2\n", None),
+    "minus-zero": (b"-0,-0.0\n", ([0.0], [-0.0])),
+    "beyond-2-53": (b"9007199254740993,1\n", ([9007199254740992.0], [1.0])),
+    "beyond-2-64": (b"1,18446744073709551617\n", ([1.0], [18446744073709551616.0])),
+    "overflow": (b"1,2\n1e400,1\n", None),
+    "blanks-tabs-exponent": (b" 1 ,\t4E+2\t\n\t-2e-3 , 5\n", ([1.0, -2e-3], [400.0, 5.0])),
 }
 
 
-@pytest.mark.parametrize("body, line", _MALFORMED.values(), ids=_MALFORMED.keys())
-def test_malformed_pair_file_names_path_and_line(tmp_path, body, line):
+@pytest.mark.parametrize("body, expected", _ORACLE_TABLE.values(), ids=_ORACLE_TABLE.keys())
+def test_reader_and_grammar_oracle_agree_on_edge_cases(body, expected):
+    assert_same_doubles(grammar_oracle(body), expected)
+    assert_same_doubles(read_or_refuse(body), expected)
+
+
+_NUMBER_TEXT = st.one_of(
+    _FINITE_DOUBLES.map(orjson.dumps),  # the writer's text
+    _FINITE_DOUBLES.map(lambda v: repr(v).encode()),
+    st.integers(-(2**80), 2**80).map(lambda i: b"%d" % i),
+    st.sampled_from([b"-0", b"4E+2", b"1e400", b"-1E-400", b"-0e0", b"00", b"1.", b".5", b"+1"]),
+)
+_MUTATION = st.sampled_from(
+    [b"\r", b"\r\n", b"\n", b",", b" ", b"\t", b"-", b".", b"e", b"0", b"true", b"false",
+     b"null", b'"1"', b"[1]", b'{"a":1}', b"\xef\xbb\xbf", b"#", b"nan", b"\x00", b"\xff"]
+)
+
+
+@st.composite
+def pair_bodies(draw):
+    """Pair-file bodies of numbers, blanks and separators, then a few byte edits."""
+    blank = st.sampled_from([b"", b" ", b"\t", b" \t"])
+    eol = draw(st.sampled_from([b"\n", b"\r\n"]))
+    rows = draw(st.lists(st.tuples(_NUMBER_TEXT, _NUMBER_TEXT), min_size=1, max_size=5))
+    body = bytearray(
+        eol.join(
+            draw(blank) + a + draw(blank) + b"," + draw(blank) + b + draw(blank) for a, b in rows
+        )
+        + draw(st.sampled_from([b"", eol, eol + eol]))
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(body)))
+        cut = draw(st.integers(0, 2))
+        body[at : at + cut] = draw(st.one_of(st.just(b""), _MUTATION, _NUMBER_TEXT))
+    return bytes(body)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair_bodies())
+def test_reader_accepts_exactly_what_the_grammar_oracle_accepts(body):
+    assert_same_doubles(read_or_refuse(body), grammar_oracle(body))
+
+
+def test_one_read_of_a_default_record_stays_under_2_7_mb(tmp_path):
+    # a paper-default 16384-sample test record; beside its text the read holds the parsed
+    # floats, the argument tuple that packs them and the packed doubles
+    model = parse_config({}).model
+    spec = SourceSpec(1500.0, CONTINUOUS_NOISE, 1.0, 40_000.0, (30_000.0, 50_000.0), seed=5)
+    ch1, ch2 = propagate(synth_source(spec, model), spec, model)
+    path = write_waveform_pair(tmp_path / "test_00.txt", ch1, ch2)
+    read_waveform_pair(path)  # the first call's one-off allocations are not the read's
+    (got, _), peak = traced_peak(lambda: read_waveform_pair(path))
+    assert got.samples.tobytes() == ch1.samples.tobytes()
+    assert peak <= 2.7e6, peak / 1e6
+
+
+# (body after the header, the message after "<path>:"), the message naming the 1-based file
+# line of the fault with the header as line 1
+_ONE_PAIR = "expected one 'ch1,ch2' pair, found {} commas"
+_MALFORMED = {
+    "three-fields-then-one": ("1,2\n1,2,3\n4\n5,6\n", "3: " + _ONE_PAIR.format(2)),
+    "one-field-then-three": ("1,2\n4\n1,2,3\n5,6\n", "3: " + _ONE_PAIR.format(0)),
+    "truncated-after-comma": ("1,2\n3,4\n5,", "4: unexpected end of data"),
+    "truncated-one-field": ("1,2\n3,4\n5", "4: " + _ONE_PAIR.format(0)),
+    "truncated-mid-number": ("1,2\n3,4\n5,6e", "4: no digit after exponent sign"),
+    "non-numeric-token": ("1,2\n0.1,abc\n3,4\n", "3: unexpected character 'a'"),
+    "json-literal": ("1,2\ntrue,4\n", "3: unexpected character 't'"),
+    "nan": ("1,2\n3,4\nnan,5\n", "4: unexpected character 'n'"),
+    "NaN": ("NaN,5\n", "2: unexpected character 'N'"),
+    "inf": ("1,2\n3,inf\n", "3: unexpected character 'i'"),
+    "-Infinity": ("1,2\n3,-Infinity\n", "3: unexpected character 'I'"),
+    "overflow": ("1,2\n3,1e400\n", "3: number is infinity when parsed as double"),
+    "leading-plus": ("1,2\n+1,2\n", "3: unexpected character"),
+    "leading-dot": ("1,2\n3,4\n.5,2\n", "4: unexpected character"),
+    "trailing-dot": ("1.,2\n", "2: no digit after decimal point"),
+    "blank-line-between-samples": ("1,2\n\n3,4\n", "3: " + _ONE_PAIR.format(0)),
+    "comment-after-header": ("# channel 1 = left\n1,2\n", "2: unexpected character '#'"),
+    "comment-with-comma": ("1,2\n# a, b\n3,4\n", "3: unexpected character '#'"),
+    "space-delimited": ("1,2\n3 4\n", "3: " + _ONE_PAIR.format(0)),
+    "header-only": ("", "2: no samples after the header"),
+    "header-then-empty-lines": ("\n\n", "2: no samples after the header"),
+}
+
+
+@pytest.mark.parametrize("body, message", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_pair_file_names_path_and_line(tmp_path, body, message):
     path = tmp_path / "bad.txt"
     path.write_bytes((_HEADER + body).encode())
     with pytest.raises(ValueError) as info:
         read_waveform_pair(path)
-    assert str(info.value).startswith(f"{path}:{line}: ")
+    assert str(info.value) == f"{path}:{message}"
 
 
 def test_waveform_pair_bad_header(tmp_path):

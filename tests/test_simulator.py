@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -230,6 +231,31 @@ def test_source_outside_specimen_rejected():
     spec = paper_source(position_mm=4500.0, kind=DISCRETE_BURST, seed=9)
     with pytest.raises(ValueError, match="outside the specimen"):
         propagate(synth_source(spec, model), spec, model)
+
+
+_WRAP = "record too short: the delayed burst from 0.0 mm would wrap past the record end"
+
+
+@pytest.mark.parametrize("record_length, refused", [(3868, True), (3869, False)])
+def test_a_wrapping_burst_is_refused_before_any_file_is_written(tmp_path, record_length, refused):
+    # a burst at 0 mm reaches the far sensor 3137.25 samples late; its last nonzero sample is
+    # n // 8 + 248 (the Hann window's end samples are zero), so 3868 samples is the longest
+    # record it wraps in, as it was when propagate checked the synthesized record
+    cfg = parse_config(
+        {
+            "specimen": {"record_length": record_length},
+            "test_source_kind": DISCRETE_BURST,
+            "test_positions_mm": [900.0, 0.0],
+        }
+    )
+    if refused:
+        with pytest.raises(ValueError, match="^" + re.escape(f"test source 1: {_WRAP}") + "$"):
+            run_experiment(cfg, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+    else:
+        with pytest.warns(UserWarning, match="0.0 mm lies outside the sensor span"):
+            rows = run_experiment(cfg, tmp_path)
+        assert len(rows) == 14 and (tmp_path / "test_01.txt").exists()
 
 
 def test_single_reflection_term_adds_echo():
