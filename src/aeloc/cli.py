@@ -20,7 +20,7 @@ from .calibration import (
     sweep_bands,
     write_calibration_report,
 )
-from .signals import FilterSpec, design_bandpass, lag_window, read_waveform_pair
+from .signals import BandpassFilter, FilterSpec, design_bandpass, lag_window, read_waveform_pair
 from .simulator import default_config, load_config, parse_config, run_experiment
 from .svgplot import linear_fit_points, scatter_svg
 from .util import atomic_write_text
@@ -65,16 +65,6 @@ _positive_int = _integer_at_least(1, "positive")
 _non_negative_int = _integer_at_least(0, "non-negative")
 
 
-def _add_filter_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--calibration", metavar="REPORT", help="calibration report to take the band from"
-    )
-    parser.add_argument("--f-low", type=_positive_float, help="bandpass lower edge in Hz")
-    parser.add_argument("--f-high", type=_positive_float, help="bandpass upper edge in Hz")
-    order_help = f"poles per band edge with --f-low/--f-high (default {FilterSpec.order})"
-    parser.add_argument("--order", type=_positive_int, help=order_help)
-
-
 def _add_delay_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-delay-s",
@@ -93,6 +83,25 @@ def _resolve_filter(args) -> FilterSpec:
     if args.f_low is None or args.f_high is None:
         raise UsageError("a filter is required: pass --calibration or --f-low and --f-high")
     return FilterSpec(args.f_low, args.f_high, args.order or FilterSpec.order)
+
+
+def _load_database(args) -> tuple[grnn.PrototypeSet, BandpassFilter, float]:
+    """Database ``args.db``, its band filter and delay window; ``--calibration`` must match."""
+    pset = grnn.load_prototypes(args.db)
+    h = pset.header
+    try:
+        spec = FilterSpec(h["f_low_hz"], h["f_high_hz"], h["order"])
+        filt, max_delay_s = design_bandpass(spec, h["sample_rate_hz"]), h["max_delay_s"]
+    except (KeyError, ValueError) as exc:  # a KeyError: learned before the header held them
+        raise ValueError(f"{args.db}: bad or missing header field: {exc}; learn it again") from None
+    if args.calibration is not None and read_calibration_summary(args.calibration)[0] != spec:
+        raise ValueError(f"{args.calibration}: band or order differs from {args.db}'s {spec}")
+    return pset, filt, max_delay_s
+
+
+def _check_rate(rate: float, filt: BandpassFilter, db) -> None:
+    if rate != filt.sample_rate:
+        raise ValueError(f"sample rate {rate} Hz differs from {db}'s {filt.sample_rate} Hz")
 
 
 def _cmd_simulate(args) -> int:
@@ -164,15 +173,14 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_locate(args) -> int:
-    filt_spec = _resolve_filter(args)
-    pset = grnn.load_prototypes(args.db)
+    pset, filt, max_delay_s = _load_database(args)
     rows = []
     failures = 0
     for name in args.files:
         try:
             ch1, ch2 = read_waveform_pair(name)
-            filt = design_bandpass(filt_spec, ch1.sample_rate)
-            est = pipeline.locate_pair(pset, filt, ch1, ch2, max_delay_s=args.max_delay_s)
+            _check_rate(ch1.sample_rate, filt, args.db)
+            est = pipeline.locate_pair(pset, filt, ch1, ch2, max_delay_s=max_delay_s)
         except (ValueError, OSError) as exc:
             failures += 1
             rows.append((name, None, f"failed: {exc}"))
@@ -189,11 +197,10 @@ def _cmd_locate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    filt_spec = _resolve_filter(args)
-    pset = grnn.load_prototypes(args.db)
+    pset, filt, max_delay_s = _load_database(args)
     dataset = pipeline.load_dataset(args.dataset, "test")
-    filt = design_bandpass(filt_spec, dataset.sample_rate)
-    report = pipeline.evaluate_dataset(pset, filt, dataset, max_delay_s=args.max_delay_s)
+    _check_rate(dataset.sample_rate, filt, args.db)
+    report = pipeline.evaluate_dataset(pset, filt, dataset, max_delay_s=max_delay_s)
     pipeline.write_evaluation_report(args.report, report)
     if args.svg:
         atomic_write_text(args.svg, pipeline.evaluation_scatter_svg(report, pset.hidden[:, 0]))
@@ -253,7 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn", help="build the prototype database from calibration signals")
     p.add_argument("dataset", help="dataset directory containing manifest.txt")
     p.add_argument("--db", required=True, help="prototype database output path")
-    _add_filter_flags(p)
+    p.add_argument("--calibration", metavar="REPORT", help="report to take the band from")
+    p.add_argument("--f-low", type=_positive_float, help="bandpass lower edge in Hz")
+    p.add_argument("--f-high", type=_positive_float, help="bandpass upper edge in Hz")
+    order_help = f"poles per band edge with --f-low/--f-high (default {FilterSpec.order})"
+    p.add_argument("--order", type=_positive_int, help=order_help)
     _add_delay_flags(p)
     p.set_defaults(func=_cmd_learn)
 
@@ -261,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("db", help="prototype database from 'learn'")
     p.add_argument("files", nargs="+", help="two-channel waveform files")
     p.add_argument("--out", help="optional location report output path")
-    _add_filter_flags(p)
-    _add_delay_flags(p)
+    p.add_argument("--calibration", metavar="REPORT", help="report the database must match")
     p.set_defaults(func=_cmd_locate)
 
     p = sub.add_parser("evaluate", help="locate all test sources and score against truth")
@@ -270,8 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", help="dataset directory containing manifest.txt")
     p.add_argument("--report", required=True, help="evaluation report output path")
     p.add_argument("--svg", help="optional estimated-vs-actual scatter")
-    _add_filter_flags(p)
-    _add_delay_flags(p)
+    p.add_argument("--calibration", metavar="REPORT", help="report the database must match")
     p.set_defaults(func=_cmd_evaluate)
     return parser
 

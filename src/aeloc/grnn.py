@@ -9,8 +9,9 @@ centred on the stored given parts.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -69,6 +70,7 @@ class PrototypeSet:
     given: np.ndarray   # (N, S)
     hidden: np.ndarray  # (N, D)
     sigmas: np.ndarray  # (N,)
+    header: dict = field(default_factory=dict)  # the file's key=value fields; read-only
 
     def __post_init__(self) -> None:
         given = _as_columns(self.given)
@@ -89,6 +91,7 @@ class PrototypeSet:
         object.__setattr__(self, "given", given)
         object.__setattr__(self, "hidden", hidden)
         object.__setattr__(self, "sigmas", sigmas)
+        object.__setattr__(self, "header", MappingProxyType(dict(self.header)))
 
     def __len__(self) -> int:
         return int(self.given.shape[0])
@@ -102,9 +105,9 @@ class PrototypeSet:
         return int(self.hidden.shape[1])
 
     @classmethod
-    def from_data(cls, given, hidden) -> "PrototypeSet":
+    def from_data(cls, given, hidden, header=None) -> "PrototypeSet":
         """Build a set whose sigmas follow the half-nearest-neighbor rule."""
-        return cls(given, hidden, compute_sigmas(given))
+        return cls(given, hidden, compute_sigmas(given), header or {})
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,12 +165,13 @@ def estimate(pset: PrototypeSet, query) -> Estimate:
     )
 
 
-_DB_HEADER = re.compile(r"^#\s*given_dim=(\d+)\s+hidden_dim=(\d+)\s*$")
+_DB_HEADER = re.compile(r"^#\s*given_dim=(\d+)\s+hidden_dim=(\d+)((?:\s+\w+=\S+)*)\s*$")
 
 
 def save_prototypes(path: str | Path, pset: PrototypeSet) -> Path:
-    """Write the database as delimited text; floats round-trip exactly."""
-    lines = [f"# given_dim={pset.given_dim} hidden_dim={pset.hidden_dim}"]
+    """Write the database as delimited text; floats round-trip exactly, integers stay integers."""
+    head = dict(given_dim=pset.given_dim, hidden_dim=pset.hidden_dim, **pset.header)
+    lines = ["# " + " ".join(f"{k}={v if isinstance(v, int) else fmt(v)}" for k, v in head.items())]
     for g, h, s in zip(pset.given, pset.hidden, pset.sigmas):
         fields = [fmt(x) for x in g] + [fmt(x) for x in h] + [fmt(s)]
         lines.append(",".join(fields))
@@ -179,8 +183,14 @@ def load_prototypes(path: str | Path) -> PrototypeSet:
     with open(path) as fh:
         m = _DB_HEADER.match(fh.readline())
         if m is None:
-            raise ValueError(f"{path}: first line must be '# given_dim=S hidden_dim=D'")
+            raise ValueError(f"{path}: first line must be '# given_dim=S hidden_dim=D ...'")
         s_dim, d_dim = int(m.group(1)), int(m.group(2))
+        header = {}
+        for key, _, value in (item.partition("=") for item in m.group(3).split()):
+            if key in header or key in ("given_dim", "hidden_dim"):
+                raise ValueError(f"{path}:1: header field {key!r} appears twice")
+            kind = int if value.lstrip("-").isdigit() else float
+            header[key] = parse_number(value, f"{path}:1: {key}", kind)
         rows = []
         for ln, line in enumerate(fh, start=2):
             line = line.strip()
@@ -199,4 +209,5 @@ def load_prototypes(path: str | Path) -> PrototypeSet:
         given=data[:, :s_dim],
         hidden=data[:, s_dim : s_dim + d_dim],
         sigmas=data[:, -1],
+        header=header,
     )

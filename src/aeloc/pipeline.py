@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -153,7 +155,8 @@ def learn_prototypes(
     The delays come from one batched pass through ``filt``, the calibration
     sweep's estimator (:class:`~aeloc.signals.CrossSpectra`), over records read
     one at a time.  Prototypes whose delay estimation fails are skipped and
-    reported; smoothing widths follow the half-nearest-neighbor rule.
+    reported; smoothing widths follow the half-nearest-neighbor rule.  The
+    set's header records the band, order, delay window and sample rate.
     """
     if not isinstance(dataset, Dataset):
         dataset = load_dataset(dataset, "prototype")
@@ -172,21 +175,24 @@ def learn_prototypes(
     kept = ~np.isnan(delays)
     if kept.sum() < 2:
         raise ValueError(f"only {kept.sum()} prototypes survived delay estimation; need at least 2")
-    return grnn.PrototypeSet.from_data(delays[kept], positions[kept]), skipped
+    spec = filt.spec
+    estimator = dict(f_low_hz=spec.f_low, f_high_hz=spec.f_high, order=int(spec.order),
+                     max_delay_s=max_delay_s, sample_rate_hz=filt.sample_rate)
+    return grnn.PrototypeSet.from_data(delays[kept], positions[kept], estimator), skipped
 
 
 def write_location_report(path, rows) -> None:
-    """rows: (file, LocationEstimate | None, status-string)."""
-    lines = ["file,position_mm,delay_s,top_weight,extrapolated,status"]
+    """rows: (file, LocationEstimate | None, status-string); a field with a comma is quoted."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")  # RFC 4180 quoting, only where needed
+    writer.writerow(["file", "position_mm", "delay_s", "top_weight", "extrapolated", "status"])
     for name, est, status in rows:
         if est is None:
-            lines.append(f"{name},,,,,{status}")
+            writer.writerow([name, "", "", "", "", status])
         else:
-            lines.append(
-                f"{name},{fmt(est.position_mm)},{fmt(est.delay_s)},"
-                f"{fmt(est.top_weight)},{est.extrapolated},{status}"
-            )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+            writer.writerow([name, fmt(est.position_mm), fmt(est.delay_s),
+                             fmt(est.top_weight), est.extrapolated, status])
+    atomic_write_text(path, text.getvalue())
 
 
 @dataclass(frozen=True, eq=False)

@@ -395,15 +395,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> list[Manife
     sources: list[tuple[ManifestRow, SourceSpec]] = []
     for role_index, (role, kind, positions) in enumerate(groups):
         for i, z in enumerate(positions):
-            spec = SourceSpec(
-                position_mm=float(z),
-                kind=kind,
-                amplitude=config.source_amplitude,
-                burst_center_freq_hz=config.burst_center_freq_hz,
-                band_hz=config.continuous_band_hz,
-                seed=_source_seed(config.seed, role_index, i),
-            )
             try:
+                spec = SourceSpec(
+                    position_mm=float(z),
+                    kind=kind,
+                    amplitude=config.source_amplitude,
+                    burst_center_freq_hz=config.burst_center_freq_hz,
+                    band_hz=config.continuous_band_hz,
+                    seed=_source_seed(config.seed, role_index, i),
+                )
                 _check_source(spec, model)
             except ValueError as exc:
                 raise ValueError(f"{role} source {i}: {exc}") from None

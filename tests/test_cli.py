@@ -1,5 +1,7 @@
 import argparse
+import csv
 import json
+import shutil
 import os
 import warnings
 import weakref
@@ -13,6 +15,7 @@ from aeloc import cli, pipeline, simulator
 from aeloc.calibration import read_calibration_summary
 from aeloc.grnn import load_prototypes
 from aeloc.signals import (
+    BandpassFilter,
     FilterSpec,
     Waveform,
     design_bandpass,
@@ -113,7 +116,8 @@ def test_simulate_writes_default_config(tmp_path):
 @pytest.mark.parametrize(
     "setting,message",
     [
-        ({"test_source_kind": "bogus"}, "unknown source kind 'bogus'"),
+        ({"test_source_kind": "bogus"}, "test source 0: unknown source kind 'bogus'"),
+        ({"source_amplitude": -1.0}, "prototype source 0: amplitude must be positive"),
         ({"continuous_band_hz": [50000.0, 30000.0]}, "source band (50000.0, 30000.0) Hz outside"),
         (
             {"test_positions_mm": [900.0, 5000.0]},
@@ -129,7 +133,7 @@ def test_simulate_writes_default_config(tmp_path):
             "the record end",
         ),
     ],
-    ids=["kind", "band", "position", "wrapping-burst"],
+    ids=["kind", "amplitude", "band", "position", "wrapping-burst"],
 )
 def test_simulate_refuses_a_bad_source_before_writing_any_pair(tmp_path, capsys, setting, message):
     cfg = {**default_config(), "specimen": {"record_length": 4096}, **setting}
@@ -208,11 +212,13 @@ def test_main_builds_one_parser_tree_for_many_calls(monkeypatch):
     assert len(constructed) == 6
 
 
-def test_shared_parser_keeps_no_state_between_calls(learned, capsys):
+def test_shared_parser_keeps_no_state_between_calls(learned, tmp_path, capsys):
     _, data, report, db = learned
     argv = ["locate", str(db), str(data / "test_02.txt"), "--calibration", str(report)]
-    assert cli.main(argv + ["--max-delay-s", "1e-4"]) == 0
-    narrow = capsys.readouterr()
+    out = tmp_path / "locations.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    with_out = capsys.readouterr()
+    out.unlink()
     assert cli.main(argv + ["--bogus"]) == 1
     assert "unrecognized arguments: --bogus" in capsys.readouterr().err
     assert cli.main(argv) == 0
@@ -220,14 +226,14 @@ def test_shared_parser_keeps_no_state_between_calls(learned, capsys):
     cli.build_parser.cache_clear()
     assert cli.main(argv) == 0
     fresh = capsys.readouterr()
-    assert (after.out, after.err) == (fresh.out, fresh.err)
-    assert after.out != narrow.out  # the default window is back
+    assert (after.out, after.err) == (fresh.out, fresh.err) == (with_out.out, with_out.err)
+    assert not out.exists()  # the first call's --out did not carry over
 
 
 _FLAG_ARGV = {
     "calibrate": ["calibrate", "data", "--report", "r.csv"],
     "learn": ["learn", "data", "--db", "p.db", "--f-low", "35000", "--f-high", "45000"],
-    "locate": ["locate", "p.db", "t.txt", "--f-low", "35000", "--f-high", "45000"],
+    "locate": ["locate", "p.db", "t.txt"],
     "evaluate": ["evaluate", "p.db", "data", "--report", "e.csv", "--calibration", "c.csv"],
     "simulate": ["simulate", "--out", "data"],
 }
@@ -239,14 +245,12 @@ _FLAG_ARGV = {
     [
         ("calibrate", "--max-delay-s"),
         ("learn", "--max-delay-s"),
-        ("locate", "--max-delay-s"),
-        ("evaluate", "--max-delay-s"),
         ("calibrate", "--width"),
         ("calibrate", "--step"),
         ("calibrate", "--f-start"),
         ("calibrate", "--f-stop"),
         ("learn", "--f-low"),
-        ("locate", "--f-high"),
+        ("learn", "--f-high"),
     ],
 )
 def test_float_flags_refuse_non_finite_and_non_positive(tmp_path, monkeypatch, capsys,
@@ -260,10 +264,16 @@ def test_float_flags_refuse_non_finite_and_non_positive(tmp_path, monkeypatch, c
 @pytest.mark.parametrize(
     "command, flag",
     [(command, "--no-refine") for command in ("calibrate", "learn", "locate", "evaluate")]
-    + [("evaluate", "--sensor-separation=2400")],
+    + [("evaluate", "--sensor-separation=2400")]
+    + [
+        (command, flag)
+        for command in ("locate", "evaluate")
+        for flag in ("--f-low=35000", "--f-high=45000", "--order=4", "--max-delay-s=1e-4")
+    ],
 )
 def test_retired_flags_are_usage_errors(tmp_path, monkeypatch, capsys, command, flag):
-    # every stage refines its delays, and evaluate takes the separation from the manifest
+    # every stage refines its delays, evaluate takes the separation from the manifest, and
+    # locate and evaluate take the band, order and delay window from the database
     monkeypatch.chdir(tmp_path)  # nothing is read: the flag fails while parsing
     assert cli.main([*_FLAG_ARGV[command], flag]) == 1
     assert "unrecognized arguments: " + flag in capsys.readouterr().err
@@ -273,7 +283,7 @@ def test_retired_flags_are_usage_errors(tmp_path, monkeypatch, capsys, command, 
     "command, flag, value",
     [
         *[(command, "--order", value)
-          for command in ("calibrate", "learn", "locate", "evaluate")
+          for command in ("calibrate", "learn")
           for value in ("0", "-3", "2.5", "ten")],
         *[("simulate", "--seed", value) for value in ("-1", "1.5", "ten")],
     ],
@@ -512,12 +522,18 @@ def write_synthetic_prototypes(out_dir, shifts, positions):
 
 
 def test_learn_builds_database_with_expected_sigmas(learned):
-    _, _, _, db = learned
+    _, _, report, db = learned
     pset = load_prototypes(db)
     assert len(pset) == 12
     assert pset.given_dim == 1 and pset.hidden_dim == 1
     # 200 mm pitch at 1.7 km/s: sigma = half of the 235.3 us delay pitch
     assert np.allclose(pset.sigmas, 117.647e-6, rtol=1e-3)
+    # the header records the estimator that locate and evaluate reuse
+    spec, _ = read_calibration_summary(report)
+    assert db.read_text().splitlines()[0] == (
+        f"# given_dim=1 hidden_dim=1 f_low_hz={spec.f_low!r} f_high_hz={spec.f_high!r} "
+        "order=4 max_delay_s=0.0025 sample_rate_hz=1000000.0"
+    )
 
 
 def _log_pair_reads(monkeypatch) -> Counter:
@@ -649,16 +665,11 @@ def test_learn_requires_filter_flags(learned):
     assert cli.main(["learn", str(data), "--db", "/tmp/unused.db"]) == 1
 
 
-@pytest.mark.parametrize("command", ["learn", "locate", "evaluate"])
-def test_order_with_calibration_is_a_usage_error(learned, tmp_path, capsys, command):
-    _, data, report, db = learned
+def test_order_with_calibration_is_a_usage_error(learned, tmp_path, capsys):
+    _, data, report, _ = learned
     out = tmp_path / "out"
-    argv = {
-        "learn": ["learn", str(data), "--db", str(out)],
-        "locate": ["locate", str(db), str(data / "test_02.txt"), "--out", str(out)],
-        "evaluate": ["evaluate", str(db), str(data), "--report", str(out)],
-    }[command]
-    assert cli.main([*argv, "--calibration", str(report), "--order", "6"]) == 1
+    argv = ["learn", str(data), "--db", str(out), "--calibration", str(report), "--order", "6"]
+    assert cli.main(argv) == 1
     assert "--order" in capsys.readouterr().err
     assert not out.exists()
 
@@ -722,18 +733,7 @@ def test_locate_out_of_span_source_is_flagged(tmp_path, capsys):
         )
         == 0
     )
-    code = cli.main(
-        [
-            "locate",
-            str(db),
-            str(tmp_path / "test_00.txt"),
-            "--f-low",
-            "35000",
-            "--f-high",
-            "45000",
-        ]
-    )
-    assert code == 0
+    assert cli.main(["locate", str(db), str(tmp_path / "test_00.txt")]) == 0
     assert "extrapolated True" in capsys.readouterr().out
 
 
@@ -761,29 +761,138 @@ def test_locate_continues_past_unreadable_file(learned, tmp_path, capsys):
     assert "failed" in rows[1] and rows[2].endswith("ok")
 
 
-def test_locate_boundary_delay_flagged_without_estimate(learned, tmp_path, capsys):
-    _, _, report, db = learned
-    ch1, ch2 = _shifted_pair(300)  # well past the 100-sample window below
+def test_locate_boundary_delay_flagged_without_estimate(tmp_path, capsys):
+    # the database is learned with a 100-sample window, which locate then searches
+    write_synthetic_prototypes(tmp_path, shifts=[-20, 0, 20], positions=[100.0, 200.0, 300.0])
+    db = tmp_path / "p.db"
+    assert cli.main(["learn", str(tmp_path), "--db", str(db), *LEARN_ARGS]) == 0
+    ch1, ch2 = _shifted_pair(300)  # well past the window
     pair = tmp_path / "far_source.txt"
     write_waveform_pair(pair, ch1, ch2)
     out_file = tmp_path / "locations.csv"
-    code = cli.main(
-        [
-            "locate",
-            str(db),
-            str(pair),
-            "--calibration",
-            str(report),
-            "--max-delay-s",
-            "1e-4",
-            "--out",
-            str(out_file),
-        ]
-    )
+    code = cli.main(["locate", str(db), str(pair), "--out", str(out_file)])
     captured = capsys.readouterr()
     assert code == 2
     assert "delay window exceeded" in captured.err
     assert "failed" in out_file.read_text().splitlines()[1]
+
+
+def test_locate_computes_the_band_response_once_for_many_files(learned, monkeypatch):
+    _, data, report, db = learned
+    calls = []
+    response = BandpassFilter.power_response
+
+    def counted(self, omega):
+        calls.append(len(omega))
+        return response(self, omega)
+
+    monkeypatch.setattr(BandpassFilter, "power_response", counted)
+    files = [str(data / f"test_{i:02d}.txt") for i in range(3)]
+    assert cli.main(["locate", str(db), *files, "--calibration", str(report)]) == 0
+    assert len(calls) == 1  # one filter per call, whose |H|² is kept per FFT length
+
+
+def test_location_report_quotes_a_failure_message_with_commas(learned, tmp_path):
+    _, data, _, db = learned
+    lines = (data / "test_01.txt").read_text().splitlines()
+    lines[10] = "0.1,0.2,0.5"
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "loc.csv"
+    argv = ["locate", str(db), str(data / "test_02.txt"), str(bad), "--out", str(out)]
+    assert cli.main(argv) == 2
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [6, 6, 6]
+    assert rows[2][5].startswith(f"failed: {bad}:11: expected one 'ch1,ch2' pair")
+    # rows without a comma in a field are written unquoted
+    assert out.read_text().splitlines()[:2] == [",".join(row) for row in rows[:2]]
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [
+        *[(command, case)
+          for case in ("report-band", "report-order", "unlearned-database")
+          for command in ("locate", "evaluate")],
+        ("locate", "pair-rate"),
+        ("evaluate", "dataset-rate"),
+    ],
+)
+def test_locate_and_evaluate_refuse_what_the_database_was_not_learned_with(
+    learned, tmp_path, capsys, command, case
+):
+    _, data, report, db = learned
+    out = tmp_path / "out.csv"
+    dataset, extra = data, []
+    edits = {"report-band": ("best_f_low_hz", "31234.0"), "report-order": ("filter_order", "6")}
+    if case in edits:
+        key, value = edits[case]
+        lines = [f"# {key}={value}" if line.startswith(f"# {key}=") else line
+                 for line in report.read_text().splitlines()]
+        other = tmp_path / "other.csv"
+        other.write_text("\n".join(lines) + "\n")
+        extra = ["--calibration", str(other)]
+    elif case == "unlearned-database":
+        bare = tmp_path / "bare.db"
+        lines = db.read_text().splitlines(keepends=True)
+        bare.write_text("".join(["# given_dim=1 hidden_dim=1\n", *lines[1:]]))
+        db = bare
+    elif case == "dataset-rate":  # a consistent dataset recorded at another rate
+        dataset = tmp_path / "slow"
+        shutil.copytree(data, dataset)
+        for path in [dataset / MANIFEST_NAME, *dataset.glob("test_*.txt")]:
+            text = path.read_text()
+            path.write_text(text.replace("sample_rate_hz=1000000", "sample_rate_hz=500000", 1))
+    if command == "locate":
+        pair = data / "test_02.txt"
+        if case == "pair-rate":
+            pair = tmp_path / "slow.txt"
+            write_waveform_pair(pair, *_shifted_pair(0, fs=FS / 2))
+        argv = ["locate", str(db), str(pair), "--out", str(out)]
+    else:
+        argv = ["evaluate", str(db), str(dataset), "--report", str(out)]
+    assert cli.main(argv + extra) == 2
+    assert str(db) in capsys.readouterr().err
+    if case == "pair-rate":  # a per-file failure: the other files would still be located
+        assert "failed" in out.read_text().splitlines()[1]
+    else:
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["locate", "evaluate"])
+def test_a_matching_calibration_report_changes_no_output(learned, tmp_path, capsys, command):
+    _, data, report, db = learned
+    outputs = []
+    for extra in ([], ["--calibration", str(report)]):
+        out = tmp_path / f"out{len(extra)}.csv"
+        if command == "locate":
+            argv = ["locate", str(db), str(data / "test_01.txt"), "--out", str(out)]
+        else:
+            argv = ["evaluate", str(db), str(data), "--report", str(out)]
+        assert cli.main(argv + extra) == 0
+        outputs.append((capsys.readouterr().out.replace(str(out), ""), out.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_learn_writes_its_flags_into_the_database_header(tmp_path, capsys):
+    write_synthetic_prototypes(tmp_path, shifts=[-20, 0, 20], positions=[100.0, 200.0, 300.0])
+    db = tmp_path / "p.db"
+    argv = ["learn", str(tmp_path), "--db", str(db), *LEARN_ARGS, "--order", "6"]
+    assert cli.main(argv) == 0
+    assert db.read_text().splitlines()[0] == (
+        "# given_dim=1 hidden_dim=1 f_low_hz=35000.0 f_high_hz=45000.0 order=6 "
+        "max_delay_s=0.0001 sample_rate_hz=1000000.0"
+    )
+    assert load_prototypes(db).header["order"] == 6
+    # locate reads the order back: a report naming the default order 4 is refused
+    report = tmp_path / "cal.csv"
+    summary = ("best_f_low_hz=35000.0", "best_f_high_hz=45000.0", "filter_order=4",
+               "velocity_km_s=1.7")
+    report.write_text("".join(f"# {line}\n" for line in summary))
+    pair = tmp_path / "prototype_01.txt"
+    assert cli.main(["locate", str(db), str(pair), "--calibration", str(report)]) == 2
+    assert cli.main(["locate", str(db), str(pair)]) == 0
 
 
 # ----------------------------------------------------------------- evaluate
@@ -927,8 +1036,7 @@ def test_evaluate_noiseless_nondispersive_mean_error_under_5mm(tmp_path, capsys)
     )
     report = tmp_path / "eval.csv"
     code = cli.main(
-        ["evaluate", str(db), str(tmp_path), "--report", str(report), "--f-low", "35000",
-         "--f-high", "45000"]
+        ["evaluate", str(db), str(tmp_path), "--report", str(report)]
     )
     assert code == 0
     summary = {

@@ -289,6 +289,40 @@ def test_database_roundtrip_is_bit_exact(tmp_path):
     assert twice.read_bytes() == path.read_bytes()
 
 
+def test_database_header_fields_round_trip_with_their_kind(tmp_path):
+    header = {"f_low_hz": 35000.0, "order": 4, "max_delay_s": 0.0025, "offset": -3}
+    pset = PrototypeSet([0.0, 1.0], [[1.0], [2.0]], [1.0, 1.0], header)
+    path = tmp_path / "proto.db"
+    save_prototypes(path, pset)
+    first = "# given_dim=1 hidden_dim=1 f_low_hz=35000.0 order=4 max_delay_s=0.0025 offset=-3"
+    assert path.read_text().splitlines()[0] == first
+    loaded = load_prototypes(path)
+    assert dict(loaded.header) == header
+    assert [type(v) for v in loaded.header.values()] == [float, int, float, int]
+    with pytest.raises(TypeError):
+        loaded.header["order"] = 8  # read-only, like the arrays
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("order=nan", r"proto\.db:1: order: number must be finite"),
+        ("max_delay_s=-inf", r"proto\.db:1: max_delay_s: number must be finite"),
+        ("f_low_hz=35kHz", r"proto\.db:1: f_low_hz: could not convert"),
+        ("order=", "first line must be"),
+        ("order", "first line must be"),
+        ("order=4 order=8", r"proto\.db:1: header field 'order' appears twice"),
+        ("given_dim=2", r"proto\.db:1: header field 'given_dim' appears twice"),
+    ],
+    ids=["nan", "inf", "not-a-number", "empty-value", "no-value", "repeated", "repeats-dim"],
+)
+def test_database_rejects_a_malformed_header_field(tmp_path, field, message):
+    path = tmp_path / "proto.db"
+    path.write_text(f"# given_dim=1 hidden_dim=1 {field}\n0.0,1.0,1.0\n1.0,2.0,1.0\n")
+    with pytest.raises(ValueError, match=message):
+        load_prototypes(path)
+
+
 def test_database_rejects_malformed_files(tmp_path):
     bad = tmp_path / "bad.db"
     bad.write_text("no header\n1,2,3\n")
