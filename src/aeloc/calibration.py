@@ -20,7 +20,7 @@ from .signals import (
     design_bandpass,
     pick_delays,
 )
-from .util import KM_S_TO_MM_S, atomic_write_text, fmt, parse_number
+from .util import KM_S_TO_MM_S, atomic_write_text, fmt, key_value_fields, parse_number
 
 
 @dataclass(frozen=True)
@@ -242,8 +242,10 @@ def rmse_surface_is_flat(result: CalibrationResult, sample_rate: float) -> bool:
     return max(finite) <= max(2.0 * min(finite), floor)
 
 
-def write_calibration_report(path, result: CalibrationResult) -> None:
-    """Delimited per-band table plus a '#'-prefixed summary block."""
+def write_calibration_report(path, result: CalibrationResult, max_delay_s: float,
+                             sample_rate: float) -> None:
+    """Delimited per-band table plus a '#'-prefixed summary block, which ends in the delay
+    window ``max_delay_s`` the sweep was given and the sample rate in Hz."""
     lines = ["f_low_hz,f_high_hz,rmse_mm,slope_s_per_mm"]
     for rec in result.records:
         lines.append(
@@ -255,30 +257,40 @@ def write_calibration_report(path, result: CalibrationResult) -> None:
     lines.append(f"# filter_order={result.best_band.order}")
     lines.append(f"# velocity_km_s={fmt(result.velocity_km_s)}")
     lines.append("# outlier_indices=" + ",".join(str(i) for i in result.outliers))
+    lines.append(f"# max_delay_s={fmt(max_delay_s)}")
+    lines.append(f"# sample_rate_hz={fmt(sample_rate)}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_calibration_summary(path) -> tuple[FilterSpec, float]:
-    """Recover the chosen band and velocity from a calibration report."""
-    summary: dict[str, tuple[int, str]] = {}
+def _read_summary(path, *keys) -> tuple:
+    """The chosen band of a calibration report, then its summary numbers ``keys``; every
+    summary number must be present, finite and positive."""
     with open(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line.startswith("#") and "=" in line:
-                key, _, value = line.lstrip("# ").partition("=")
-                summary[key] = (ln, value)
+        lines = [(ln, line.strip()) for ln, line in enumerate(fh, start=1)]
+    summary = key_value_fields(path, [(ln, t) for ln, t in lines if t.startswith("#") and "=" in t])
 
     def number(key: str, kind=float):
         if key not in summary:
-            raise ValueError(f"{path}: calibration summary is missing {key!r}")
-        ln, value = summary[key]
-        return parse_number(value, f"{path}:{ln}: {key}", kind)
+            raise ValueError(f"{path}: calibration summary is missing {key!r}; calibrate again")
+        ln, text = summary[key]
+        if (value := parse_number(text, f"{path}:{ln}: {key}", kind)) <= 0:
+            raise ValueError(f"{path}:{ln}: {key} must be positive, got {text!r}")
+        return value
 
     low, high = number("best_f_low_hz"), number("best_f_high_hz")
     order = number("filter_order", int)
     try:
         spec = FilterSpec(low, high, order)
-    except ValueError as exc:  # FilterSpec checks the order before the band edges
-        key = "filter_order" if order < 1 else "best_f_low_hz"
-        raise ValueError(f"{path}:{summary[key][0]}: {exc}") from None
-    return spec, number("velocity_km_s")
+    except ValueError as exc:  # the edges and the order are positive: the band is inverted
+        raise ValueError(f"{path}:{summary['best_f_low_hz'][0]}: {exc}") from None
+    return spec, *(number(key) for key in keys)
+
+
+def read_calibration_summary(path) -> tuple[FilterSpec, float]:
+    """Recover the chosen band and velocity from a calibration report."""
+    return _read_summary(path, "velocity_km_s")
+
+
+def read_calibration_estimator(path) -> tuple[FilterSpec, float, float]:
+    """The band, delay window in s and sample rate in Hz that ``learn`` takes from a report."""
+    return _read_summary(path, "max_delay_s", "sample_rate_hz")

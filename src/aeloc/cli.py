@@ -15,7 +15,7 @@ from dataclasses import asdict, replace
 from . import grnn, pipeline
 from .calibration import (
     BandGrid,
-    read_calibration_summary,
+    read_calibration_estimator,
     rmse_surface_is_flat,
     sweep_bands,
     write_calibration_report,
@@ -65,26 +65,6 @@ _positive_int = _integer_at_least(1, "positive")
 _non_negative_int = _integer_at_least(0, "non-negative")
 
 
-def _add_delay_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--max-delay-s",
-        type=_positive_float,
-        default=pipeline.DEFAULT_MAX_DELAY_S,
-        help="largest |delay| searched in the correlation, in seconds",
-    )
-
-
-def _resolve_filter(args) -> FilterSpec:
-    if args.calibration is not None:
-        if args.f_low is not None or args.f_high is not None or args.order is not None:
-            raise UsageError("give either --calibration or --f-low/--f-high/--order, not both")
-        spec, _ = read_calibration_summary(args.calibration)
-        return spec
-    if args.f_low is None or args.f_high is None:
-        raise UsageError("a filter is required: pass --calibration or --f-low and --f-high")
-    return FilterSpec(args.f_low, args.f_high, args.order or FilterSpec.order)
-
-
 def _load_database(args) -> tuple[grnn.PrototypeSet, BandpassFilter, float]:
     """Database ``args.db``, its band filter and delay window; ``--calibration`` must match."""
     pset = grnn.load_prototypes(args.db)
@@ -94,14 +74,18 @@ def _load_database(args) -> tuple[grnn.PrototypeSet, BandpassFilter, float]:
         filt, max_delay_s = design_bandpass(spec, h["sample_rate_hz"]), h["max_delay_s"]
     except (KeyError, ValueError) as exc:  # a KeyError: learned before the header held them
         raise ValueError(f"{args.db}: bad or missing header field: {exc}; learn it again") from None
-    if args.calibration is not None and read_calibration_summary(args.calibration)[0] != spec:
-        raise ValueError(f"{args.calibration}: band or order differs from {args.db}'s {spec}")
+    if args.calibration is not None:
+        report = read_calibration_estimator(args.calibration)
+        names = ("filter", "max_delay_s", "sample_rate_hz")
+        for name, theirs, ours in zip(names, report, (spec, max_delay_s, filt.sample_rate)):
+            if theirs != ours:
+                raise ValueError(f"{args.calibration}: {name} {theirs}, but {args.db} has {ours}")
     return pset, filt, max_delay_s
 
 
-def _check_rate(rate: float, filt: BandpassFilter, db) -> None:
+def _check_rate(rate: float, filt: BandpassFilter, source) -> None:
     if rate != filt.sample_rate:
-        raise ValueError(f"sample rate {rate} Hz differs from {db}'s {filt.sample_rate} Hz")
+        raise ValueError(f"sample rate {rate} Hz differs from {source}'s {filt.sample_rate} Hz")
 
 
 def _cmd_simulate(args) -> int:
@@ -130,7 +114,7 @@ def _cmd_calibrate(args) -> int:
     result = sweep_bands(
         dataset, grid, args.order, max_lag=lag_window(args.max_delay_s, sample_rate)
     )
-    write_calibration_report(args.report, result)
+    write_calibration_report(args.report, result, args.max_delay_s, sample_rate)
     if args.svg:
         xs, ys = linear_fit_points(
             result.positions_mm, result.best.slope_s_per_mm, result.best.intercept_s
@@ -161,10 +145,11 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_learn(args) -> int:
-    filt_spec = _resolve_filter(args)
+    spec, max_delay_s, rate = read_calibration_estimator(args.calibration)
     dataset = pipeline.load_dataset(args.dataset, "prototype")
-    filt = design_bandpass(filt_spec, dataset.sample_rate)
-    pset, skipped = pipeline.learn_prototypes(dataset, filt, max_delay_s=args.max_delay_s)
+    filt = design_bandpass(spec, rate)
+    _check_rate(dataset.sample_rate, filt, args.calibration)
+    pset, skipped = pipeline.learn_prototypes(dataset, filt, max_delay_s=max_delay_s)
     for name, reason in skipped:
         print(f"warning: skipped {name}: {reason}", file=sys.stderr)
     grnn.save_prototypes(args.db, pset)
@@ -175,14 +160,12 @@ def _cmd_learn(args) -> int:
 def _cmd_locate(args) -> int:
     pset, filt, max_delay_s = _load_database(args)
     rows = []
-    failures = 0
     for name in args.files:
         try:
             ch1, ch2 = read_waveform_pair(name)
             _check_rate(ch1.sample_rate, filt, args.db)
             est = pipeline.locate_pair(pset, filt, ch1, ch2, max_delay_s=max_delay_s)
         except (ValueError, OSError) as exc:
-            failures += 1
             rows.append((name, None, f"failed: {exc}"))
             print(f"{name}: error: {exc}", file=sys.stderr)
             continue
@@ -193,7 +176,7 @@ def _cmd_locate(args) -> int:
         )
     if args.out:
         pipeline.write_location_report(args.out, rows)
-    return 2 if failures else 0
+    return 2 if any(est is None for _, est, _ in rows) else 0
 
 
 def _cmd_evaluate(args) -> int:
@@ -254,18 +237,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-start", type=_positive_float, help="sweep start in Hz")
     p.add_argument("--f-stop", type=_positive_float, help="sweep stop in Hz")
     p.add_argument("--order", type=_positive_int, help="poles per band edge")
-    _add_delay_flags(p)
+    p.add_argument("--max-delay-s", type=_positive_float, default=pipeline.DEFAULT_MAX_DELAY_S,
+                   help="largest |delay| searched in the correlation, in seconds")
     p.set_defaults(func=_cmd_calibrate, order=FilterSpec.order, **asdict(BandGrid()))
 
     p = sub.add_parser("learn", help="build the prototype database from calibration signals")
     p.add_argument("dataset", help="dataset directory containing manifest.txt")
     p.add_argument("--db", required=True, help="prototype database output path")
-    p.add_argument("--calibration", metavar="REPORT", help="report to take the band from")
-    p.add_argument("--f-low", type=_positive_float, help="bandpass lower edge in Hz")
-    p.add_argument("--f-high", type=_positive_float, help="bandpass upper edge in Hz")
-    order_help = f"poles per band edge with --f-low/--f-high (default {FilterSpec.order})"
-    p.add_argument("--order", type=_positive_int, help=order_help)
-    _add_delay_flags(p)
+    p.add_argument("--calibration", metavar="REPORT", required=True,
+                   help="report to take the band, order, delay window and sample rate from")
     p.set_defaults(func=_cmd_learn)
 
     p = sub.add_parser("locate", help="estimate source positions for signal files")

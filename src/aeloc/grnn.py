@@ -15,7 +15,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .util import atomic_write_text, fmt, parse_number
+from .util import atomic_write_text, fmt, key_value_fields, parse_number
 
 # weights below this contribute nothing detectable to the average
 SUPPORT_EPS = 1e-6
@@ -165,7 +165,7 @@ def estimate(pset: PrototypeSet, query) -> Estimate:
     )
 
 
-_DB_HEADER = re.compile(r"^#\s*given_dim=(\d+)\s+hidden_dim=(\d+)((?:\s+\w+=\S+)*)\s*$")
+_DB_HEADER = re.compile(r"^#\s*given_dim=\d+\s+hidden_dim=\d+(?:\s+\w+=\S+)*\s*$")
 
 
 def save_prototypes(path: str | Path, pset: PrototypeSet) -> Path:
@@ -181,16 +181,12 @@ def save_prototypes(path: str | Path, pset: PrototypeSet) -> Path:
 def load_prototypes(path: str | Path) -> PrototypeSet:
     path = Path(path)
     with open(path) as fh:
-        m = _DB_HEADER.match(fh.readline())
-        if m is None:
+        if not _DB_HEADER.match(first := fh.readline()):
             raise ValueError(f"{path}: first line must be '# given_dim=S hidden_dim=D ...'")
-        s_dim, d_dim = int(m.group(1)), int(m.group(2))
-        header = {}
-        for key, _, value in (item.partition("=") for item in m.group(3).split()):
-            if key in header or key in ("given_dim", "hidden_dim"):
-                raise ValueError(f"{path}:1: header field {key!r} appears twice")
-            kind = int if value.lstrip("-").isdigit() else float
-            header[key] = parse_number(value, f"{path}:1: {key}", kind)
+        fields = key_value_fields(path, [(1, first)])
+        s_dim, d_dim = (int(fields.pop(key)[1]) for key in ("given_dim", "hidden_dim"))
+        header = {k: parse_number(v, f"{path}:1: {k}", int if v.lstrip("-").isdigit() else float)
+                  for k, (_, v) in fields.items()}
         rows = []
         for ln, line in enumerate(fh, start=2):
             line = line.strip()

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .signals import Waveform, write_waveform_pair
-from .util import KM_S_TO_MM_S, atomic_write_text, fmt, parse_number
+from .util import KM_S_TO_MM_S, atomic_write_text, fmt, key_value_fields, parse_number
 
 DISCRETE_BURST = "discrete-burst"
 CONTINUOUS_NOISE = "continuous-noise"
@@ -345,15 +345,13 @@ def write_manifest(path: str | Path, model: SpecimenModel, rows: list[ManifestRo
 
 def read_manifest(path: str | Path) -> tuple[dict, list[ManifestRow]]:
     path = Path(path)
-    meta: dict = {}
     rows: list[ManifestRow] = []
     with open(path) as fh:
         first = fh.readline().strip()
         if not first.startswith("#"):
             raise ValueError(f"{path}: manifest must start with a '# key=value ...' line")
-        for token in first.lstrip("#").split():
-            key, _, value = token.partition("=")
-            meta[key] = parse_number(value, f"{path}:1: {key}")
+        fields = key_value_fields(path, [(1, first)])
+        meta = {key: parse_number(value, f"{path}:1: {key}") for key, (_, value) in fields.items()}
         header = fh.readline().strip()
         if header != "file,role,position_mm,kind":
             raise ValueError(f"{path}: unexpected manifest column header {header!r}")

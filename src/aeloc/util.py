@@ -55,3 +55,17 @@ def parse_number(text: str, where: str, kind=float):
     if not math.isfinite(value):
         raise ValueError(f"{where}: number must be finite, got {text!r}")
     return value
+
+
+def key_value_fields(path, lines) -> dict[str, tuple[int, str]]:
+    """``{key: (line, value)}`` of the blank-separated ``key=value`` tokens of ``(line, text)``
+    items, a leading ``#`` dropped: the database, manifest and calibration-summary fields.
+    A key given twice raises ``ValueError`` led by ``<path>:<line>:``."""
+    fields: dict[str, tuple[int, str]] = {}
+    for ln, text in lines:
+        for token in text.lstrip().lstrip("#").split():
+            key, _, value = token.partition("=")
+            if key in fields:
+                raise ValueError(f"{path}:{ln}: header field {key!r} appears twice")
+            fields[key] = (ln, value)
+    return fields

@@ -23,6 +23,16 @@ def build_dataset(out_dir, *, specimen=None, prototypes=None, tests=None,
     return cfg
 
 
+def summary_report(path, f_low=35_000.0, f_high=45_000.0, *, order=4, max_delay_s=2.5e-3,
+                   sample_rate=1e6):
+    """Write a calibration report of the summary fields ``learn`` reads: band, order, delay
+    window and sample rate; return its path."""
+    fields = dict(best_f_low_hz=f_low, best_f_high_hz=f_high, filter_order=order,
+                  max_delay_s=max_delay_s, sample_rate_hz=sample_rate)
+    path.write_text("".join(f"# {key}={value!r}\n" for key, value in fields.items()))
+    return path
+
+
 @pytest.fixture(scope="session")
 def noiseless_dataset(tmp_path_factory):
     """Default dispersive geometry without noise: 12 prototypes plus a few probe tests.

@@ -11,6 +11,7 @@ from aeloc.calibration import (
     _robust_fit,
     estimate_velocity,
     fit_line,
+    read_calibration_estimator,
     read_calibration_summary,
     rmse_surface_is_flat,
     sweep_bands,
@@ -461,13 +462,15 @@ def test_sweep_skips_invalid_bands_with_warning(sweep_result):
 def test_report_roundtrip(tmp_path, sweep_result):
     _, result = sweep_result
     path = tmp_path / "calibration.csv"
-    write_calibration_report(path, result)
+    write_calibration_report(path, result, 1.5e-3, 1e6)
     lines = path.read_text().splitlines()
     assert lines[0] == "f_low_hz,f_high_hz,rmse_mm,slope_s_per_mm"
     assert len([l for l in lines if not l.startswith("#")]) == 1 + len(result.records)
+    assert lines[-2:] == ["# max_delay_s=0.0015", "# sample_rate_hz=1000000.0"]
     spec, velocity = read_calibration_summary(path)
     assert spec == result.best_band
     assert velocity == result.velocity_km_s
+    assert read_calibration_estimator(path) == (result.best_band, 1.5e-3, 1e6)
 
 
 def test_summary_parse_rejects_incomplete_report(tmp_path):

@@ -24,7 +24,7 @@ from aeloc.signals import (
 )
 from aeloc.simulator import MANIFEST_NAME, default_config
 
-from conftest import build_dataset
+from conftest import build_dataset, summary_report
 
 FS = 1_000_000.0
 
@@ -232,7 +232,7 @@ def test_shared_parser_keeps_no_state_between_calls(learned, tmp_path, capsys):
 
 _FLAG_ARGV = {
     "calibrate": ["calibrate", "data", "--report", "r.csv"],
-    "learn": ["learn", "data", "--db", "p.db", "--f-low", "35000", "--f-high", "45000"],
+    "learn": ["learn", "data", "--db", "p.db", "--calibration", "c.csv"],
     "locate": ["locate", "p.db", "t.txt"],
     "evaluate": ["evaluate", "p.db", "data", "--report", "e.csv", "--calibration", "c.csv"],
     "simulate": ["simulate", "--out", "data"],
@@ -244,13 +244,10 @@ _FLAG_ARGV = {
     "command, flag",
     [
         ("calibrate", "--max-delay-s"),
-        ("learn", "--max-delay-s"),
         ("calibrate", "--width"),
         ("calibrate", "--step"),
         ("calibrate", "--f-start"),
         ("calibrate", "--f-stop"),
-        ("learn", "--f-low"),
-        ("learn", "--f-high"),
     ],
 )
 def test_float_flags_refuse_non_finite_and_non_positive(tmp_path, monkeypatch, capsys,
@@ -267,13 +264,14 @@ def test_float_flags_refuse_non_finite_and_non_positive(tmp_path, monkeypatch, c
     + [("evaluate", "--sensor-separation=2400")]
     + [
         (command, flag)
-        for command in ("locate", "evaluate")
+        for command in ("learn", "locate", "evaluate")
         for flag in ("--f-low=35000", "--f-high=45000", "--order=4", "--max-delay-s=1e-4")
     ],
 )
 def test_retired_flags_are_usage_errors(tmp_path, monkeypatch, capsys, command, flag):
-    # every stage refines its delays, evaluate takes the separation from the manifest, and
-    # locate and evaluate take the band, order and delay window from the database
+    # every stage refines its delays, evaluate takes the separation from the manifest, learn
+    # takes the band, order and delay window from the calibration report, and locate and
+    # evaluate take them from the database
     monkeypatch.chdir(tmp_path)  # nothing is read: the flag fails while parsing
     assert cli.main([*_FLAG_ARGV[command], flag]) == 1
     assert "unrecognized arguments: " + flag in capsys.readouterr().err
@@ -282,9 +280,7 @@ def test_retired_flags_are_usage_errors(tmp_path, monkeypatch, capsys, command, 
 @pytest.mark.parametrize(
     "command, flag, value",
     [
-        *[(command, "--order", value)
-          for command in ("calibrate", "learn")
-          for value in ("0", "-3", "2.5", "ten")],
+        *[("calibrate", "--order", value) for value in ("0", "-3", "2.5", "ten")],
         *[("simulate", "--seed", value) for value in ("-1", "1.5", "ten")],
     ],
 )
@@ -375,10 +371,11 @@ def test_manifest_rate_disagreeing_with_files_is_a_data_error(tmp_path, capsys, 
     manifest = tmp_path / MANIFEST_NAME
     text = manifest.read_text().replace("sample_rate_hz=1000000.0", "sample_rate_hz=500000.0")
     manifest.write_text(text)
-    out = tmp_path / "out"
+    # the report agrees with the manifest, so what learn refuses is the files' rate
+    out, band = tmp_path / "out", summary_report(tmp_path / "band.csv", 3e4, 4e4, sample_rate=5e5)
     argv = {
         "calibrate": ["calibrate", str(tmp_path), "--report", str(out)],
-        "learn": ["learn", str(tmp_path), "--db", str(out), "--f-low", "3e4", "--f-high", "4e4"],
+        "learn": ["learn", str(tmp_path), "--db", str(out), "--calibration", str(band)],
     }[command]
     assert cli.main(argv) == 2
     assert "differs from the manifest's 500000.0 Hz" in capsys.readouterr().err
@@ -393,10 +390,10 @@ def test_manifest_row_with_an_unknown_role_is_a_data_error(tmp_path, capsys, com
     ln = next(i for i, line in enumerate(lines, start=1) if line.startswith("prototype_03.txt,"))
     lines[ln - 1] = lines[ln - 1].replace(",prototype,", ",prototyp,")
     manifest.write_text("\n".join(lines) + "\n")
-    out = tmp_path / "out"
+    out, band = tmp_path / "out", summary_report(tmp_path / "band.csv", 3e4, 4e4)
     argv = {
         "calibrate": ["calibrate", str(tmp_path), "--report", str(out)],
-        "learn": ["learn", str(tmp_path), "--db", str(out), "--f-low", "3e4", "--f-high", "4e4"],
+        "learn": ["learn", str(tmp_path), "--db", str(out), "--calibration", str(band)],
     }[command]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
@@ -410,10 +407,10 @@ def test_prototype_file_missing_from_the_manifest_is_a_data_error(tmp_path, caps
     manifest = tmp_path / MANIFEST_NAME
     lines = manifest.read_text().splitlines(keepends=True)
     manifest.write_text("".join(ln for ln in lines if not ln.startswith("prototype_03.txt,")))
-    out = tmp_path / "out"
+    out, band = tmp_path / "out", summary_report(tmp_path / "band.csv", 3e4, 4e4)
     argv = {
         "calibrate": ["calibrate", str(tmp_path), "--report", str(out)],
-        "learn": ["learn", str(tmp_path), "--db", str(out), "--f-low", "3e4", "--f-high", "4e4"],
+        "learn": ["learn", str(tmp_path), "--db", str(out), "--calibration", str(band)],
     }[command]
     assert cli.main(argv) == 2
     assert "on disk but not in manifest: prototype_03.txt" in capsys.readouterr().err
@@ -427,10 +424,10 @@ def test_truncated_prototype_file_is_a_data_error(tmp_path, capsys, command):
     cut = tmp_path / "prototype_03.txt"
     lines = cut.read_text().splitlines(keepends=True)
     cut.write_text("".join(lines[:6001]))  # the header and 6000 of 8192 sample lines
-    out = tmp_path / "out"
+    out, band = tmp_path / "out", summary_report(tmp_path / "band.csv", 3e4, 4e4)
     argv = {
         "calibrate": ["calibrate", str(tmp_path), "--report", str(out)],
-        "learn": ["learn", str(tmp_path), "--db", str(out), "--f-low", "3e4", "--f-high", "4e4"],
+        "learn": ["learn", str(tmp_path), "--db", str(out), "--calibration", str(band)],
     }[command]
     assert cli.main(argv) == 2
     first = tmp_path / "prototype_00.txt"
@@ -452,8 +449,8 @@ def test_prototype_records_are_dropped_before_the_next_is_read(tmp_path, monkeyp
     monkeypatch.setattr(pipeline, "read_waveform_pair", reading)
     argv = {
         "calibrate": ["calibrate", str(tmp_path), "--report", str(tmp_path / "r.csv")],
-        "learn": ["learn", str(tmp_path), "--db", str(tmp_path / "p.db"),
-                  "--f-low", "3e4", "--f-high", "4e4"],
+        "learn": ["learn", str(tmp_path), "--db", str(tmp_path / "p.db"), "--calibration",
+                  str(summary_report(tmp_path / "band.csv", 3e4, 4e4))],
     }[command]
     assert cli.main(argv) == 0
     assert alive == [0] * 6
@@ -549,15 +546,23 @@ def _log_pair_reads(monkeypatch) -> Counter:
     return reads
 
 
-LEARN_ARGS = ["--f-low", "35000", "--f-high", "45000", "--max-delay-s", "1e-4"]
+def _band_report(tmp_path, **fields):
+    """The 35-45 kHz report the synthetic prototypes are learned with; a 100-sample window."""
+    return summary_report(tmp_path / "band.csv", **{"max_delay_s": 1e-4, **fields})
+
+
+def _learn(tmp_path, report):
+    return cli.main(["learn", str(tmp_path), "--db", str(tmp_path / "p.db"),
+                     "--calibration", str(report)])
 
 
 def test_learn_reads_each_prototype_once(tmp_path, monkeypatch):
     # calibrate too; without a manifest rate only the first file's header line is read for it
     write_synthetic_prototypes(tmp_path, shifts=[-20, 0, 20], positions=[100.0, 200.0, 300.0])
     cal_args = ["--f-start", "35000", "--f-stop", "45000", "--max-delay-s", "1e-4"]
+    band = _band_report(tmp_path)
     commands = (
-        ["learn", str(tmp_path), "--db", str(tmp_path / "p.db"), *LEARN_ARGS],
+        ["learn", str(tmp_path), "--db", str(tmp_path / "p.db"), "--calibration", str(band)],
         ["calibrate", str(tmp_path), "--report", str(tmp_path / "cal.csv"), *cal_args],
     )
     manifest = tmp_path / MANIFEST_NAME
@@ -575,9 +580,8 @@ def test_learn_takes_rate_from_first_prototype_without_manifest_rate(tmp_path):
     manifest = tmp_path / MANIFEST_NAME
     text = manifest.read_text().replace(" sample_rate_hz=1000000.0", "")
     manifest.write_text(text)
-    db = tmp_path / "p.db"
-    assert cli.main(["learn", str(tmp_path), "--db", str(db), *LEARN_ARGS]) == 0
-    assert len(load_prototypes(db)) == 3
+    assert _learn(tmp_path, _band_report(tmp_path)) == 0
+    assert len(load_prototypes(tmp_path / "p.db")) == 3
 
 
 def test_learn_skips_out_of_window_prototypes(tmp_path, capsys):
@@ -586,25 +590,11 @@ def test_learn_skips_out_of_window_prototypes(tmp_path, capsys):
     write_synthetic_prototypes(
         tmp_path, shifts=[-300, -20, 20, 300], positions=[100.0, 200.0, 300.0, 400.0]
     )
-    db = tmp_path / "p.db"
-    code = cli.main(
-        [
-            "learn",
-            str(tmp_path),
-            "--db",
-            str(db),
-            "--f-low",
-            "35000",
-            "--f-high",
-            "45000",
-            "--max-delay-s",
-            "1e-4",
-        ]
-    )
+    code = _learn(tmp_path, _band_report(tmp_path))
     captured = capsys.readouterr()
     assert code == 0
     assert captured.err.count("skipped") == 2
-    assert len(load_prototypes(db)) == 2
+    assert len(load_prototypes(tmp_path / "p.db")) == 2
 
 
 def test_learn_lists_silent_and_out_of_window_prototypes_in_manifest_order(tmp_path):
@@ -630,21 +620,7 @@ def test_learn_fails_when_too_few_survive(tmp_path, capsys):
     write_synthetic_prototypes(
         tmp_path, shifts=[-300, 300, 325], positions=[100.0, 200.0, 300.0]
     )
-    code = cli.main(
-        [
-            "learn",
-            str(tmp_path),
-            "--db",
-            str(tmp_path / "p.db"),
-            "--f-low",
-            "35000",
-            "--f-high",
-            "45000",
-            "--max-delay-s",
-            "1e-4",
-        ]
-    )
-    assert code == 2
+    assert _learn(tmp_path, _band_report(tmp_path)) == 2
     assert "survived" in capsys.readouterr().err
 
 
@@ -652,33 +628,54 @@ def test_learn_rejects_duplicate_positions(tmp_path, capsys):
     write_synthetic_prototypes(
         tmp_path, shifts=[-40, -40, 40], positions=[100.0, 100.0, 300.0]
     )
-    code = cli.main(
-        ["learn", str(tmp_path), "--db", str(tmp_path / "p.db"), "--f-low", "35000",
-         "--f-high", "45000"]
-    )
-    assert code == 2
+    assert _learn(tmp_path, summary_report(tmp_path / "band.csv")) == 2
     assert "duplicate prototype positions" in capsys.readouterr().err
 
 
-def test_learn_requires_filter_flags(learned):
+def test_learn_requires_filter_flags(learned, capsys):
     _, data, _, _ = learned
     assert cli.main(["learn", str(data), "--db", "/tmp/unused.db"]) == 1
+    assert "the following arguments are required: --calibration" in capsys.readouterr().err
 
 
-def test_order_with_calibration_is_a_usage_error(learned, tmp_path, capsys):
-    _, data, report, _ = learned
+def test_learn_takes_the_delay_window_from_calibrate(learned, tmp_path):
+    _, data, _, _ = learned
+    report, db = tmp_path / "cal.csv", tmp_path / "p.db"
+    grid = ["--f-start", "30000", "--f-stop", "50000", "--step", "5000"]
+    assert cli.main(["calibrate", str(data), "--report", str(report), *grid,
+                     "--max-delay-s", "0.0015"]) == 0
+    assert "# max_delay_s=0.0015" in report.read_text().splitlines()
+    assert cli.main(["learn", str(data), "--db", str(db), "--calibration", str(report)]) == 0
+    assert load_prototypes(db).header["max_delay_s"] == 0.0015
+
+
+@pytest.mark.parametrize("field", ["max_delay_s", "sample_rate_hz"])
+@pytest.mark.parametrize("command", ["learn", "locate", "evaluate"])
+def test_a_report_without_the_delay_window_or_rate_is_refused(learned, tmp_path, capsys,
+                                                             command, field):
+    # every report written before calibrate recorded them
+    _, data, report, db = learned
+    old = tmp_path / "old.csv"
+    old.write_text("".join(line for line in report.read_text().splitlines(keepends=True)
+                           if not line.startswith(f"# {field}=")))
     out = tmp_path / "out"
-    argv = ["learn", str(data), "--db", str(out), "--calibration", str(report), "--order", "6"]
-    assert cli.main(argv) == 1
-    assert "--order" in capsys.readouterr().err
+    argv = {
+        "learn": ["learn", str(data), "--db", str(out)],
+        "locate": ["locate", str(db), str(data / "test_02.txt"), "--out", str(out)],
+        "evaluate": ["evaluate", str(db), str(data), "--report", str(out)],
+    }[command]
+    assert cli.main([*argv, "--calibration", str(old)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {old}: calibration summary is missing {field!r}; calibrate again" in err
     assert not out.exists()
 
 
-def test_order_defaults_to_four_with_explicit_band(tmp_path):
+def test_learn_refuses_a_dataset_at_another_rate_than_the_report(tmp_path, capsys):
     write_synthetic_prototypes(tmp_path, shifts=[-20, 0, 20], positions=[100.0, 200.0, 300.0])
-    for args, db in ((LEARN_ARGS, "p4.db"), ([*LEARN_ARGS, "--order", "4"], "q4.db")):
-        assert cli.main(["learn", str(tmp_path), "--db", str(tmp_path / db), *args]) == 0
-    assert (tmp_path / "p4.db").read_bytes() == (tmp_path / "q4.db").read_bytes()
+    band = _band_report(tmp_path, sample_rate=5e5)
+    assert _learn(tmp_path, band) == 2
+    assert f"sample rate 1000000.0 Hz differs from {band}'s 500000.0 Hz" in capsys.readouterr().err
+    assert not (tmp_path / "p.db").exists()
 
 
 def test_database_file_round_trips_via_cli_reload(learned, tmp_path):
@@ -727,12 +724,7 @@ def test_locate_out_of_span_source_is_flagged(tmp_path, capsys):
             seed=12,
         )
     db = tmp_path / "p.db"
-    assert (
-        cli.main(
-            ["learn", str(tmp_path), "--db", str(db), "--f-low", "35000", "--f-high", "45000"]
-        )
-        == 0
-    )
+    assert _learn(tmp_path, summary_report(tmp_path / "band.csv")) == 0
     assert cli.main(["locate", str(db), str(tmp_path / "test_00.txt")]) == 0
     assert "extrapolated True" in capsys.readouterr().out
 
@@ -765,7 +757,7 @@ def test_locate_boundary_delay_flagged_without_estimate(tmp_path, capsys):
     # the database is learned with a 100-sample window, which locate then searches
     write_synthetic_prototypes(tmp_path, shifts=[-20, 0, 20], positions=[100.0, 200.0, 300.0])
     db = tmp_path / "p.db"
-    assert cli.main(["learn", str(tmp_path), "--db", str(db), *LEARN_ARGS]) == 0
+    assert _learn(tmp_path, _band_report(tmp_path)) == 0
     ch1, ch2 = _shifted_pair(300)  # well past the window
     pair = tmp_path / "far_source.txt"
     write_waveform_pair(pair, ch1, ch2)
@@ -813,7 +805,8 @@ def test_location_report_quotes_a_failure_message_with_commas(learned, tmp_path)
     "command, case",
     [
         *[(command, case)
-          for case in ("report-band", "report-order", "unlearned-database")
+          for case in ("report-band", "report-order", "report-window", "report-rate",
+                       "unlearned-database")
           for command in ("locate", "evaluate")],
         ("locate", "pair-rate"),
         ("evaluate", "dataset-rate"),
@@ -825,7 +818,8 @@ def test_locate_and_evaluate_refuse_what_the_database_was_not_learned_with(
     _, data, report, db = learned
     out = tmp_path / "out.csv"
     dataset, extra = data, []
-    edits = {"report-band": ("best_f_low_hz", "31234.0"), "report-order": ("filter_order", "6")}
+    edits = {"report-band": ("best_f_low_hz", "31234.0"), "report-order": ("filter_order", "6"),
+             "report-window": ("max_delay_s", "0.0015"), "report-rate": ("sample_rate_hz", "5e5")}
     if case in edits:
         key, value = edits[case]
         lines = [f"# {key}={value}" if line.startswith(f"# {key}=") else line
@@ -875,21 +869,18 @@ def test_a_matching_calibration_report_changes_no_output(learned, tmp_path, caps
     assert outputs[0] == outputs[1]
 
 
-def test_learn_writes_its_flags_into_the_database_header(tmp_path, capsys):
+def test_learn_writes_the_report_estimator_into_the_database_header(tmp_path, capsys):
     write_synthetic_prototypes(tmp_path, shifts=[-20, 0, 20], positions=[100.0, 200.0, 300.0])
     db = tmp_path / "p.db"
-    argv = ["learn", str(tmp_path), "--db", str(db), *LEARN_ARGS, "--order", "6"]
-    assert cli.main(argv) == 0
+    band = _band_report(tmp_path, order=6)
+    assert _learn(tmp_path, band) == 0
     assert db.read_text().splitlines()[0] == (
         "# given_dim=1 hidden_dim=1 f_low_hz=35000.0 f_high_hz=45000.0 order=6 "
         "max_delay_s=0.0001 sample_rate_hz=1000000.0"
     )
     assert load_prototypes(db).header["order"] == 6
     # locate reads the order back: a report naming the default order 4 is refused
-    report = tmp_path / "cal.csv"
-    summary = ("best_f_low_hz=35000.0", "best_f_high_hz=45000.0", "filter_order=4",
-               "velocity_km_s=1.7")
-    report.write_text("".join(f"# {line}\n" for line in summary))
+    report = _band_report(tmp_path, order=4)
     pair = tmp_path / "prototype_01.txt"
     assert cli.main(["locate", str(db), str(pair), "--calibration", str(report)]) == 2
     assert cli.main(["locate", str(db), str(pair)]) == 0
@@ -1028,12 +1019,7 @@ def test_evaluate_noiseless_nondispersive_mean_error_under_5mm(tmp_path, capsys)
         seed=14,
     )
     db = tmp_path / "p.db"
-    assert (
-        cli.main(
-            ["learn", str(tmp_path), "--db", str(db), "--f-low", "35000", "--f-high", "45000"]
-        )
-        == 0
-    )
+    assert _learn(tmp_path, summary_report(tmp_path / "band.csv")) == 0
     report = tmp_path / "eval.csv"
     code = cli.main(
         ["evaluate", str(db), str(tmp_path), "--report", str(report)]

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from aeloc.calibration import read_calibration_summary
+from aeloc.calibration import read_calibration_estimator, read_calibration_summary
 from aeloc.grnn import load_prototypes
 from aeloc.signals import read_waveform_pair
 from aeloc.simulator import read_manifest
@@ -19,6 +19,8 @@ _REPORT = (
     "# best_f_high_hz=45000.0\n"
     "# filter_order=4\n"
     "# velocity_km_s=1.7\n"
+    "# max_delay_s=0.0025\n"
+    "# sample_rate_hz=1000000.0\n"
 )
 
 # (reader, file name, file text, line the error must name)
@@ -62,6 +64,12 @@ CASES = {
         + "prototype_00.txt,prototype,900.0,discrete-burst\n"
         + "test_00.txt,test,nan,continuous-noise\n",
         4,
+    ),
+    "manifest-repeated-field": (
+        read_manifest,
+        "manifest.txt",
+        _MANIFEST_HEADER.replace("\n", " sensor_1_mm=900.0\n") + _MANIFEST_COLUMNS,
+        1,
     ),
     "manifest-infinite-sensor": (
         read_manifest,
@@ -111,6 +119,24 @@ CASES = {
         _REPORT.replace("best_f_low_hz=35000.0", "best_f_low_hz=55000.0"),
         3,
     ),
+    "report-repeated-band": (
+        read_calibration_summary,
+        "calibration.csv",
+        _REPORT + "# best_f_low_hz=36000.0\n# best_f_high_hz=46000.0\n",
+        9,
+    ),
+    "report-zero-delay-window": (
+        read_calibration_estimator,
+        "calibration.csv",
+        _REPORT.replace("max_delay_s=0.0025", "max_delay_s=0.0"),
+        7,
+    ),
+    "report-negative-sample-rate": (
+        read_calibration_estimator,
+        "calibration.csv",
+        _REPORT.replace("sample_rate_hz=1000000.0", "sample_rate_hz=-1000000.0"),
+        8,
+    ),
     "pair-zero-sample-rate": (
         read_waveform_pair,
         "pair.txt",
@@ -127,3 +153,27 @@ def test_readers_name_path_and_line_of_a_bad_number(tmp_path, case):
     path.write_text(text)
     with pytest.raises(ValueError, match="^" + re.escape(f"{path}:{line}: ")):
         reader(path)
+
+
+
+@pytest.mark.parametrize(
+    "reader, name, text, line, key",
+    [
+        (read_manifest, "manifest.txt",
+         _MANIFEST_HEADER.replace("\n", " sensor_1_mm=900.0\n") + _MANIFEST_COLUMNS, 1,
+         "sensor_1_mm"),
+        (load_prototypes, "p.db", "# given_dim=1 hidden_dim=1 order=4 order=8\n0.0,1.0,1.0\n", 1,
+         "order"),
+        (read_calibration_summary, "calibration.csv", _REPORT + "# best_f_low_hz=36000.0\n", 9,
+         "best_f_low_hz"),
+    ],
+    ids=["manifest", "database", "calibration-summary"],
+)
+def test_a_repeated_header_field_is_refused_not_overwritten(tmp_path, reader, name, text, line,
+                                                            key):
+    # the last value used to win without a word
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        reader(path)
+    assert str(info.value) == f"{path}:{line}: header field {key!r} appears twice"
