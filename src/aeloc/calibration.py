@@ -14,13 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import (
+    BandpassFilter,
     CrossSpectra,
     FilterSpec,
     apply_filter,  # noqa: F401  (kept importable by name for perfbench's alias test)
     design_bandpass,
     pick_delays,
 )
-from .util import KM_S_TO_MM_S, atomic_write_text, fmt, key_value_fields, parse_number
+from .util import KM_S_TO_MM_S, atomic_write_text, fmt, key_value_fields, positive_field
 
 
 @dataclass(frozen=True)
@@ -244,53 +245,33 @@ def rmse_surface_is_flat(result: CalibrationResult, sample_rate: float) -> bool:
 
 def write_calibration_report(path, result: CalibrationResult, max_delay_s: float,
                              sample_rate: float) -> None:
-    """Delimited per-band table plus a '#'-prefixed summary block, which ends in the delay
-    window ``max_delay_s`` the sweep was given and the sample rate in Hz."""
+    """Delimited per-band table plus a '#'-prefixed summary block: the velocity, the outliers,
+    then the fields of the estimator ``learn`` takes, the best band at ``sample_rate`` with the
+    delay window ``max_delay_s`` the sweep was given."""
+    est = BandpassFilter(result.best_band, sample_rate, max_delay_s)
     lines = ["f_low_hz,f_high_hz,rmse_mm,slope_s_per_mm"]
     for rec in result.records:
         lines.append(
             f"{fmt(rec.band.f_low)},{fmt(rec.band.f_high)},"
             f"{fmt(rec.rmse_mm)},{fmt(rec.slope_s_per_mm)}"
         )
-    lines.append(f"# best_f_low_hz={fmt(result.best_band.f_low)}")
-    lines.append(f"# best_f_high_hz={fmt(result.best_band.f_high)}")
-    lines.append(f"# filter_order={result.best_band.order}")
     lines.append(f"# velocity_km_s={fmt(result.velocity_km_s)}")
     lines.append("# outlier_indices=" + ",".join(str(i) for i in result.outliers))
-    lines.append(f"# max_delay_s={fmt(max_delay_s)}")
-    lines.append(f"# sample_rate_hz={fmt(sample_rate)}")
+    lines.extend(f"# {key}={fmt(value)}" for key, value in est.fields().items())
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _read_summary(path, *keys) -> tuple:
-    """The chosen band of a calibration report, then its summary numbers ``keys``; every
-    summary number must be present, finite and positive."""
+def read_calibration_report(path) -> tuple[BandpassFilter, float]:
+    """The estimator a calibration report records (:meth:`BandpassFilter.read`) and its
+    velocity in km/s, which must be finite and positive too."""
     with open(path) as fh:
         lines = [(ln, line.strip()) for ln, line in enumerate(fh, start=1)]
     summary = key_value_fields(path, [(ln, t) for ln, t in lines if t.startswith("#") and "=" in t])
-
-    def number(key: str, kind=float):
-        if key not in summary:
-            raise ValueError(f"{path}: calibration summary is missing {key!r}; calibrate again")
-        ln, text = summary[key]
-        if (value := parse_number(text, f"{path}:{ln}: {key}", kind)) <= 0:
-            raise ValueError(f"{path}:{ln}: {key} must be positive, got {text!r}")
-        return value
-
-    low, high = number("best_f_low_hz"), number("best_f_high_hz")
-    order = number("filter_order", int)
-    try:
-        spec = FilterSpec(low, high, order)
-    except ValueError as exc:  # the edges and the order are positive: the band is inverted
-        raise ValueError(f"{path}:{summary['best_f_low_hz'][0]}: {exc}") from None
-    return spec, *(number(key) for key in keys)
+    filt = BandpassFilter.read(path, summary, "calibrate again")
+    return filt, positive_field(path, summary, "velocity_km_s", "calibrate again")
 
 
 def read_calibration_summary(path) -> tuple[FilterSpec, float]:
-    """Recover the chosen band and velocity from a calibration report."""
-    return _read_summary(path, "velocity_km_s")
-
-
-def read_calibration_estimator(path) -> tuple[FilterSpec, float, float]:
-    """The band, delay window in s and sample rate in Hz that ``learn`` takes from a report."""
-    return _read_summary(path, "max_delay_s", "sample_rate_hz")
+    """The chosen band and velocity of a calibration report (:func:`read_calibration_report`)."""
+    est, velocity = read_calibration_report(path)
+    return est.spec, velocity

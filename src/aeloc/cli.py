@@ -15,12 +15,12 @@ from dataclasses import asdict, replace
 from . import grnn, pipeline
 from .calibration import (
     BandGrid,
-    read_calibration_estimator,
+    read_calibration_report,
     rmse_surface_is_flat,
     sweep_bands,
     write_calibration_report,
 )
-from .signals import BandpassFilter, FilterSpec, design_bandpass, lag_window, read_waveform_pair
+from .signals import BandpassFilter, FilterSpec, lag_window, read_waveform_pair
 from .simulator import default_config, load_config, parse_config, run_experiment
 from .svgplot import linear_fit_points, scatter_svg
 from .util import atomic_write_text
@@ -65,27 +65,15 @@ _positive_int = _integer_at_least(1, "positive")
 _non_negative_int = _integer_at_least(0, "non-negative")
 
 
-def _load_database(args) -> tuple[grnn.PrototypeSet, BandpassFilter, float]:
-    """Database ``args.db``, its band filter and delay window; ``--calibration`` must match."""
-    pset = grnn.load_prototypes(args.db)
-    h = pset.header
-    try:
-        spec = FilterSpec(h["f_low_hz"], h["f_high_hz"], h["order"])
-        filt, max_delay_s = design_bandpass(spec, h["sample_rate_hz"]), h["max_delay_s"]
-    except (KeyError, ValueError) as exc:  # a KeyError: learned before the header held them
-        raise ValueError(f"{args.db}: bad or missing header field: {exc}; learn it again") from None
-    if args.calibration is not None:
-        report = read_calibration_estimator(args.calibration)
-        names = ("filter", "max_delay_s", "sample_rate_hz")
-        for name, theirs, ours in zip(names, report, (spec, max_delay_s, filt.sample_rate)):
-            if theirs != ours:
-                raise ValueError(f"{args.calibration}: {name} {theirs}, but {args.db} has {ours}")
-    return pset, filt, max_delay_s
-
-
-def _check_rate(rate: float, filt: BandpassFilter, source) -> None:
-    if rate != filt.sample_rate:
-        raise ValueError(f"sample rate {rate} Hz differs from {source}'s {filt.sample_rate} Hz")
+def _load_database(args) -> tuple[grnn.PrototypeSet, BandpassFilter]:
+    """Database ``args.db`` and its estimator, which ``--calibration``'s must equal."""
+    pset, filt = pipeline.load_database(args.db)
+    report = read_calibration_report(args.calibration)[0] if args.calibration else filt
+    if report != filt:
+        ours = filt.fields()
+        key, theirs = next((k, v) for k, v in report.fields().items() if v != ours[k])
+        raise ValueError(f"{args.calibration}: {key}={theirs}, but {args.db} has {ours[key]}")
+    return pset, filt
 
 
 def _cmd_simulate(args) -> int:
@@ -145,11 +133,10 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_learn(args) -> int:
-    spec, max_delay_s, rate = read_calibration_estimator(args.calibration)
+    filt, _ = read_calibration_report(args.calibration)
     dataset = pipeline.load_dataset(args.dataset, "prototype")
-    filt = design_bandpass(spec, rate)
-    _check_rate(dataset.sample_rate, filt, args.calibration)
-    pset, skipped = pipeline.learn_prototypes(dataset, filt, max_delay_s=max_delay_s)
+    filt.check_rate(dataset.sample_rate, args.calibration)
+    pset, skipped = pipeline.learn_prototypes(dataset, filt)
     for name, reason in skipped:
         print(f"warning: skipped {name}: {reason}", file=sys.stderr)
     grnn.save_prototypes(args.db, pset)
@@ -158,13 +145,13 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_locate(args) -> int:
-    pset, filt, max_delay_s = _load_database(args)
+    pset, filt = _load_database(args)
     rows = []
     for name in args.files:
         try:
             ch1, ch2 = read_waveform_pair(name)
-            _check_rate(ch1.sample_rate, filt, args.db)
-            est = pipeline.locate_pair(pset, filt, ch1, ch2, max_delay_s=max_delay_s)
+            filt.check_rate(ch1.sample_rate, args.db)
+            est = pipeline.locate_pair(pset, filt, ch1, ch2)
         except (ValueError, OSError) as exc:
             rows.append((name, None, f"failed: {exc}"))
             print(f"{name}: error: {exc}", file=sys.stderr)
@@ -180,10 +167,10 @@ def _cmd_locate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    pset, filt, max_delay_s = _load_database(args)
+    pset, filt = _load_database(args)
     dataset = pipeline.load_dataset(args.dataset, "test")
-    _check_rate(dataset.sample_rate, filt, args.db)
-    report = pipeline.evaluate_dataset(pset, filt, dataset, max_delay_s=max_delay_s)
+    filt.check_rate(dataset.sample_rate, args.db)
+    report = pipeline.evaluate_dataset(pset, filt, dataset)
     pipeline.write_evaluation_report(args.report, report)
     if args.svg:
         atomic_write_text(args.svg, pipeline.evaluation_scatter_svg(report, pset.hidden[:, 0]))
@@ -237,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-start", type=_positive_float, help="sweep start in Hz")
     p.add_argument("--f-stop", type=_positive_float, help="sweep stop in Hz")
     p.add_argument("--order", type=_positive_int, help="poles per band edge")
-    p.add_argument("--max-delay-s", type=_positive_float, default=pipeline.DEFAULT_MAX_DELAY_S,
+    p.add_argument("--max-delay-s", type=_positive_float, default=BandpassFilter.max_delay_s,
                    help="largest |delay| searched in the correlation, in seconds")
     p.set_defaults(func=_cmd_calibrate, order=FilterSpec.order, **asdict(BandGrid()))
 

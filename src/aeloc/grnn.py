@@ -28,23 +28,16 @@ def compute_sigmas(given) -> np.ndarray:
     neighbor is a duplicate is an error.
     """
     g = _as_columns(given)
-    n = g.shape[0]
-    if n < 2:
+    if len(g) < 2:
         raise ValueError("sigma undefined for a single prototype; supply sigma explicitly")
-    sigmas = np.empty(n)
-    for i in range(n):
-        diff = g - g[i]
-        dist = np.sqrt((diff * diff).sum(axis=1))
-        dist[i] = np.inf
-        dist[dist == 0.0] = np.inf
-        nearest = dist.min()
-        if not np.isfinite(nearest):
-            raise ValueError(
-                f"prototype {i} has no distinct neighbor (duplicated given vector); "
-                "sigma undefined"
-            )
-        sigmas[i] = 0.5 * nearest
-    return sigmas
+    diff = g[:, np.newaxis] - g[np.newaxis]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    dist[dist == 0.0] = np.inf  # a prototype itself and its duplicates are no neighbors
+    nearest = dist.min(axis=1)
+    if (alone := np.flatnonzero(~np.isfinite(nearest))).size:
+        raise ValueError(f"prototype {alone[0]} has no distinct neighbor (duplicated given "
+                         "vector); sigma undefined")
+    return 0.5 * nearest
 
 
 def _as_columns(arr) -> np.ndarray:
@@ -171,7 +164,7 @@ _DB_HEADER = re.compile(r"^#\s*given_dim=\d+\s+hidden_dim=\d+(?:\s+\w+=\S+)*\s*$
 def save_prototypes(path: str | Path, pset: PrototypeSet) -> Path:
     """Write the database as delimited text; floats round-trip exactly, integers stay integers."""
     head = dict(given_dim=pset.given_dim, hidden_dim=pset.hidden_dim, **pset.header)
-    lines = ["# " + " ".join(f"{k}={v if isinstance(v, int) else fmt(v)}" for k, v in head.items())]
+    lines = ["# " + " ".join(f"{k}={fmt(v)}" for k, v in head.items())]
     for g, h, s in zip(pset.given, pset.hidden, pset.sigmas):
         fields = [fmt(x) for x in g] + [fmt(x) for x in h] + [fmt(s)]
         lines.append(",".join(fields))

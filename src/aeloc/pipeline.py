@@ -15,7 +15,6 @@ from .signals import (
     BandpassFilter,
     Waveform,
     filtered_delay,
-    lag_window,
     pair_delay,  # noqa: F401  (kept importable by name for perfbench's alias test)
     pick_delays,
     read_sample_rate,
@@ -29,8 +28,6 @@ from .util import atomic_write_text, fmt
 # roughly v / (2 fs) ~ 0.85 mm for the default specimen
 OUTLIER_FLOOR_MM = 1.0
 
-DEFAULT_MAX_DELAY_S = 2.5e-3
-
 
 @dataclass(frozen=True)
 class LocationEstimate:
@@ -43,14 +40,9 @@ class LocationEstimate:
 
 
 def locate_pair(
-    pset: grnn.PrototypeSet,
-    filt: BandpassFilter,
-    ch1: Waveform,
-    ch2: Waveform,
-    *,
-    max_delay_s: float = DEFAULT_MAX_DELAY_S,
+    pset: grnn.PrototypeSet, filt: BandpassFilter, ch1: Waveform, ch2: Waveform
 ) -> LocationEstimate:
-    """Filter both channels, estimate their arrival-time difference, and regress a position.
+    """Estimate the channels' arrival-time difference through ``filt`` and regress a position.
 
     The estimate is marked extrapolated when the delay falls outside the range
     spanned by the prototype delays (or when every kernel underflowed), since
@@ -58,7 +50,7 @@ def locate_pair(
     """
     if pset.given_dim != 1 or pset.hidden_dim != 1:
         raise ValueError("the location pipeline expects a (delay -> position) database")
-    delay = filtered_delay(filt, ch1, ch2, lag_window(max_delay_s, ch1.sample_rate))
+    delay = filtered_delay(filt, ch1, ch2, filt.max_lag)
     est = grnn.estimate(pset, [delay.delay])
     delays = pset.given[:, 0]
     outside = delay.delay < delays.min() or delay.delay > delays.max()
@@ -147,7 +139,7 @@ def load_prototype_pairs(dataset_dir):
 
 
 def learn_prototypes(
-    dataset, filt: BandpassFilter, *, max_delay_s: float = DEFAULT_MAX_DELAY_S
+    dataset, filt: BandpassFilter
 ) -> tuple[grnn.PrototypeSet, list[tuple[str, str]]]:
     """Build the (delay -> position) prototype database from a calibration dataset.
 
@@ -156,29 +148,33 @@ def learn_prototypes(
     sweep's estimator (:class:`~aeloc.signals.CrossSpectra`), over records read
     one at a time.  Prototypes whose delay estimation fails are skipped and
     reported; smoothing widths follow the half-nearest-neighbor rule.  The
-    set's header records the band, order, delay window and sample rate.
+    set's header holds ``filt.fields()``, which :func:`load_database` reads back.
     """
     if not isinstance(dataset, Dataset):
         dataset = load_dataset(dataset, "prototype")
     if not dataset.rows:
         raise ValueError(f"{dataset.directory}: manifest lists no prototype sources")
-    max_lag = lag_window(max_delay_s, dataset.sample_rate)
-    positions, spectra = prototype_spectra(dataset, max_lag)
+    positions, spectra = prototype_spectra(dataset, filt.max_lag)
     listed = positions.tolist()
     duplicates = sorted({z for z in listed if listed.count(z) > 1})
     if duplicates:
         raise ValueError(
             f"duplicate prototype positions {duplicates} mm: smoothing widths are undefined"
         )
-    delays, errors = pick_delays(spectra.correlations(filt), max_lag, spectra.sample_rate)
+    delays, errors = pick_delays(spectra.correlations(filt), filt.max_lag, spectra.sample_rate)
     skipped = [(dataset.rows[i].file, str(exc)) for i, exc in errors.items()]
     kept = ~np.isnan(delays)
     if kept.sum() < 2:
         raise ValueError(f"only {kept.sum()} prototypes survived delay estimation; need at least 2")
-    spec = filt.spec
-    estimator = dict(f_low_hz=spec.f_low, f_high_hz=spec.f_high, order=int(spec.order),
-                     max_delay_s=max_delay_s, sample_rate_hz=filt.sample_rate)
-    return grnn.PrototypeSet.from_data(delays[kept], positions[kept], estimator), skipped
+    return grnn.PrototypeSet.from_data(delays[kept], positions[kept], filt.fields()), skipped
+
+
+def load_database(path) -> tuple[grnn.PrototypeSet, BandpassFilter]:
+    """The prototype database at ``path`` and the estimator its header records."""
+    pset = grnn.load_prototypes(path)
+    # the header's numbers as the text they were read from, for the one estimator reader
+    header = {key: (1, str(value)) for key, value in pset.header.items()}
+    return pset, BandpassFilter.read(path, header, "learn again")
 
 
 def write_location_report(path, rows) -> None:
@@ -229,11 +225,7 @@ def _mad_outliers(errors: np.ndarray, floor_mm: float = OUTLIER_FLOOR_MM) -> np.
 
 
 def evaluate_dataset(
-    pset: grnn.PrototypeSet,
-    filt: BandpassFilter,
-    dataset,
-    *,
-    max_delay_s: float = DEFAULT_MAX_DELAY_S,
+    pset: grnn.PrototypeSet, filt: BandpassFilter, dataset
 ) -> EvaluationReport:
     """Locate every manifest test source and compare against the recorded truth.
 
@@ -263,11 +255,9 @@ def evaluate_dataset(
     for row in dataset.rows:
         try:
             ch1, ch2 = dataset.read(row)
-            est = locate_pair(pset, filt, ch1, ch2, max_delay_s=max_delay_s)
+            located.append((row, locate_pair(pset, filt, ch1, ch2)))
         except (ValueError, OSError) as exc:
             failed.append((row.file, str(exc)))
-            continue
-        located.append((row, est))
     if not located:
         raise ValueError("no test source could be located; see per-file failures")
 
@@ -306,12 +296,8 @@ def _check_orphans(dataset_dir: Path, rows: list[ManifestRow], role: str) -> Non
     missing = sorted(name for name in listed if not (dataset_dir / name).exists())
     on_disk = {p.name for p in dataset_dir.glob(f"{role}_*.txt")}
     unlisted = sorted(on_disk - listed)
-    if missing or unlisted:
-        parts = []
-        if missing:
-            parts.append(f"listed but missing on disk: {', '.join(missing)}")
-        if unlisted:
-            parts.append(f"on disk but not in manifest: {', '.join(unlisted)}")
+    faults = (("listed but missing on disk", missing), ("on disk but not in manifest", unlisted))
+    if parts := [f"{fault}: {', '.join(names)}" for fault, names in faults if names]:
         raise ValueError(f"manifest/signal mismatch in {dataset_dir}: " + "; ".join(parts))
 
 
@@ -322,16 +308,11 @@ def write_evaluation_report(path, report: EvaluationReport) -> None:
             f"{row.file},{fmt(row.true_mm)},{fmt(row.estimated_mm)},"
             f"{fmt(row.error_mm)},{row.extrapolated},{row.outlier}"
         )
-    lines.append(f"# mean_error_mm={fmt(report.mean_error_mm)}")
-    lines.append(f"# trimmed_mean_error_mm={fmt(report.trimmed_mean_error_mm)}")
-    lines.append(f"# max_error_mm={fmt(report.max_error_mm)}")
-    lines.append(f"# trimmed_max_error_mm={fmt(report.trimmed_max_error_mm)}")
-    lines.append(f"# relative_error={fmt(report.relative_error)}")
-    lines.append(f"# trimmed_relative_error={fmt(report.trimmed_relative_error)}")
-    lines.append(f"# sensor_separation_mm={fmt(report.sensor_separation_mm)}")
-    lines.append(
-        "# outlier_files=" + ",".join(row.file for row in report.rows if row.outlier)
-    )
+    # the summary numbers, each under its attribute's name
+    for key in ("mean_error_mm", "trimmed_mean_error_mm", "max_error_mm", "trimmed_max_error_mm",
+                "relative_error", "trimmed_relative_error", "sensor_separation_mm"):
+        lines.append(f"# {key}={fmt(getattr(report, key))}")
+    lines.append("# outlier_files=" + ",".join(row.file for row in report.rows if row.outlier))
     lines.append("# failed_files=" + ",".join(name for name, _ in report.failed))
     atomic_write_text(path, "\n".join(lines) + "\n")
 

@@ -7,6 +7,7 @@ location share that one estimator, signed as :func:`pair_delay`.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import struct
@@ -21,7 +22,7 @@ from scipy import fft as sp_fft
 
 # scipy.signal takes about a second to load: the three functions using it, no stage's, import it
 
-from .util import atomic_write_bytes
+from .util import atomic_write_bytes, positive_field
 
 # rows per inverse FFT in CrossSpectra.correlations: the sweep's working set holds one
 # block of filtered spectra and circular correlations, not one per pair
@@ -76,14 +77,67 @@ class FilterSpec:
             )
 
 
-@dataclass(frozen=True, eq=False)
+# the estimator's key=value fields and their kinds, as the calibration report and the database
+# header both write them (BandpassFilter.fields) and BandpassFilter.read reads them
+ESTIMATOR_FIELDS = {"f_low_hz": float, "f_high_hz": float, "order": int, "max_delay_s": float,
+                    "sample_rate_hz": float}
+
+
+@dataclass(frozen=True)
 class BandpassFilter:
-    """Butterworth bandpass as scipy.signal.butter designs it at one sample rate, read as |H|²."""
+    """The band-delay estimator: a Butterworth bandpass as scipy.signal.butter designs it at
+    one sample rate, read as |H|², and the delay window its correlations span; equal to
+    another when band, rate and window are."""
 
     spec: FilterSpec
     sample_rate: float
+    max_delay_s: float = 2.5e-3
+    # the correlation half-width in samples, lag_window(max_delay_s, sample_rate)
+    max_lag: int = field(init=False, repr=False, compare=False)
     # rfft_power's responses by FFT length, computed on first use like sos
-    _rfft_powers: dict = field(default_factory=dict, init=False, repr=False)
+    _rfft_powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sample_rate", float(self.sample_rate))
+        if (nyquist := self.sample_rate / 2.0) <= self.spec.f_high:
+            raise ValueError(f"f_high={self.spec.f_high} Hz is not below the Nyquist frequency "
+                             f"{nyquist} Hz")
+        if not self.max_delay_s > 0.0:
+            raise ValueError(f"max_delay_s must be positive, got {self.max_delay_s!r}")
+        object.__setattr__(self, "max_lag", lag_window(self.max_delay_s, self.sample_rate))
+
+    def fields(self) -> dict[str, float | int]:
+        """The estimator's ``key=value`` fields (:data:`ESTIMATOR_FIELDS`); ``order`` is an int."""
+        spec = self.spec
+        values = (spec.f_low, spec.f_high, int(spec.order), self.max_delay_s, self.sample_rate)
+        return dict(zip(ESTIMATOR_FIELDS, values))
+
+    @classmethod
+    def read(cls, path, fields: dict[str, tuple[int, str]], remedy: str) -> BandpassFilter:
+        """The estimator of the :func:`~aeloc.util.key_value_fields` of a calibration report's
+        summary or a database header.  A field missing (the message ends in ``remedy``) or not
+        positive (:func:`~aeloc.util.positive_field`), or a band inverted or at Nyquist, raises
+        ``ValueError`` led by ``<path>:<line>:``."""
+        low, high, order, max_delay_s, rate = (
+            positive_field(path, fields, key, remedy, kind)
+            for key, kind in ESTIMATOR_FIELDS.items()
+        )
+        first, *_, last = (fields[key][0] for key in ESTIMATOR_FIELDS)
+        try:
+            spec = FilterSpec(low, high, order)
+        except ValueError as exc:  # the edges and the order are positive: the band is inverted
+            raise ValueError(f"{path}:{first}: {exc}") from None
+        try:
+            return cls(spec, rate, max_delay_s)
+        except ValueError as exc:  # the band reaches Nyquist, or the window gives no lag
+            raise ValueError(f"{path}:{last}: {exc}") from None
+
+    def check_rate(self, rate: float, source="the filter") -> None:
+        """Refuse data sampled at ``rate`` unless it is this estimator's, read from ``source``."""
+        if rate != self.sample_rate:
+            raise ValueError(
+                f"sample rate {rate} Hz differs from {source}'s {self.sample_rate} Hz"
+            )
 
     @cached_property
     def sos(self) -> np.ndarray:
@@ -117,20 +171,14 @@ class BandpassFilter:
 
 
 def design_bandpass(spec: FilterSpec, sample_rate: float) -> BandpassFilter:
-    """Butterworth bandpass (maximally flat in the passband); only checks the band."""
-    if spec.f_high >= sample_rate / 2.0:
-        raise ValueError(
-            f"f_high={spec.f_high} Hz is not below the Nyquist frequency {sample_rate / 2.0} Hz"
-        )
-    return BandpassFilter(spec=spec, sample_rate=float(sample_rate))
+    """Butterworth bandpass (maximally flat in the passband) with the default delay window;
+    only checks the band against Nyquist."""
+    return BandpassFilter(spec, sample_rate)
 
 
 def apply_filter(filt: BandpassFilter, w: Waveform) -> Waveform:
     """Run a single causal forward pass; output keeps length and sample rate."""
-    if filt.sample_rate != w.sample_rate:
-        raise ValueError(
-            f"filter designed for {filt.sample_rate} Hz cannot be applied at {w.sample_rate} Hz"
-        )
+    filt.check_rate(w.sample_rate)
     from scipy import signal as sps
     return Waveform(sps.sosfilt(filt.sos, w.samples), w.sample_rate)
 
@@ -212,11 +260,7 @@ class CrossSpectra:
         block of filtered spectra and circular correlations is held beside the result.
         """
         if filt is not None:
-            if filt.sample_rate != self.sample_rate:
-                raise ValueError(
-                    f"filter designed for {filt.sample_rate} Hz cannot be applied at "
-                    f"{self.sample_rate} Hz"
-                )
+            filt.check_rate(self.sample_rate)
             power = filt.rfft_power(self.nfft)
         lag = self.lag
         windows = np.empty((len(self.values), 2 * lag + 1))
@@ -314,10 +358,10 @@ def filtered_delay(
 
 def lag_window(max_delay_s: float, sample_rate: float) -> int:
     """Correlation half-width in samples that covers delays up to ``max_delay_s``."""
-    lag = np.ceil(max_delay_s * sample_rate)
-    if not np.isfinite(lag):
+    lag = max_delay_s * sample_rate
+    if not math.isfinite(lag):
         raise ValueError(f"max_delay_s={max_delay_s} s gives no finite lag at {sample_rate} Hz")
-    return int(lag)
+    return math.ceil(lag)
 
 
 _RATE_LINE = re.compile(rb"^#\s*sample_rate_hz=(\d+)\s*$")

@@ -36,9 +36,9 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     return atomic_write_bytes(path, text.encode())
 
 
-def fmt(x: float) -> str:
-    """Shortest decimal representation that round-trips the float exactly."""
-    return repr(float(x))
+def fmt(x: float | int) -> str:
+    """Shortest decimal representation that round-trips the float exactly; an int stays one."""
+    return str(x) if isinstance(x, int) else repr(float(x))
 
 
 def parse_number(text: str, where: str, kind=float):
@@ -69,3 +69,15 @@ def key_value_fields(path, lines) -> dict[str, tuple[int, str]]:
                 raise ValueError(f"{path}:{ln}: header field {key!r} appears twice")
             fields[key] = (ln, value)
     return fields
+
+
+def positive_field(path, fields: dict[str, tuple[int, str]], key: str, remedy: str, kind=float):
+    """``fields[key]`` of :func:`key_value_fields` as a positive finite ``kind``.  A missing key
+    raises ``ValueError`` led by ``<path>:`` that ends in ``remedy``; a malformed, non-finite or
+    non-positive value one led by ``<path>:<line>: <key>``."""
+    if key not in fields:
+        raise ValueError(f"{path}: {key!r} is missing; {remedy}")
+    ln, text = fields[key]
+    if (value := parse_number(text, f"{path}:{ln}: {key}", kind)) <= 0:
+        raise ValueError(f"{path}:{ln}: {key} must be positive, got {text!r}")
+    return value

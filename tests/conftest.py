@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from aeloc import parse_config, run_experiment
+from aeloc.signals import BandpassFilter, FilterSpec
+from aeloc.util import fmt
 
 
 def build_dataset(out_dir, *, specimen=None, prototypes=None, tests=None,
@@ -27,9 +29,15 @@ def summary_report(path, f_low=35_000.0, f_high=45_000.0, *, order=4, max_delay_
                    sample_rate=1e6):
     """Write a calibration report of the summary fields ``learn`` reads: band, order, delay
     window and sample rate; return its path."""
-    fields = dict(best_f_low_hz=f_low, best_f_high_hz=f_high, filter_order=order,
-                  max_delay_s=max_delay_s, sample_rate_hz=sample_rate)
-    path.write_text("".join(f"# {key}={value!r}\n" for key, value in fields.items()))
+    est = BandpassFilter(FilterSpec(f_low, f_high, order), sample_rate, max_delay_s)
+    return write_summary(path, est)
+
+
+def write_summary(path, est, velocity_km_s=1.7):
+    """Write a calibration report of the velocity and the estimator ``est``, whose fields
+    are spelled by ``est.fields()``; return its path."""
+    fields = {"velocity_km_s": velocity_km_s, **est.fields()}
+    path.write_text("".join(f"# {key}={fmt(value)}\n" for key, value in fields.items()))
     return path
 
 

@@ -11,7 +11,7 @@ from aeloc.calibration import (
     _robust_fit,
     estimate_velocity,
     fit_line,
-    read_calibration_estimator,
+    read_calibration_report,
     read_calibration_summary,
     rmse_surface_is_flat,
     sweep_bands,
@@ -20,6 +20,7 @@ from aeloc.calibration import (
 from aeloc.grnn import PrototypeSet
 from aeloc.pipeline import evaluate_dataset, learn_prototypes, load_dataset, load_prototype_pairs
 from aeloc.signals import (
+    BandpassFilter,
     CrossSpectra,
     DelayWindowError,
     FilterSpec,
@@ -470,7 +471,9 @@ def test_report_roundtrip(tmp_path, sweep_result):
     spec, velocity = read_calibration_summary(path)
     assert spec == result.best_band
     assert velocity == result.velocity_km_s
-    assert read_calibration_estimator(path) == (result.best_band, 1.5e-3, 1e6)
+    assert read_calibration_report(path) == (
+        BandpassFilter(result.best_band, 1e6, 1.5e-3), result.velocity_km_s
+    )
 
 
 def test_summary_parse_rejects_incomplete_report(tmp_path):

@@ -6,13 +6,14 @@ import os
 import warnings
 import weakref
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aeloc import cli, pipeline, simulator
-from aeloc.calibration import read_calibration_summary
+from aeloc.calibration import read_calibration_report, read_calibration_summary
 from aeloc.grnn import load_prototypes
 from aeloc.signals import (
     BandpassFilter,
@@ -24,7 +25,7 @@ from aeloc.signals import (
 )
 from aeloc.simulator import MANIFEST_NAME, default_config
 
-from conftest import build_dataset, summary_report
+from conftest import build_dataset, summary_report, write_summary
 
 FS = 1_000_000.0
 
@@ -604,8 +605,8 @@ def test_learn_lists_silent_and_out_of_window_prototypes_in_manifest_order(tmp_p
     )
     silent = Waveform(np.zeros(4096), FS)
     write_waveform_pair(tmp_path / "prototype_03.txt", silent, silent)
-    filt = design_bandpass(FilterSpec(35_000.0, 45_000.0), FS)
-    pset, skipped = pipeline.learn_prototypes(tmp_path, filt, max_delay_s=1e-4)
+    filt = BandpassFilter(FilterSpec(35_000.0, 45_000.0), FS, max_delay_s=1e-4)
+    pset, skipped = pipeline.learn_prototypes(tmp_path, filt)
     assert skipped == [
         (
             "prototype_01.txt",
@@ -666,7 +667,7 @@ def test_a_report_without_the_delay_window_or_rate_is_refused(learned, tmp_path,
     }[command]
     assert cli.main([*argv, "--calibration", str(old)]) == 2
     err = capsys.readouterr().err
-    assert f"error: {old}: calibration summary is missing {field!r}; calibrate again" in err
+    assert f"error: {old}: {field!r} is missing; calibrate again" in err
     assert not out.exists()
 
 
@@ -818,14 +819,13 @@ def test_locate_and_evaluate_refuse_what_the_database_was_not_learned_with(
     _, data, report, db = learned
     out = tmp_path / "out.csv"
     dataset, extra = data, []
-    edits = {"report-band": ("best_f_low_hz", "31234.0"), "report-order": ("filter_order", "6"),
-             "report-window": ("max_delay_s", "0.0015"), "report-rate": ("sample_rate_hz", "5e5")}
+    learned_with, _ = read_calibration_report(report)
+    spec = learned_with.spec
+    edits = {"report-band": {"spec": replace(spec, f_low=31234.0)},
+             "report-order": {"spec": replace(spec, order=6)},
+             "report-window": {"max_delay_s": 0.0015}, "report-rate": {"sample_rate": 5e5}}
     if case in edits:
-        key, value = edits[case]
-        lines = [f"# {key}={value}" if line.startswith(f"# {key}=") else line
-                 for line in report.read_text().splitlines()]
-        other = tmp_path / "other.csv"
-        other.write_text("\n".join(lines) + "\n")
+        other = write_summary(tmp_path / "other.csv", replace(learned_with, **edits[case]))
         extra = ["--calibration", str(other)]
     elif case == "unlearned-database":
         bare = tmp_path / "bare.db"
@@ -852,6 +852,70 @@ def test_locate_and_evaluate_refuse_what_the_database_was_not_learned_with(
         assert "failed" in out.read_text().splitlines()[1]
     else:
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value", [("max_delay_s", "0.0"), ("max_delay_s", "-0.001"),
+                     ("sample_rate_hz", "-1000000.0")],
+)
+def test_a_database_with_a_bad_estimator_field_is_refused_before_any_pair_is_read(
+    learned, tmp_path, capsys, field, value
+):
+    # a zero window used to fail every located file in turn, blaming each file
+    _, data, _, db = learned
+    bad = tmp_path / "bad.db"
+    first, rest = db.read_text().split("\n", 1)
+    head = " ".join(f"{field}={value}" if token.startswith(f"{field}=") else token
+                    for token in first.split())
+    bad.write_text(head + "\n" + rest)
+    files = [str(data / "test_01.txt"), str(data / "test_02.txt")]
+    assert cli.main(["locate", str(bad), *files]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}:1: {field} must be positive, got {value!r}\n"
+
+
+def test_learn_names_the_report_line_of_a_band_above_nyquist(tmp_path, capsys):
+    write_synthetic_prototypes(tmp_path, shifts=[-20, 0, 20], positions=[100.0, 200.0, 300.0])
+    report = _band_report(tmp_path)
+    lines = report.read_text().splitlines()
+    ln = next(i for i, line in enumerate(lines, start=1) if line.startswith("# sample_rate_hz="))
+    lines[ln - 1] = "# sample_rate_hz=50000.0"
+    report.write_text("\n".join(lines) + "\n")
+    assert _learn(tmp_path, report) == 2
+    assert capsys.readouterr().err == (
+        f"error: {report}:{ln}: f_high=45000.0 Hz is not below the Nyquist frequency 25000.0 Hz\n"
+    )
+
+
+def _swap_channels(ch1, ch2):
+    return ch2, ch1
+
+
+# The fault matrix's benign rows: a fault in a located pair file that locate answers with
+# exit 0, and the position it must give instead of the fault-free one z, from the sensors
+# at s1 and s2 (mm).  The top weight stays the fault-free one.
+BENIGN_FAULTS = {
+    # the delay's sign is the only evidence of the channel order: a swap negates the delay
+    # and mirrors the position about the sensors' midpoint
+    "swapped-channels": (_swap_channels, lambda z, s1, s2: s1 + s2 - z),
+}
+
+
+@pytest.mark.parametrize("fault", BENIGN_FAULTS)
+def test_fault_matrix_benign_rows(learned, tmp_path, fault):
+    _, data, _, db = learned
+    edit, expected = BENIGN_FAULTS[fault]
+    intact = data / "test_02.txt"
+    faulty = tmp_path / "faulty.txt"
+    write_waveform_pair(faulty, *edit(*read_waveform_pair(intact)))
+    out = tmp_path / "loc.csv"
+    assert cli.main(["locate", str(db), str(intact), str(faulty), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        clean, got = csv.DictReader(fh)
+    meta, _ = simulator.read_manifest(data / MANIFEST_NAME)
+    z = expected(float(clean["position_mm"]), meta["sensor_1_mm"], meta["sensor_2_mm"])
+    assert float(got["position_mm"]) == pytest.approx(z, abs=0.05)
+    assert float(got["top_weight"]) == pytest.approx(float(clean["top_weight"]), abs=1e-3)
 
 
 @pytest.mark.parametrize("command", ["locate", "evaluate"])

@@ -5,8 +5,9 @@ import re
 
 import pytest
 
-from aeloc.calibration import read_calibration_estimator, read_calibration_summary
+from aeloc.calibration import read_calibration_summary
 from aeloc.grnn import load_prototypes
+from aeloc.pipeline import load_database
 from aeloc.signals import read_waveform_pair
 from aeloc.simulator import read_manifest
 
@@ -15,12 +16,17 @@ _MANIFEST_COLUMNS = "file,role,position_mm,kind\n"
 _REPORT = (
     "f_low_hz,f_high_hz,rmse_mm,slope_s_per_mm\n"
     "35000.0,45000.0,0.1,1.1e-06\n"
-    "# best_f_low_hz=35000.0\n"
-    "# best_f_high_hz=45000.0\n"
-    "# filter_order=4\n"
     "# velocity_km_s=1.7\n"
+    "# outlier_indices=\n"
+    "# f_low_hz=35000.0\n"
+    "# f_high_hz=45000.0\n"
+    "# order=4\n"
     "# max_delay_s=0.0025\n"
     "# sample_rate_hz=1000000.0\n"
+)
+_DATABASE = (
+    "# given_dim=1 hidden_dim=1 f_low_hz=35000.0 f_high_hz=45000.0 order=4 max_delay_s=0.0025 "
+    "sample_rate_hz=1000000.0\n-0.001,900.0,0.0001\n0.0,1000.0,0.0001\n"
 )
 
 # (reader, file name, file text, line the error must name)
@@ -81,61 +87,91 @@ CASES = {
         read_calibration_summary,
         "calibration.csv",
         _REPORT.replace("velocity_km_s=1.7", "velocity_km_s=abc"),
-        6,
+        3,
     ),
     "report-nan-velocity": (
         read_calibration_summary,
         "calibration.csv",
         _REPORT.replace("velocity_km_s=1.7", "velocity_km_s=nan"),
-        6,
+        3,
     ),
     "report-infinite-band-edge": (
         read_calibration_summary,
         "calibration.csv",
-        _REPORT.replace("best_f_low_hz=35000.0", "best_f_low_hz=-Infinity"),
-        3,
+        _REPORT.replace("f_low_hz=35000.0", "f_low_hz=-Infinity"),
+        5,
     ),
     "report-band-edge": (
         read_calibration_summary,
         "calibration.csv",
-        _REPORT.replace("best_f_high_hz=45000.0", "best_f_high_hz=45k"),
-        4,
+        _REPORT.replace("f_high_hz=45000.0", "f_high_hz=45k"),
+        6,
     ),
     "report-filter-order": (
         read_calibration_summary,
         "calibration.csv",
-        _REPORT.replace("filter_order=4", "filter_order=4.5"),
-        5,
+        _REPORT.replace("order=4", "order=4.5"),
+        7,
     ),
     "report-zero-filter-order": (
         read_calibration_summary,
         "calibration.csv",
-        _REPORT.replace("filter_order=4", "filter_order=0"),
-        5,
+        _REPORT.replace("order=4", "order=0"),
+        7,
     ),
     "report-inverted-band-edges": (
         read_calibration_summary,
         "calibration.csv",
-        _REPORT.replace("best_f_low_hz=35000.0", "best_f_low_hz=55000.0"),
-        3,
+        _REPORT.replace("f_low_hz=35000.0", "f_low_hz=55000.0"),
+        5,
     ),
     "report-repeated-band": (
         read_calibration_summary,
         "calibration.csv",
-        _REPORT + "# best_f_low_hz=36000.0\n# best_f_high_hz=46000.0\n",
-        9,
+        _REPORT + "# f_low_hz=36000.0\n# f_high_hz=46000.0\n",
+        10,
     ),
     "report-zero-delay-window": (
-        read_calibration_estimator,
+        read_calibration_summary,
         "calibration.csv",
         _REPORT.replace("max_delay_s=0.0025", "max_delay_s=0.0"),
-        7,
+        8,
     ),
     "report-negative-sample-rate": (
-        read_calibration_estimator,
+        read_calibration_summary,
         "calibration.csv",
         _REPORT.replace("sample_rate_hz=1000000.0", "sample_rate_hz=-1000000.0"),
-        8,
+        9,
+    ),
+    "report-band-above-nyquist": (
+        read_calibration_summary,
+        "calibration.csv",
+        _REPORT.replace("sample_rate_hz=1000000.0", "sample_rate_hz=50000.0"),
+        9,
+    ),
+    "database-zero-delay-window": (
+        load_database,
+        "p.db",
+        _DATABASE.replace("max_delay_s=0.0025", "max_delay_s=0.0"),
+        1,
+    ),
+    "database-negative-delay-window": (
+        load_database,
+        "p.db",
+        _DATABASE.replace("max_delay_s=0.0025", "max_delay_s=-0.001"),
+        1,
+    ),
+    "database-negative-sample-rate": (
+        load_database,
+        "p.db",
+        _DATABASE.replace("sample_rate_hz=1000000.0", "sample_rate_hz=-1000000.0"),
+        1,
+    ),
+    "database-band-above-nyquist": (
+        load_database,
+        "p.db",
+        _DATABASE.replace("sample_rate_hz=1000000.0", "sample_rate_hz=50000.0"),
+        1,
     ),
     "pair-zero-sample-rate": (
         read_waveform_pair,
@@ -164,8 +200,8 @@ def test_readers_name_path_and_line_of_a_bad_number(tmp_path, case):
          "sensor_1_mm"),
         (load_prototypes, "p.db", "# given_dim=1 hidden_dim=1 order=4 order=8\n0.0,1.0,1.0\n", 1,
          "order"),
-        (read_calibration_summary, "calibration.csv", _REPORT + "# best_f_low_hz=36000.0\n", 9,
-         "best_f_low_hz"),
+        (read_calibration_summary, "calibration.csv", _REPORT + "# f_low_hz=36000.0\n", 10,
+         "f_low_hz"),
     ],
     ids=["manifest", "database", "calibration-summary"],
 )

@@ -8,14 +8,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_band_experiment_script_writes_its_five_artefacts(tmp_path):
+def _run_script(name, *args):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), *sys.path])}
-    script = ROOT / "scripts" / "run_band_experiment.py"
-    run = subprocess.run(
-        [sys.executable, str(script), "--out", str(tmp_path), "--seed", "0"],
-        env=env, capture_output=True, text=True,
-    )
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          env=env, capture_output=True, text=True)
+
+
+def test_band_experiment_script_writes_its_five_artefacts(tmp_path):
+    run = _run_script("run_band_experiment.py", "--out", str(tmp_path), "--seed", "0")
     assert run.returncode == 0, run.stderr
     artefacts = ["calibration.csv", "calibration.svg", "prototypes.db", "evaluation.csv",
                  "evaluation.svg"]
     assert [name for name in artefacts if not (tmp_path / name).is_file()] == []
+
+
+def test_density_sweep_script_prints_one_row_per_pitch():
+    # stage_memory.py is left out: it takes about 12 s
+    run = _run_script("density_sweep.py", "--pitches", "400")
+    assert run.returncode == 0, run.stderr
+    header, *rows = run.stdout.splitlines()
+    assert header.split() == ["pitch", "[mm]", "prototypes", "mean", "error", "[mm]"]
+    assert [row.split()[:2] for row in rows] == [["400", "6"]]

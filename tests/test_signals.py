@@ -2,6 +2,7 @@ import re
 import tempfile
 import warnings
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from aeloc.signals import (
     write_waveform_pair,
 )
 from aeloc.simulator import CONTINUOUS_NOISE, SourceSpec, parse_config, propagate, synth_source
+from aeloc.util import fmt
 
 from conftest import build_dataset, reference_rows, traced_peak
 
@@ -100,16 +102,30 @@ def test_band_above_nyquist_rejected():
         design_bandpass(FilterSpec(35_000.0, 600_000.0, 4), FS)
 
 
+def test_estimator_reads_back_its_own_fields_and_compares_on_them():
+    filt = BandpassFilter(FilterSpec(35_000.0, 45_000.0, 6), FS, max_delay_s=1.5e-3)
+    assert filt.max_lag == 1500
+    fields = filt.fields()
+    assert list(fields) == ["f_low_hz", "f_high_hz", "order", "max_delay_s", "sample_rate_hz"]
+    back = BandpassFilter.read("est", {k: (1, fmt(v)) for k, v in fields.items()}, "again")
+    filt.rfft_power(64)  # the cached response takes no part in equality
+    assert back == filt and hash(back) == hash(filt)
+    assert back != replace(filt, max_delay_s=1e-3) and back != replace(filt, sample_rate=5e5)
+    for window in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError, match="max_delay_s must be positive"):
+            replace(filt, max_delay_s=window)
+
+
 def test_apply_filter_sample_rate_mismatch():
     filt = design_bandpass(DEFAULT_BAND, FS)
-    with pytest.raises(ValueError, match="cannot be applied"):
+    with pytest.raises(ValueError, match="differs from the filter's"):
         apply_filter(filt, Waveform(np.zeros(10) + 1.0, FS / 2))
 
 
 def test_filtered_delay_sample_rate_mismatch():
     filt = design_bandpass(DEFAULT_BAND, FS)
     w = Waveform(np.ones(100), FS / 2)
-    with pytest.raises(ValueError, match=r"1000000\.0 Hz cannot be applied at 500000\.0 Hz"):
+    with pytest.raises(ValueError, match=r"500000\.0 Hz differs from the filter's 1000000\.0 Hz"):
         filtered_delay(filt, w, w, 10)
 
 
