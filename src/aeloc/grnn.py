@@ -63,7 +63,7 @@ class PrototypeSet:
     given: np.ndarray   # (N, S)
     hidden: np.ndarray  # (N, D)
     sigmas: np.ndarray  # (N,)
-    header: dict = field(default_factory=dict)  # the file's key=value fields; read-only
+    header: dict = field(default_factory=dict)  # the file's key=value fields as text; read-only
 
     def __post_init__(self) -> None:
         given = _as_columns(self.given)
@@ -79,11 +79,9 @@ class PrototypeSet:
             raise ValueError("prototype components must be finite")
         if not np.all(sigmas > 0.0):
             raise ValueError("all sigmas must be positive")
-        for arr in (given, hidden, sigmas):
+        for name, arr in (("given", given), ("hidden", hidden), ("sigmas", sigmas)):
             arr.setflags(write=False)
-        object.__setattr__(self, "given", given)
-        object.__setattr__(self, "hidden", hidden)
-        object.__setattr__(self, "sigmas", sigmas)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "header", MappingProxyType(dict(self.header)))
 
     def __len__(self) -> int:
@@ -162,24 +160,26 @@ _DB_HEADER = re.compile(r"^#\s*given_dim=\d+\s+hidden_dim=\d+(?:\s+\w+=\S+)*\s*$
 
 
 def save_prototypes(path: str | Path, pset: PrototypeSet) -> Path:
-    """Write the database as delimited text; floats round-trip exactly, integers stay integers."""
+    """Write the database as delimited text: floats round-trip exactly, header text verbatim."""
+    for key, text in pset.header.items():  # one _DB_HEADER token: a word, "=", no blank
+        if not (isinstance(text, str) and re.fullmatch(r"\w+=\S+", f"{key}={text}")):
+            raise ValueError(f"{path}: header field {key}={text!r} would not read back")
     head = dict(given_dim=pset.given_dim, hidden_dim=pset.hidden_dim, **pset.header)
-    lines = ["# " + " ".join(f"{k}={fmt(v)}" for k, v in head.items())]
-    for g, h, s in zip(pset.given, pset.hidden, pset.sigmas):
-        fields = [fmt(x) for x in g] + [fmt(x) for x in h] + [fmt(s)]
-        lines.append(",".join(fields))
+    lines = ["# " + " ".join(f"{k}={v}" for k, v in head.items())]
+    rows = np.column_stack([pset.given, pset.hidden, pset.sigmas])
+    lines += [",".join(map(fmt, row)) for row in rows]
     return atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def load_prototypes(path: str | Path) -> PrototypeSet:
+    """The database at ``path``; every header field but the two dimensions stays its text."""
     path = Path(path)
     with open(path) as fh:
         if not _DB_HEADER.match(first := fh.readline()):
             raise ValueError(f"{path}: first line must be '# given_dim=S hidden_dim=D ...'")
         fields = key_value_fields(path, [(1, first)])
         s_dim, d_dim = (int(fields.pop(key)[1]) for key in ("given_dim", "hidden_dim"))
-        header = {k: parse_number(v, f"{path}:1: {k}", int if v.lstrip("-").isdigit() else float)
-                  for k, (_, v) in fields.items()}
+        header = {key: text for key, (_, text) in fields.items()}
         rows = []
         for ln, line in enumerate(fh, start=2):
             line = line.strip()

@@ -148,7 +148,7 @@ def learn_prototypes(
     sweep's estimator (:class:`~aeloc.signals.CrossSpectra`), over records read
     one at a time.  Prototypes whose delay estimation fails are skipped and
     reported; smoothing widths follow the half-nearest-neighbor rule.  The
-    set's header holds ``filt.fields()``, which :func:`load_database` reads back.
+    header holds ``fmt`` of ``filt.fields()``, which :func:`load_database` reads back.
     """
     if not isinstance(dataset, Dataset):
         dataset = load_dataset(dataset, "prototype")
@@ -166,14 +166,14 @@ def learn_prototypes(
     kept = ~np.isnan(delays)
     if kept.sum() < 2:
         raise ValueError(f"only {kept.sum()} prototypes survived delay estimation; need at least 2")
-    return grnn.PrototypeSet.from_data(delays[kept], positions[kept], filt.fields()), skipped
+    header = {key: fmt(value) for key, value in filt.fields().items()}
+    return grnn.PrototypeSet.from_data(delays[kept], positions[kept], header), skipped
 
 
 def load_database(path) -> tuple[grnn.PrototypeSet, BandpassFilter]:
     """The prototype database at ``path`` and the estimator its header records."""
     pset = grnn.load_prototypes(path)
-    # the header's numbers as the text they were read from, for the one estimator reader
-    header = {key: (1, str(value)) for key, value in pset.header.items()}
+    header = {key: (1, text) for key, text in pset.header.items()}  # all on the file's line 1
     return pset, BandpassFilter.read(path, header, "learn again")
 
 

@@ -74,6 +74,14 @@ def learned(tmp_path_factory):
     return root, data, report, db
 
 
+@pytest.fixture(scope="module")
+def paper_seed0(tmp_path_factory):
+    """The paper-default dataset at seed 0, simulated once; tests edit copies of it."""
+    data = tmp_path_factory.mktemp("seed0") / "data"
+    assert cli.main(["simulate", "--out", str(data), "--seed", "0"]) == 0
+    return data
+
+
 # ----------------------------------------------------------------- simulate
 
 
@@ -486,6 +494,19 @@ def test_calibrate_warns_on_flat_rmse_surface(tmp_path, capsys):
     assert (tmp_path / "r.csv").exists()
 
 
+def test_calibrate_prints_the_outliers_it_excludes(paper_seed0, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(paper_seed0, data)
+    ch1, ch2 = read_waveform_pair(data / "prototype_00.txt")
+    write_waveform_pair(data / "prototype_00.txt", ch2, ch1)  # its delay changes sign
+    report = tmp_path / "cal.csv"
+    assert cli.main(["calibrate", str(data), "--report", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("best band: 35000-45000 Hz ")
+    assert "\noutliers excluded from the fit: [0]\n" in out
+    assert "# outlier_indices=0" in report.read_text().splitlines()
+
+
 # -------------------------------------------------------------------- learn
 
 
@@ -647,7 +668,7 @@ def test_learn_takes_the_delay_window_from_calibrate(learned, tmp_path):
                      "--max-delay-s", "0.0015"]) == 0
     assert "# max_delay_s=0.0015" in report.read_text().splitlines()
     assert cli.main(["learn", str(data), "--db", str(db), "--calibration", str(report)]) == 0
-    assert load_prototypes(db).header["max_delay_s"] == 0.0015
+    assert pipeline.load_database(db)[1].max_delay_s == 0.0015
 
 
 @pytest.mark.parametrize("field", ["max_delay_s", "sample_rate_hz"])
@@ -942,7 +963,7 @@ def test_learn_writes_the_report_estimator_into_the_database_header(tmp_path, ca
         "# given_dim=1 hidden_dim=1 f_low_hz=35000.0 f_high_hz=45000.0 order=6 "
         "max_delay_s=0.0001 sample_rate_hz=1000000.0"
     )
-    assert load_prototypes(db).header["order"] == 6
+    assert pipeline.load_database(db)[1].spec.order == 6
     # locate reads the order back: a report naming the default order 4 is refused
     report = _band_report(tmp_path, order=4)
     pair = tmp_path / "prototype_01.txt"
@@ -951,6 +972,27 @@ def test_learn_writes_the_report_estimator_into_the_database_header(tmp_path, ca
 
 
 # ----------------------------------------------------------------- evaluate
+
+
+def test_evaluate_names_a_silent_test_file_and_locates_the_rest(paper_seed0, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(paper_seed0, data)
+    ch1, _ = read_waveform_pair(data / "test_05.txt")
+    silence = Waveform(np.zeros(len(ch1)), ch1.sample_rate)
+    write_waveform_pair(data / "test_05.txt", silence, silence)
+    report, db, out = tmp_path / "cal.csv", tmp_path / "p.db", tmp_path / "eval.csv"
+    grid = ["--f-start", "30000", "--f-stop", "50000", "--step", "5000"]
+    assert cli.main(["calibrate", str(data), "--report", str(report), *grid]) == 0
+    assert cli.main(["learn", str(data), "--db", str(db), "--calibration", str(report)]) == 0
+    capsys.readouterr()
+    assert cli.main(["evaluate", str(db), str(data), "--report", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("warning: could not locate test_05.txt: no signal: ")
+    assert captured.out.startswith("located 22 test sources; ")
+    lines = out.read_text().splitlines()
+    assert "# failed_files=test_05.txt" in lines
+    located = [line.split(",")[0] for line in lines if line.startswith("test_")]
+    assert located == [f"test_{i:02d}.txt" for i in range(23) if i != 5]
 
 
 def test_evaluate_report_is_self_consistent(learned, tmp_path):

@@ -15,6 +15,9 @@ from aeloc.grnn import (
     load_prototypes,
     save_prototypes,
 )
+from aeloc.pipeline import load_database
+from aeloc.signals import BandpassFilter, FilterSpec
+from aeloc.util import fmt
 
 # ------------------------------------------------------------------ sigmas
 
@@ -289,38 +292,89 @@ def test_database_roundtrip_is_bit_exact(tmp_path):
     assert twice.read_bytes() == path.read_bytes()
 
 
+_ESTIMATOR = BandpassFilter(FilterSpec(35000.0, 45000.0, 4), 1e6, 0.0025)
+_HEADER = ("# given_dim=1 hidden_dim=1 f_low_hz=35000.0 f_high_hz=45000.0 order=4 "
+           "max_delay_s=0.0025 sample_rate_hz=1000000.0")
+_ROWS = "0.0,1.0,1.0\n1.0,2.0,1.0\n"
+
+
 def test_database_header_fields_round_trip_with_their_kind(tmp_path):
-    header = {"f_low_hz": 35000.0, "order": 4, "max_delay_s": 0.0025, "offset": -3}
+    # grnn stores the text; the estimator reader gives each field its kind
+    header = {key: fmt(value) for key, value in _ESTIMATOR.fields().items()}
     pset = PrototypeSet([0.0, 1.0], [[1.0], [2.0]], [1.0, 1.0], header)
     path = tmp_path / "proto.db"
     save_prototypes(path, pset)
-    first = "# given_dim=1 hidden_dim=1 f_low_hz=35000.0 order=4 max_delay_s=0.0025 offset=-3"
-    assert path.read_text().splitlines()[0] == first
-    loaded = load_prototypes(path)
-    assert dict(loaded.header) == header
-    assert [type(v) for v in loaded.header.values()] == [float, int, float, int]
+    assert path.read_text().splitlines()[0] == _HEADER
+    assert dict(load_prototypes(path).header) == header
+    loaded, filt = load_database(path)
+    assert filt == _ESTIMATOR
+    assert type(filt.spec.order) is int and type(filt.max_delay_s) is float
     with pytest.raises(TypeError):
-        loaded.header["order"] = 8  # read-only, like the arrays
+        loaded.header["order"] = "8"  # read-only, like the arrays
+
+
+def test_database_carries_a_field_it_does_not_read(tmp_path):
+    path = tmp_path / "proto.db"
+    path.write_text(f"{_HEADER} prototype_kind=discrete-burst\n{_ROWS}")
+    assert load_prototypes(path).header["prototype_kind"] == "discrete-burst"
+    pset, filt = load_database(path)
+    assert filt == _ESTIMATOR
+    copy = tmp_path / "copy.db"
+    save_prototypes(copy, pset)
+    assert copy.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize(
     "field, message",
     [
-        ("order=nan", r"proto\.db:1: order: number must be finite"),
-        ("max_delay_s=-inf", r"proto\.db:1: max_delay_s: number must be finite"),
-        ("f_low_hz=35kHz", r"proto\.db:1: f_low_hz: could not convert"),
         ("order=", "first line must be"),
         ("order", "first line must be"),
         ("order=4 order=8", r"proto\.db:1: header field 'order' appears twice"),
         ("given_dim=2", r"proto\.db:1: header field 'given_dim' appears twice"),
     ],
-    ids=["nan", "inf", "not-a-number", "empty-value", "no-value", "repeated", "repeats-dim"],
+    ids=["empty-value", "no-value", "repeated", "repeats-dim"],
 )
 def test_database_rejects_a_malformed_header_field(tmp_path, field, message):
     path = tmp_path / "proto.db"
-    path.write_text(f"# given_dim=1 hidden_dim=1 {field}\n0.0,1.0,1.0\n1.0,2.0,1.0\n")
+    path.write_text(f"# given_dim=1 hidden_dim=1 {field}\n{_ROWS}")
     with pytest.raises(ValueError, match=message):
         load_prototypes(path)
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("f_high_hz=nan", "f_high_hz: number must be finite, got 'nan'"),
+        ("max_delay_s=-inf", "max_delay_s: number must be finite, got '-inf'"),
+        ("f_low_hz=35kHz", "f_low_hz: could not convert string to float: '35kHz'"),
+        ("max_delay_s=-1e-3", "max_delay_s must be positive, got '-1e-3'"),
+        ("sample_rate_hz=-1E+6", "sample_rate_hz must be positive, got '-1E+6'"),
+    ],
+    ids=["nan", "inf", "not-a-number", "negative-exponent", "negative-capital-exponent"],
+)
+def test_database_estimator_field_errors_quote_the_file(tmp_path, field, message):
+    # a complete header in which only ``field`` is bad
+    key = field.partition("=")[0]
+    good = next(token for token in _HEADER.split() if token.startswith(f"{key}="))
+    path = tmp_path / "proto.db"
+    path.write_text(f"{_HEADER.replace(good, field)}\n{_ROWS}")
+    with pytest.raises(ValueError) as info:
+        load_database(path)
+    assert str(info.value) == f"{path}:1: {message}"
+
+
+@pytest.mark.parametrize(
+    "key, text",
+    [("note", ""), ("note", "two words"), ("note", "tab\tinside"), ("note", " lead"),
+     ("note", 4), ("prototype-kind", "burst")],
+)
+def test_database_save_refuses_a_header_field_it_would_not_read_back(tmp_path, key, text):
+    pset = PrototypeSet([0.0, 1.0], [[1.0], [2.0]], [1.0, 1.0], {key: text})
+    path = tmp_path / "proto.db"
+    with pytest.raises(ValueError) as info:
+        save_prototypes(path, pset)
+    assert str(info.value) == f"{path}: header field {key}={text!r} would not read back"
+    assert not path.exists()
 
 
 def test_database_rejects_malformed_files(tmp_path):

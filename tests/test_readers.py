@@ -77,6 +77,12 @@ CASES = {
         _MANIFEST_HEADER.replace("\n", " sensor_1_mm=900.0\n") + _MANIFEST_COLUMNS,
         1,
     ),
+    "manifest-row-of-three-fields": (
+        read_manifest,
+        "manifest.txt",
+        _MANIFEST_HEADER + _MANIFEST_COLUMNS + "prototype_00.txt,prototype,900.0\n",
+        3,
+    ),
     "manifest-infinite-sensor": (
         read_manifest,
         "manifest.txt",

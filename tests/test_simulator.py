@@ -84,6 +84,62 @@ def test_sensor_ordering_enforced():
         nondispersive(sensor_1_mm=3200.0, sensor_2_mm=800.0)
 
 
+def _burst_at_2000_mm(**settings) -> SourceSpec:
+    return paper_source(position_mm=2000.0, kind=DISCRETE_BURST, **settings)
+
+
+# name: (bad call, its whole message)
+REFUSALS = {
+    "empty-curve": (
+        lambda: nondispersive(velocity_points=()),
+        "curve needs at least one (frequency, value) breakpoint",
+    ),
+    "unsorted-curve": (
+        lambda: nondispersive(velocity_points=((500_000.0, 1.7), (0.0, 1.7))),
+        "curve breakpoints must be sorted by frequency",
+    ),
+    "zero-velocity": (
+        lambda: nondispersive(velocity_points=((0.0, 0.0), (500_000.0, 1.7))),
+        "velocity curve must be positive everywhere",
+    ),
+    "negative-attenuation": (
+        lambda: nondispersive(attenuation_db_per_m=-0.5),
+        "attenuation must be nonnegative",
+    ),
+    "reflection-above-one": (
+        lambda: nondispersive(reflection_coeff=1.5),
+        "reflection coefficient must be within [0, 1]",
+    ),
+    "reflection-below-zero": (
+        lambda: nondispersive(reflection_coeff=-0.1),
+        "reflection coefficient must be within [0, 1]",
+    ),
+    # ten cycles of 1 kHz span 10000 samples, more than the 8192-sample record
+    "burst-longer-than-the-record": (
+        lambda: synth_source(_burst_at_2000_mm(burst_center_freq_hz=1000.0), nondispersive()),
+        "record too short to hold the burst",
+    ),
+    # the FFT bins of 8192 samples at 1 MHz lie 122.07 Hz apart: 39917 Hz, then 40039 Hz
+    "noise-band-between-two-bins": (
+        lambda: synth_source(
+            paper_source(position_mm=2000.0, kind=CONTINUOUS_NOISE, band_hz=(40e3, 40.01e3)),
+            nondispersive(),
+        ),
+        "source band contains no spectral bins at this record length",
+    ),
+    "excitation-of-another-length": (
+        lambda: propagate(np.zeros(8191), _burst_at_2000_mm(), nondispersive()),
+        "excitation must have record_length=8192 samples",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_a_bad_specimen_or_source_is_refused(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()
+
+
 def test_specimen_and_source_take_every_setting_from_the_caller():
     # default_config() is the one copy of the paper settings
     for cls in (SpecimenModel, SourceSpec):
@@ -362,3 +418,20 @@ def test_config_rejects_unknown_keys():
         parse_config({"velocity": 1.7})
     with pytest.raises(ValueError, match="unknown specimen keys"):
         parse_config({"specimen": {"speed": 1.7}})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("file,role,position_mm,kind\n", "manifest must start with a '# key=value ...' line"),
+        ("# sensor_1_mm=800.0 sensor_2_mm=3200.0\nfile,role,position_mm\n",
+         "unexpected manifest column header 'file,role,position_mm'"),
+    ],
+    ids=["no-key-value-line", "another-column-line"],
+)
+def test_a_manifest_without_its_two_header_lines_is_refused(tmp_path, text, message):
+    path = tmp_path / MANIFEST_NAME
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        read_manifest(path)
+    assert str(info.value) == f"{path}: {message}"
