@@ -73,6 +73,7 @@ class CalibrationResult:
     best: CalibrationRecord
     records: list[CalibrationRecord]
     positions_mm: np.ndarray
+    sample_rate: float  # the prototypes', in Hz
 
     @property
     def best_band(self) -> FilterSpec:
@@ -81,14 +82,6 @@ class CalibrationResult:
     @property
     def velocity_km_s(self) -> float:
         return estimate_velocity(self.best.slope_s_per_mm)
-
-    @property
-    def outliers(self) -> tuple[int, ...]:
-        return self.best.outlier_indices
-
-    @property
-    def best_delays(self) -> np.ndarray:
-        return self.best.delays
 
 
 def fit_line(positions_mm, delays_s) -> tuple[float, float, float]:
@@ -121,8 +114,6 @@ def _robust_fit(
     floor = 1.0 / sample_rate
     threshold = max(3.0 * float(np.median(resid)), floor)
     suspects = np.nonzero(resid > threshold)[0]
-    if suspects.size == 0:
-        return slope, intercept, rmse, ()
     cap = len(z) // 4
     suspects = suspects[np.argsort(resid[suspects])[::-1][:cap]]
     if suspects.size == 0 or len(z) - suspects.size < 2:
@@ -218,17 +209,17 @@ def sweep_bands(
             warnings.warn(f"skipping band {spec.f_low}-{spec.f_high} Hz: {exc}", stacklevel=2)
             continue
         # the windows go straight to the picker: no band's outlive its delays
-        delays, _ = pick_delays(spectra.correlations(filt), spectra.lag, spectra.sample_rate)
+        delays, _ = pick_delays(spectra.correlations(filt), spectra.sample_rate)
         records.append(_band_record(spec, delays, positions, spectra.sample_rate))
     if not records:
         raise ValueError("every band in the grid was invalid for this sample rate")
     best = records[int(np.argmin([rec.rmse_mm for rec in records]))]
     if not np.isfinite(best.rmse_mm):
         raise ValueError("no band produced enough usable delay estimates")
-    return CalibrationResult(best=best, records=records, positions_mm=positions)
+    return CalibrationResult(best, records, positions, spectra.sample_rate)
 
 
-def rmse_surface_is_flat(result: CalibrationResult, sample_rate: float) -> bool:
+def rmse_surface_is_flat(result: CalibrationResult) -> bool:
     """True when usable bands are indistinguishable (no meaningful minimum).
 
     Bands are compared above a floor of one delay-quantization step so that
@@ -239,16 +230,15 @@ def rmse_surface_is_flat(result: CalibrationResult, sample_rate: float) -> bool:
     if len(finite) < 2:
         return False
     slope = result.best.slope_s_per_mm
-    floor = (1.0 / sample_rate) / abs(slope) if slope else 0.0
+    floor = (1.0 / result.sample_rate) / abs(slope) if slope else 0.0
     return max(finite) <= max(2.0 * min(finite), floor)
 
 
-def write_calibration_report(path, result: CalibrationResult, max_delay_s: float,
-                             sample_rate: float) -> None:
+def write_calibration_report(path, result: CalibrationResult, max_delay_s: float) -> None:
     """Delimited per-band table plus a '#'-prefixed summary block: the velocity, the outliers,
-    then the fields of the estimator ``learn`` takes, the best band at ``sample_rate`` with the
-    delay window ``max_delay_s`` the sweep was given."""
-    est = BandpassFilter(result.best_band, sample_rate, max_delay_s)
+    then the fields of the estimator ``learn`` takes, the best band at the result's rate with
+    the delay window ``max_delay_s`` the sweep was given."""
+    est = BandpassFilter(result.best_band, result.sample_rate, max_delay_s)
     lines = ["f_low_hz,f_high_hz,rmse_mm,slope_s_per_mm"]
     for rec in result.records:
         lines.append(
@@ -256,7 +246,7 @@ def write_calibration_report(path, result: CalibrationResult, max_delay_s: float
             f"{fmt(rec.rmse_mm)},{fmt(rec.slope_s_per_mm)}"
         )
     lines.append(f"# velocity_km_s={fmt(result.velocity_km_s)}")
-    lines.append("# outlier_indices=" + ",".join(str(i) for i in result.outliers))
+    lines.append("# outlier_indices=" + ",".join(str(i) for i in result.best.outlier_indices))
     lines.extend(f"# {key}={fmt(value)}" for key, value in est.fields().items())
     atomic_write_text(path, "\n".join(lines) + "\n")
 

@@ -98,11 +98,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_calibrate(args) -> int:
     dataset = pipeline.load_dataset(args.dataset, "prototype")
     grid = BandGrid(width=args.width, step=args.step, f_start=args.f_start, f_stop=args.f_stop)
-    sample_rate = dataset.sample_rate
-    result = sweep_bands(
-        dataset, grid, args.order, max_lag=lag_window(args.max_delay_s, sample_rate)
-    )
-    write_calibration_report(args.report, result, args.max_delay_s, sample_rate)
+    max_lag = lag_window(args.max_delay_s, dataset.sample_rate)
+    result = sweep_bands(dataset, grid, args.order, max_lag=max_lag)
+    write_calibration_report(args.report, result, args.max_delay_s)
     if args.svg:
         xs, ys = linear_fit_points(
             result.positions_mm, result.best.slope_s_per_mm, result.best.intercept_s
@@ -111,7 +109,7 @@ def _cmd_calibrate(args) -> int:
             f"Delay vs position, band {result.best_band.f_low:.0f}-{result.best_band.f_high:.0f} Hz",
             "source position [mm]",
             "delay [s]",
-            [("prototype source", list(result.positions_mm), list(result.best_delays), "plus")],
+            [("prototype source", list(result.positions_mm), list(result.best.delays), "plus")],
             lines=[("linear fit", xs, ys)],
         )
         atomic_write_text(args.svg, svg)
@@ -120,9 +118,9 @@ def _cmd_calibrate(args) -> int:
         f"(rmse {result.best.rmse_mm:.3f} mm)"
     )
     print(f"velocity: {result.velocity_km_s:.4f} km/s")
-    if result.outliers:
-        print(f"outliers excluded from the fit: {list(result.outliers)}")
-    if rmse_surface_is_flat(result, sample_rate):
+    if outliers := result.best.outlier_indices:
+        print(f"outliers excluded from the fit: {list(outliers)}")
+    if rmse_surface_is_flat(result):
         print(
             "warning: rmse surface is flat; band choice is weakly determined "
             "(nondispersive data?)",
@@ -134,9 +132,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_learn(args) -> int:
     filt, _ = read_calibration_report(args.calibration)
-    dataset = pipeline.load_dataset(args.dataset, "prototype")
-    filt.check_rate(dataset.sample_rate, args.calibration)
-    pset, skipped = pipeline.learn_prototypes(dataset, filt)
+    pset, skipped = pipeline.learn_prototypes(args.dataset, filt)
     for name, reason in skipped:
         print(f"warning: skipped {name}: {reason}", file=sys.stderr)
     grnn.save_prototypes(args.db, pset)
@@ -149,9 +145,7 @@ def _cmd_locate(args) -> int:
     rows = []
     for name in args.files:
         try:
-            ch1, ch2 = read_waveform_pair(name)
-            filt.check_rate(ch1.sample_rate, args.db)
-            est = pipeline.locate_pair(pset, filt, ch1, ch2)
+            est = pipeline.locate_pair(pset, filt, *read_waveform_pair(name))
         except (ValueError, OSError) as exc:
             rows.append((name, None, f"failed: {exc}"))
             print(f"{name}: error: {exc}", file=sys.stderr)
@@ -168,9 +162,7 @@ def _cmd_locate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     pset, filt = _load_database(args)
-    dataset = pipeline.load_dataset(args.dataset, "test")
-    filt.check_rate(dataset.sample_rate, args.db)
-    report = pipeline.evaluate_dataset(pset, filt, dataset)
+    report = pipeline.evaluate_dataset(pset, filt, args.dataset)
     pipeline.write_evaluation_report(args.report, report)
     if args.svg:
         atomic_write_text(args.svg, pipeline.evaluation_scatter_svg(report, pset.hidden[:, 0]))

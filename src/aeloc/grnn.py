@@ -162,7 +162,9 @@ _DB_HEADER = re.compile(r"^#\s*given_dim=\d+\s+hidden_dim=\d+(?:\s+\w+=\S+)*\s*$
 def save_prototypes(path: str | Path, pset: PrototypeSet) -> Path:
     """Write the database as delimited text: floats round-trip exactly, header text verbatim."""
     for key, text in pset.header.items():  # one _DB_HEADER token: a word, "=", no blank
-        if not (isinstance(text, str) and re.fullmatch(r"\w+=\S+", f"{key}={text}")):
+        if key in ("given_dim", "hidden_dim") or not (
+            isinstance(text, str) and re.fullmatch(r"\w+=\S+", f"{key}={text}")
+        ):
             raise ValueError(f"{path}: header field {key}={text!r} would not read back")
     head = dict(given_dim=pset.given_dim, hidden_dim=pset.hidden_dim, **pset.header)
     lines = ["# " + " ".join(f"{k}={v}" for k, v in head.items())]

@@ -50,7 +50,7 @@ def locate_pair(
     """
     if pset.given_dim != 1 or pset.hidden_dim != 1:
         raise ValueError("the location pipeline expects a (delay -> position) database")
-    delay = filtered_delay(filt, ch1, ch2, filt.max_lag)
+    delay = filtered_delay(filt, ch1, ch2)
     est = grnn.estimate(pset, [delay.delay])
     delays = pset.given[:, 0]
     outside = delay.delay < delays.min() or delay.delay > delays.max()
@@ -139,19 +139,19 @@ def load_prototype_pairs(dataset_dir):
 
 
 def learn_prototypes(
-    dataset, filt: BandpassFilter
+    dataset_dir, filt: BandpassFilter
 ) -> tuple[grnn.PrototypeSet, list[tuple[str, str]]]:
     """Build the (delay -> position) prototype database from a calibration dataset.
 
-    ``dataset`` is a directory or its :func:`load_dataset` of the prototypes.
-    The delays come from one batched pass through ``filt``, the calibration
-    sweep's estimator (:class:`~aeloc.signals.CrossSpectra`), over records read
-    one at a time.  Prototypes whose delay estimation fails are skipped and
-    reported; smoothing widths follow the half-nearest-neighbor rule.  The
-    header holds ``fmt`` of ``filt.fields()``, which :func:`load_database` reads back.
+    The prototypes of ``dataset_dir`` (:func:`load_dataset`), which must be at
+    ``filt``'s rate, are read one at a time into one batched pass through ``filt``,
+    the calibration sweep's estimator (:class:`~aeloc.signals.CrossSpectra`).
+    Prototypes whose delay estimation fails are skipped and reported; smoothing
+    widths follow the half-nearest-neighbor rule.  The header holds ``fmt`` of
+    ``filt.fields()``, which :func:`load_database` reads back.
     """
-    if not isinstance(dataset, Dataset):
-        dataset = load_dataset(dataset, "prototype")
+    dataset = load_dataset(dataset_dir, "prototype")
+    filt.check_rate(dataset.sample_rate)
     if not dataset.rows:
         raise ValueError(f"{dataset.directory}: manifest lists no prototype sources")
     positions, spectra = prototype_spectra(dataset, filt.max_lag)
@@ -161,7 +161,7 @@ def learn_prototypes(
         raise ValueError(
             f"duplicate prototype positions {duplicates} mm: smoothing widths are undefined"
         )
-    delays, errors = pick_delays(spectra.correlations(filt), filt.max_lag, spectra.sample_rate)
+    delays, errors = pick_delays(spectra.correlations(filt), spectra.sample_rate)
     skipped = [(dataset.rows[i].file, str(exc)) for i, exc in errors.items()]
     kept = ~np.isnan(delays)
     if kept.sum() < 2:
@@ -171,8 +171,10 @@ def learn_prototypes(
 
 
 def load_database(path) -> tuple[grnn.PrototypeSet, BandpassFilter]:
-    """The prototype database at ``path`` and the estimator its header records."""
+    """The (delay -> position) prototype database at ``path`` and the estimator it records."""
     pset = grnn.load_prototypes(path)
+    if pset.given_dim != 1 or pset.hidden_dim != 1:
+        raise ValueError(f"{path}:1: the location pipeline expects a (delay -> position) database")
     header = {key: (1, text) for key, text in pset.header.items()}  # all on the file's line 1
     return pset, BandpassFilter.read(path, header, "learn again")
 
@@ -225,17 +227,17 @@ def _mad_outliers(errors: np.ndarray, floor_mm: float = OUTLIER_FLOOR_MM) -> np.
 
 
 def evaluate_dataset(
-    pset: grnn.PrototypeSet, filt: BandpassFilter, dataset
+    pset: grnn.PrototypeSet, filt: BandpassFilter, dataset_dir
 ) -> EvaluationReport:
     """Locate every manifest test source and compare against the recorded truth.
 
-    ``dataset`` is a directory or its :func:`load_dataset` of the tests, which
-    are read and located one at a time.  Relative errors divide by the
-    manifest's sensor separation, sensor_2_mm - sensor_1_mm; both raw and
+    The tests of ``dataset_dir`` (:func:`load_dataset`), which must be at
+    ``filt``'s rate, are read and located one at a time.  Relative errors divide
+    by the manifest's sensor separation, sensor_2_mm - sensor_1_mm; both raw and
     3xMAD-trimmed averages are reported.
     """
-    if not isinstance(dataset, Dataset):
-        dataset = load_dataset(dataset, "test")
+    dataset = load_dataset(dataset_dir, "test")
+    filt.check_rate(dataset.sample_rate)
     manifest_path = dataset.directory / MANIFEST_NAME
     meta = dataset.meta
     if not dataset.rows:
@@ -259,7 +261,8 @@ def evaluate_dataset(
         except (ValueError, OSError) as exc:
             failed.append((row.file, str(exc)))
     if not located:
-        raise ValueError("no test source could be located; see per-file failures")
+        raise ValueError(f"no test source could be located: {len(failed)} of {len(failed)} "
+                         f"failed; first: {': '.join(failed[0])}")
 
     errors = np.array([abs(est.position_mm - row.position_mm) for row, est in located])
     outlier_mask = _mad_outliers(errors)

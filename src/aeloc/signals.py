@@ -94,6 +94,8 @@ class BandpassFilter:
     max_delay_s: float = 2.5e-3
     # the correlation half-width in samples, lag_window(max_delay_s, sample_rate)
     max_lag: int = field(init=False, repr=False, compare=False)
+    # what check_rate names: the file read() took the filter from; never written
+    source: str = field(default="the filter", init=False, repr=False, compare=False)
     # rfft_power's responses by FFT length, computed on first use like sos
     _rfft_powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -128,15 +130,17 @@ class BandpassFilter:
         except ValueError as exc:  # the edges and the order are positive: the band is inverted
             raise ValueError(f"{path}:{first}: {exc}") from None
         try:
-            return cls(spec, rate, max_delay_s)
+            filt = cls(spec, rate, max_delay_s)
         except ValueError as exc:  # the band reaches Nyquist, or the window gives no lag
             raise ValueError(f"{path}:{last}: {exc}") from None
+        object.__setattr__(filt, "source", str(path))
+        return filt
 
-    def check_rate(self, rate: float, source="the filter") -> None:
-        """Refuse data sampled at ``rate`` unless it is this estimator's, read from ``source``."""
+    def check_rate(self, rate: float) -> None:
+        """Refuse data sampled at ``rate`` unless it is this estimator's, naming its ``source``."""
         if rate != self.sample_rate:
             raise ValueError(
-                f"sample rate {rate} Hz differs from {source}'s {self.sample_rate} Hz"
+                f"sample rate {rate} Hz differs from {self.source}'s {self.sample_rate} Hz"
             )
 
     @cached_property
@@ -188,8 +192,11 @@ class CorrelationFunction:
     """Unnormalized correlation sums over lags -max_lag..+max_lag (:func:`cross_correlate`)."""
 
     values: np.ndarray
-    max_lag: int
     sample_rate: float
+
+    @property
+    def max_lag(self) -> int:
+        return (len(self.values) - 1) // 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,6 +235,8 @@ class CrossSpectra:
                 rate, longest = ch1.sample_rate, max(len(ch1), len(ch2))
                 nfft = sp_fft.next_fast_len(longest + lag, real=True)
                 cross = np.empty((len(pairs), nfft // 2 + 1), np.complex128)
+            if taken == len(cross):
+                raise ValueError(f"pairs yielded more records than their length of {len(cross)}")
             for w in (ch1, ch2):
                 if w.sample_rate != rate:
                     raise ValueError(f"sample rates differ: {rate} Hz vs {w.sample_rate} Hz")
@@ -291,7 +300,7 @@ def cross_correlate(y1: Waveform, y2: Waveform, max_lag: int) -> CorrelationFunc
         full = np.convolve(b, a[::-1])
         centre = len(a) - 1  # index of lag 0 in the full correlation
         values = full[centre - spectra.lag : centre + spectra.lag + 1]
-    return CorrelationFunction(values, spectra.lag, spectra.sample_rate)
+    return CorrelationFunction(values, spectra.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -302,14 +311,17 @@ class DelayEstimate:
 
 
 def pick_delays(
-    windows: np.ndarray, max_lag: int, sample_rate: float, refine: bool = True
+    windows: np.ndarray, sample_rate: float, refine: bool = True
 ) -> tuple[np.ndarray, dict[int, ValueError]]:
-    """Peak lag in seconds of every row of ``windows``, correlations over lags -max_lag..+max_lag.
+    """Peak lag in seconds of every row of ``windows``, correlations over lags -L..+L (L >= 1).
 
     The first maximum wins; ``refine`` sharpens it by three-point parabolic interpolation (at
     most half a sample).  A row with no usable peak reads NaN; its error is keyed by row.
     """
     v = np.asarray(windows, dtype=np.float64)
+    if v.ndim != 2 or v.shape[1] % 2 == 0 or v.shape[1] < 3:
+        raise ValueError(f"correlation rows need an odd width 2L + 1 >= 3, got shape {v.shape}")
+    max_lag = (v.shape[1] - 1) // 2  # L
     peak = np.argmax(v, axis=1)
     silent = ~np.any(v, axis=1)
     failed = silent | (peak == 0) | (peak == v.shape[1] - 1)
@@ -333,7 +345,7 @@ def pick_delays(
 
 def estimate_delay(r: CorrelationFunction, refine: bool = True) -> DelayEstimate:
     """:func:`pick_delays` of one correlation; raises the error of a row with no usable peak."""
-    (delay,), errors = pick_delays(r.values[np.newaxis], r.max_lag, r.sample_rate, refine)
+    (delay,), errors = pick_delays(r.values[np.newaxis], r.sample_rate, refine)
     if errors:
         raise errors[0]
     return DelayEstimate(delay=float(delay))
@@ -348,12 +360,11 @@ def pair_delay(ch1: Waveform, ch2: Waveform, max_lag: int) -> DelayEstimate:
     return estimate_delay(cross_correlate(ch2, ch1, max_lag))
 
 
-def filtered_delay(
-    filt: BandpassFilter, ch1: Waveform, ch2: Waveform, max_lag: int
-) -> DelayEstimate:
-    """:func:`pair_delay` of both channels through ``filt``: the one band-delay estimator."""
-    (values,) = CrossSpectra.of_pairs([(ch1, ch2)], max_lag).correlations(filt)
-    return estimate_delay(CorrelationFunction(values, int(max_lag), ch1.sample_rate))
+def filtered_delay(filt: BandpassFilter, ch1: Waveform, ch2: Waveform) -> DelayEstimate:
+    """:func:`pair_delay` of both channels through ``filt`` in its window: the one estimator."""
+    filt.check_rate(ch1.sample_rate)  # before of_pairs can refuse the pair's length
+    (values,) = CrossSpectra.of_pairs([(ch1, ch2)], filt.max_lag).correlations(filt)
+    return estimate_delay(CorrelationFunction(values, ch1.sample_rate))
 
 
 def lag_window(max_delay_s: float, sample_rate: float) -> int:

@@ -218,9 +218,9 @@ def test_time_shift_of_both_channels_leaves_velocity(sweep_result):
     assert again.velocity_km_s == pytest.approx(result.velocity_km_s, rel=1e-3)
 
 
-def _causal_delay(filt, ch1, ch2, max_lag):
+def _causal_delay(filt, ch1, ch2):
     """The explicit causal reference: one forward pass of the filter per channel."""
-    return pair_delay(apply_filter(filt, ch1), apply_filter(filt, ch2), max_lag)
+    return pair_delay(apply_filter(filt, ch1), apply_filter(filt, ch2), filt.max_lag)
 
 
 def _delay_loop(pairs, grid, delay=filtered_delay):
@@ -230,10 +230,11 @@ def _delay_loop(pairs, grid, delay=filtered_delay):
     bands, delays, fits = [], [], []
     for f_low in grid.band_lows():
         filt = design_bandpass(FilterSpec(float(f_low), float(f_low + grid.width), 4), fs)
+        assert filt.max_lag == MAX_LAG  # the default window, which the sweeps here are given
         row = np.full(len(pairs), np.nan)
         for i, (_, (ch1, ch2)) in enumerate(pairs):
             try:
-                row[i] = delay(filt, ch1, ch2, MAX_LAG).delay
+                row[i] = delay(filt, ch1, ch2).delay
             except (NoSignalError, DelayWindowError):
                 pass
         valid = np.nonzero(np.isfinite(row))[0]
@@ -260,7 +261,7 @@ def _assert_delays_match(result, bands, delays, fs, atol_samples, f_lows=(0.0, n
 
 def _assert_same_choice(result, fits, best, bands):
     assert result.best_band == bands[best]
-    assert result.outliers == fits[best][2]
+    assert result.best.outlier_indices == fits[best][2]
     assert result.velocity_km_s == pytest.approx(estimate_velocity(fits[best][1]), rel=1e-6)
 
 
@@ -297,7 +298,7 @@ def test_learned_delays_equal_the_sweep_best_band_delays(default_dataset):
     filt = design_bandpass(result.best_band, pairs[0][1][0].sample_rate)
     pset, skipped = learn_prototypes(out, filt)  # default window: MAX_LAG at 1 MHz
     assert skipped == []
-    assert np.array_equal(pset.given[:, 0], result.best_delays)
+    assert np.array_equal(pset.given[:, 0], result.best.delays)
 
 
 def test_streamed_sweep_and_learn_equal_the_in_memory_ones_bit_for_bit(default_dataset):
@@ -315,8 +316,8 @@ def test_streamed_sweep_and_learn_equal_the_in_memory_ones_bit_for_bit(default_d
         ).tobytes(), lazy.band
         assert lazy.outlier_indices == eager.outlier_indices
     filt = design_bandpass(held.best_band, pairs[0][1][0].sample_rate)
-    learned, _ = learn_prototypes(load_dataset(out, "prototype"), filt)
-    reference = PrototypeSet.from_data(held.best_delays, held.positions_mm)
+    learned, _ = learn_prototypes(out, filt)
+    reference = PrototypeSet.from_data(held.best.delays, held.positions_mm)
     for field in ("given", "hidden", "sigmas"):
         assert getattr(learned, field).tobytes() == getattr(reference, field).tobytes(), field
 
@@ -415,7 +416,7 @@ def test_zero_noise_data_has_no_outliers(tmp_path):
     result = sweep_bands(
         pairs, BandGrid(f_start=33_000.0, f_stop=47_000.0, step=2_000.0), 4, max_lag=MAX_LAG
     )
-    assert result.outliers == ()
+    assert result.best.outlier_indices == ()
 
 
 def test_nondispersive_control_is_flat(tmp_path):
@@ -433,8 +434,8 @@ def test_nondispersive_control_is_flat(tmp_path):
     result = sweep_bands(
         pairs, BandGrid(f_start=30_000.0, f_stop=50_000.0, step=2_000.0), 4, max_lag=MAX_LAG
     )
-    sample_rate = pairs[0][1][0].sample_rate
-    assert rmse_surface_is_flat(result, sample_rate)
+    assert result.sample_rate == pairs[0][1][0].sample_rate
+    assert rmse_surface_is_flat(result)
 
 
 def test_sweep_requires_three_prototypes():
@@ -463,7 +464,7 @@ def test_sweep_skips_invalid_bands_with_warning(sweep_result):
 def test_report_roundtrip(tmp_path, sweep_result):
     _, result = sweep_result
     path = tmp_path / "calibration.csv"
-    write_calibration_report(path, result, 1.5e-3, 1e6)
+    write_calibration_report(path, result, 1.5e-3)
     lines = path.read_text().splitlines()
     assert lines[0] == "f_low_hz,f_high_hz,rmse_mm,slope_s_per_mm"
     assert len([l for l in lines if not l.startswith("#")]) == 1 + len(result.records)

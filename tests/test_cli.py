@@ -20,6 +20,7 @@ from aeloc.signals import (
     FilterSpec,
     Waveform,
     design_bandpass,
+    filtered_delay,
     read_waveform_pair,
     write_waveform_pair,
 )
@@ -638,6 +639,19 @@ def test_learn_lists_silent_and_out_of_window_prototypes_in_manifest_order(tmp_p
     assert pset.hidden[:, 0].tolist() == [100.0, 300.0, 500.0]
 
 
+def test_filtered_delay_is_the_located_delay_bit_for_bit(tmp_path):
+    # both take the delay window from the filter, 100 samples here
+    write_synthetic_prototypes(tmp_path, shifts=[-40, 0, 40], positions=[100.0, 200.0, 300.0])
+    filt = BandpassFilter(FilterSpec(35_000.0, 45_000.0), FS, max_delay_s=1e-4)
+    pset, _ = pipeline.learn_prototypes(tmp_path, filt)
+    ch1, ch2 = _shifted_pair(37)
+    delay = filtered_delay(filt, ch1, ch2).delay
+    assert delay.hex() == pipeline.locate_pair(pset, filt, ch1, ch2).delay_s.hex()
+    assert abs(abs(delay) * FS - 37.0) < 0.5
+    with pytest.raises(ValueError, match="boundary lag [+-]100;"):
+        filtered_delay(filt, *_shifted_pair(300))
+
+
 def test_learn_fails_when_too_few_survive(tmp_path, capsys):
     write_synthetic_prototypes(
         tmp_path, shifts=[-300, 300, 325], positions=[100.0, 200.0, 300.0]
@@ -893,6 +907,44 @@ def test_a_database_with_a_bad_estimator_field_is_refused_before_any_pair_is_rea
     assert cli.main(["locate", str(bad), *files]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {bad}:1: {field} must be positive, got {value!r}\n"
+
+
+@pytest.mark.parametrize("command", ["locate", "evaluate"])
+def test_a_database_not_mapping_a_delay_to_a_position_is_refused_once(learned, tmp_path,
+                                                                      capsys, command):
+    # it used to fail every located file in turn, blaming each file
+    _, data, _, db = learned
+    bad = tmp_path / "bad.db"
+    first, *rows = db.read_text().splitlines()
+    bad.write_text("\n".join([first.replace("hidden_dim=1", "hidden_dim=2"),
+                              *(row.replace(",", ",0.0,", 1) for row in rows)]) + "\n")
+    out = tmp_path / "out.csv"
+    argv = {"locate": ["locate", str(bad), str(data / "test_01.txt"), str(data / "test_02.txt")],
+            "evaluate": ["evaluate", str(bad), str(data)]}[command]
+    assert cli.main([*argv, "--" + ("out" if command == "locate" else "report"), str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}:1: the location pipeline expects a (delay -> position) database\n"
+    )
+    assert not out.exists()
+
+
+def test_evaluate_names_the_count_and_first_failure_when_every_test_fails(learned, tmp_path,
+                                                                          capsys):
+    _, data, _, db = learned
+    silent = tmp_path / "silent"
+    shutil.copytree(data, silent)
+    tests = sorted(silent.glob("test_*.txt"))
+    for path in tests:
+        ch1, _ = read_waveform_pair(path)
+        zero = Waveform(np.zeros(len(ch1)), ch1.sample_rate)
+        write_waveform_pair(path, zero, zero)
+    report = tmp_path / "eval.csv"
+    assert cli.main(["evaluate", str(db), str(silent), "--report", str(report)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: no test source could be located: {len(tests)} of {len(tests)} failed; "
+        "first: test_00.txt: no signal: correlation function is identically zero\n"
+    )
+    assert not report.exists()
 
 
 def test_learn_names_the_report_line_of_a_band_above_nyquist(tmp_path, capsys):

@@ -366,7 +366,7 @@ def test_database_estimator_field_errors_quote_the_file(tmp_path, field, message
 @pytest.mark.parametrize(
     "key, text",
     [("note", ""), ("note", "two words"), ("note", "tab\tinside"), ("note", " lead"),
-     ("note", 4), ("prototype-kind", "burst")],
+     ("note", 4), ("prototype-kind", "burst"), ("given_dim", "2"), ("hidden_dim", "1")],
 )
 def test_database_save_refuses_a_header_field_it_would_not_read_back(tmp_path, key, text):
     pset = PrototypeSet([0.0, 1.0], [[1.0], [2.0]], [1.0, 1.0], {key: text})

@@ -179,6 +179,12 @@ CASES = {
         _DATABASE.replace("sample_rate_hz=1000000.0", "sample_rate_hz=50000.0"),
         1,
     ),
+    "database-not-delay-to-position": (
+        load_database,
+        "p.db",
+        _DATABASE.replace("hidden_dim=1", "hidden_dim=2").replace(",0.0001", ",0.0,0.0001"),
+        1,
+    ),
     "pair-zero-sample-rate": (
         read_waveform_pair,
         "pair.txt",

@@ -25,11 +25,15 @@ def _pairs(positions, fs=FS, silent=False):
     return [(z, (w, w)) for z, w in zip(positions, waves)]
 
 
-class _LongerThanItIs(list):
-    """A list whose length claims one item more than iterating it yields."""
+class _Miscounted(list):
+    """A list whose length claims ``extra`` items more than iterating it yields."""
+
+    def __init__(self, items, extra):
+        super().__init__(items)
+        self.extra = extra
 
     def __len__(self):
-        return super().__len__() + 1
+        return super().__len__() + self.extra
 
 
 def _header_only(tmp_path):
@@ -92,9 +96,14 @@ CASES = {
         "file format stores integer sample rates, got 1000.5",
     ),
     "spectra-of-pairs-shorter-than-their-length": (
-        lambda _: CrossSpectra.of_pairs(_LongerThanItIs([(_noise(), _noise())] * 2), 10),
+        lambda _: CrossSpectra.of_pairs(_Miscounted([(_noise(), _noise())] * 2, 1), 10),
         ValueError,
         "pairs yielded 2 records but have a length of 3",
+    ),
+    "spectra-of-pairs-longer-than-their-length": (
+        lambda _: CrossSpectra.of_pairs(_Miscounted([(_noise(), _noise())] * 3, -1), 10),
+        ValueError,
+        "pairs yielded more records than their length of 2",
     ),
     "line-through-one-point": (
         lambda _: fit_line([900.0], [0.0]),

@@ -126,7 +126,7 @@ def test_filtered_delay_sample_rate_mismatch():
     filt = design_bandpass(DEFAULT_BAND, FS)
     w = Waveform(np.ones(100), FS / 2)
     with pytest.raises(ValueError, match=r"500000\.0 Hz differs from the filter's 1000000\.0 Hz"):
-        filtered_delay(filt, w, w, 10)
+        filtered_delay(filt, w, w)
 
 
 def test_zero_waveform_stays_zero():
@@ -258,7 +258,7 @@ def test_identical_filtering_preserves_pair_delay():
     )
     assert abs(filtered.delay - raw.delay) * FS < 1.0
     assert raw.delay == pytest.approx(d / FS, abs=1.0 / FS)
-    zero_phase = filtered_delay(filt, Waveform(y, FS), Waveform(x, FS), 200)
+    zero_phase = filtered_delay(replace(filt, max_delay_s=2e-4), Waveform(y, FS), Waveform(x, FS))
     assert abs(zero_phase.delay - raw.delay) * FS < 1.0
 
 
@@ -425,7 +425,7 @@ def _same_errors(got, want):
 @pytest.mark.parametrize("refine", [True, False])
 def test_picker_matches_the_scalar_rule_on_hand_built_rows(refine):
     windows = np.array(list(PICKER_ROWS.values()))
-    delays, errors = pick_delays(windows, 3, 1000.0, refine)
+    delays, errors = pick_delays(windows, 1000.0, refine)
     want, want_errors = reference_rows(windows, 3, 1000.0, refine)
     assert np.array_equal(_bits(delays), _bits(want))
     _same_errors(errors, want_errors)
@@ -445,7 +445,7 @@ def test_picker_matches_the_scalar_rule_on_random_rows(seed, refine):
     # small integers make ties, boundary peaks and all-zero rows common
     windows = rng.integers(-2, 3, size=(40, 9)) * rng.choice([0.0, 1.0, 1e-7], size=(40, 1))
     windows[::7] += rng.normal(size=(6, 9))
-    delays, errors = pick_delays(windows, 4, FS, refine)
+    delays, errors = pick_delays(windows, FS, refine)
     want, want_errors = reference_rows(windows, 4, FS, refine)
     assert np.array_equal(_bits(delays), _bits(want))
     _same_errors(errors, want_errors)
@@ -453,13 +453,22 @@ def test_picker_matches_the_scalar_rule_on_random_rows(seed, refine):
 
 @pytest.mark.parametrize("name", list(PICKER_ROWS))
 def test_estimate_delay_is_the_one_row_picker(name):
-    r = CorrelationFunction(np.array(PICKER_ROWS[name]), 3, 1000.0)
-    (delay,), errors = pick_delays(r.values[np.newaxis], 3, 1000.0)
+    r = CorrelationFunction(np.array(PICKER_ROWS[name]), 1000.0)
+    assert r.max_lag == 3
+    (delay,), errors = pick_delays(r.values[np.newaxis], 1000.0)
     if errors:
         with pytest.raises(type(errors[0]), match=re.escape(str(errors[0]))):
             estimate_delay(r)
     else:
         assert _bits(estimate_delay(r).delay) == _bits(delay)
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (2, 2), (2, 4), (5,)])
+def test_picker_refuses_rows_without_a_centre_lag(shape):
+    # the lag window is read from the row width, 2 * max_lag + 1
+    with pytest.raises(ValueError) as info:
+        pick_delays(np.ones(shape), FS)
+    assert str(info.value) == f"correlation rows need an odd width 2L + 1 >= 3, got shape {shape}"
 
 
 def test_lag_window_refuses_a_product_beyond_the_float_range():
