@@ -8,9 +8,12 @@ learn stream the prototype records into the cross-spectra, one file at a
 time, and evaluate locates one test at a time.  For comparison, the row
 ``held`` reads every prototype record into memory at once
 (``pipeline.load_prototype_pairs``), the working set that streaming avoids.
-For each row it prints the ``tracemalloc`` peak above what was held when the
-step began, and what the step still holds when it returns.  The stages' own
-output is discarded.  Only allocations made through Python and numpy are
+The rows ``read`` and ``write`` read one default pair file (``test_00.txt``)
+and write that pair back out, the file I/O every stage goes through; each
+holds one block of the file's text and floats at a time.  For each row it
+prints the ``tracemalloc`` peak above what was held when the step began, and
+what the step still holds when it returns.  The stages' own output is
+discarded.  Only allocations made through Python and numpy are
 traced; native buffers such as scipy's FFT plans are not.
 """
 
@@ -23,6 +26,7 @@ from pathlib import Path
 
 from aeloc import cli
 from aeloc.pipeline import load_prototype_pairs
+from aeloc.signals import read_waveform_pair, write_waveform_pair
 
 
 def traced(stage: str, fn) -> None:
@@ -62,6 +66,10 @@ def main() -> int:
             tests = [str(root / "data" / f"test_{i:02d}.txt") for i in (0, 11, 22)]
             traced("simulate", command(["simulate", "--out", data, "--seed", str(args.seed)]))
             traced("held", lambda: load_prototype_pairs(data))
+            traced("read", lambda: read_waveform_pair(tests[0]))
+            pair = read_waveform_pair(tests[0])
+            traced("write", lambda: write_waveform_pair(root / "pair.txt", *pair))
+            del pair
             traced("calibrate", command(["calibrate", data, "--report", cal]))
             traced("learn", command(["learn", data, "--db", db, *band]))
             traced("locate", command(["locate", db, *tests, *band, "--out", str(root / "l.csv")]))

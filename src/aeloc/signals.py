@@ -7,6 +7,7 @@ location share that one estimator, signed as :func:`pair_delay`.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import re
@@ -27,6 +28,10 @@ from .util import atomic_write_bytes, positive_field
 # rows per inverse FFT in CrossSpectra.correlations: the sweep's working set holds one
 # block of filtered spectra and circular correlations, not one per pair
 CORRELATION_BLOCK = 2
+# bytes of lines per orjson.loads in read_waveform_pair, and rows per orjson.dumps in
+# write_waveform_pair: a pair file's reader and writer hold one block's text and floats
+READ_BLOCK = 1 << 17
+WRITE_BLOCK = 4096
 
 
 class NoSignalError(ValueError):
@@ -51,8 +56,8 @@ class Waveform:
         if not np.all(np.isfinite(samples)):
             raise ValueError("waveform samples must all be finite")
         rate = float(self.sample_rate)
-        if not rate > 0.0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate!r}")
+        if not 0.0 < rate < math.inf:
+            raise ValueError(f"sample_rate must be positive and finite, got {self.sample_rate!r}")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate", rate)
 
@@ -378,10 +383,38 @@ def lag_window(max_delay_s: float, sample_rate: float) -> int:
 _RATE_LINE = re.compile(rb"^#\s*sample_rate_hz=(\d+)\s*$")
 # the bytes a sample line may hold: those of JSON numbers, blanks and the two separators
 _SAMPLE_BYTES = b"0123456789+-.eE \t,\n"
+# the separators of a block of lines that each hold one comma: ",\n,\n...,".  A line that
+# parses holds at least 3 bytes and a newline, so a block cut at the first newline past
+# READ_BLOCK bytes holds at most READ_BLOCK // 4 + 1 such lines; more separators than this
+# pattern has cannot be those of a block that parses
+_SEPARATORS = np.frombuffer(b",\n" * (READ_BLOCK // 4 + 1), np.uint8)
+
+
+def _pair_lines(ch1: Waveform, ch2: Waveform):
+    """The body of a pair file, ``WRITE_BLOCK`` rows of ``ch1,ch2`` lines per chunk."""
+    for start in range(0, len(ch1), WRITE_BLOCK):
+        rows = slice(start, start + WRITE_BLOCK)
+        # orjson writes each double as its shortest round-trip text; in the flat array
+        # ch1, ch2, ch1, ... every second comma ends a line, the closing bracket ends the
+        # block's last line and the opening one is not written
+        text = bytearray(
+            orjson.dumps(
+                np.column_stack([ch1.samples[rows], ch2.samples[rows]]).ravel(),
+                option=orjson.OPT_SERIALIZE_NUMPY,
+            )
+        )
+        view = np.frombuffer(text, np.uint8)
+        view[np.flatnonzero(view == ord(","))[1::2]] = ord("\n")
+        view[-1] = ord("\n")
+        yield memoryview(text)[1:]
 
 
 def write_waveform_pair(path: str | Path, ch1: Waveform, ch2: Waveform) -> Path:
-    """Write a two-channel pair as delimited text with a sample-rate header line."""
+    """Write a two-channel pair as delimited text with a sample-rate header line.
+
+    The body is formatted and written ``WRITE_BLOCK`` rows at a time, so beside the
+    samples only one block's text is held.
+    """
     if ch1.sample_rate != ch2.sample_rate:
         raise ValueError("channels of a pair must share one sample rate")
     if len(ch1) != len(ch2):
@@ -389,20 +422,8 @@ def write_waveform_pair(path: str | Path, ch1: Waveform, ch2: Waveform) -> Path:
     rate = round(ch1.sample_rate)
     if abs(rate - ch1.sample_rate) > 1e-6:
         raise ValueError(f"file format stores integer sample rates, got {ch1.sample_rate}")
-    # orjson writes each double as its shortest round-trip text; in the flat array
-    # ch1, ch2, ch1, ... every second comma ends a line (the reader turns newlines back),
-    # the closing bracket ends the last line and the opening one is not written;
-    # the edits happen in place, so the file's body is the one buffer orjson returned
-    text = bytearray(
-        orjson.dumps(
-            np.column_stack([ch1.samples, ch2.samples]).ravel(),
-            option=orjson.OPT_SERIALIZE_NUMPY,
-        )
-    )
-    view = np.frombuffer(text, np.uint8)
-    view[np.flatnonzero(view == ord(","))[1::2]] = ord("\n")
-    view[-1] = ord("\n")
-    return atomic_write_bytes(path, b"# sample_rate_hz=%d\n" % rate, memoryview(text)[1:])
+    header = b"# sample_rate_hz=%d\n" % rate
+    return atomic_write_bytes(path, itertools.chain([header], _pair_lines(ch1, ch2)))
 
 
 def read_sample_rate(fh) -> float:
@@ -413,6 +434,8 @@ def read_sample_rate(fh) -> float:
     rate = float(m.group(1))
     if rate == 0.0:
         raise ValueError(f"{fh.name}:1: sample_rate_hz must be positive, got 0")
+    if rate == math.inf:
+        raise ValueError(f"{fh.name}:1: sample_rate_hz must be finite")
     return rate
 
 
@@ -430,8 +453,7 @@ def read_waveform_pair(path: str | Path) -> tuple[Waveform, Waveform]:
     with ``<path>:<line>:`` in front, the header counting as line 1.
     """
     path = Path(path)
-    # one flat JSON array, "[" + body + "]", read into place: the body is held once, and
-    # each newline is turned into a comma in place for the parse (and back if it fails)
+    # the body as "[" + lines + "]", read into place, so it is held once
     with open(path, "rb") as fh:
         rate = read_sample_rate(fh)
         text = bytearray(max(os.fstat(fh.fileno()).st_size - fh.tell(), 0) + 2)
@@ -448,37 +470,67 @@ def read_waveform_pair(path: str | Path) -> tuple[Waveform, Waveform]:
     if len(text) == 2:
         raise ValueError(f"{path}:2: no samples after the header")
     chars = np.frombuffer(text, np.uint8)
-    mask = chars == ord("\n")
-    mask |= chars == ord(",")
-    seps = np.flatnonzero(mask)
-    kinds = chars[seps]
-    del mask
-    # one comma per line: the separators alternate comma, newline, ..., comma.  Once orjson
-    # accepts the array and every value packs as a double, a byte outside _SAMPLE_BYTES can
-    # only be a lone CR (JSON whitespace) or in a true/false (packed as 1.0/0.0): null,
-    # strings, arrays and objects fail the pack, and orjson refuses every other byte.
-    # Any refusal goes to _diagnose, which names the fault
+    # Once orjson accepts a block and its values pack as doubles, a byte outside
+    # _SAMPLE_BYTES can only be a lone CR (JSON whitespace) or in a true/false (packed as
+    # 1.0/0.0): null, strings, arrays and objects fail the pack, and orjson refuses every
+    # other byte.  Any refusal goes to _diagnose, which names the fault
     if (
-        kinds.size % 2
-        and np.all(kinds[::2] == ord(","))
-        and np.all(kinds[1::2] == ord("\n"))
-        and b"\r" not in text
+        b"\r" not in text
         and b"t" not in text
         and b"f" not in text
+        and (data := _parse_blocks(text, chars)) is not None
     ):
-        chars[seps[1::2]] = ord(",")
-        del seps, kinds  # not held beside the values
-        try:
-            values = orjson.loads(text)
-            data = np.empty(len(values))
-            struct.pack_into(f"{len(values)}d", data, 0, *values)
-        except (orjson.JSONDecodeError, struct.error):
-            # only commas separate now, and every second one was a newline
-            chars[np.flatnonzero(chars == ord(","))[1::2]] = ord("\n")
-        else:
-            data = data.reshape(-1, 2)
-            return Waveform(data[:, 0], rate), Waveform(data[:, 1], rate)
+        data = data.reshape(-1, 2)
+        return Waveform(data[:, 0], rate), Waveform(data[:, 1], rate)
     _diagnose(path, text, chars)
+
+
+def _parse_blocks(text: bytearray, chars: np.ndarray) -> np.ndarray | None:
+    """The values of ``text``, ``"[" + lines + "]"``, in file order; None if refused.
+
+    Lines are taken in blocks, each cut at the first newline ``READ_BLOCK`` bytes or
+    more past its start.  A first pass checks that every block holds one comma per
+    line and turns its newlines into commas, which counts the values; a second pass
+    lets the two newlines around each block stand in for its brackets, so orjson parses
+    it as one flat array, and packs its values in place.  A refusal puts every byte back.
+    """
+    blocks = []  # (start, stop, values) of each block whose newlines are commas now
+    start, last = 0, len(text) - 1
+    while start < last:
+        stop = text.find(b"\n", start + READ_BLOCK)
+        stop = last if stop < 0 else stop
+        inner = chars[start + 1 : stop]
+        mask = inner == ord("\n")
+        mask |= inner == ord(",")
+        seps = np.flatnonzero(mask)
+        del mask
+        kinds = inner[seps]
+        if not (kinds.size % 2 and np.array_equal(kinds, _SEPARATORS[: kinds.size])):
+            break
+        inner[seps[1::2]] = ord(",")
+        blocks.append((start, stop, kinds.size + 1))  # two values a line
+        del seps, kinds  # not held beside the values
+        start = stop
+    else:
+        data = np.empty(sum(count for *_, count in blocks))
+        packed = 0
+        for start, stop, count in blocks:
+            chars[start], chars[stop] = ord("["), ord("]")
+            try:
+                values = orjson.loads(memoryview(text)[start : stop + 1])
+                struct.pack_into(f"{count}d", data, 8 * packed, *values)
+            except (orjson.JSONDecodeError, struct.error):
+                break
+            del values  # not held beside the next block's
+            packed += count
+        else:
+            return data
+    for start, stop, _ in blocks:  # only commas separate there, and every second was a newline
+        inner = chars[start + 1 : stop]
+        inner[np.flatnonzero(inner == ord(","))[1::2]] = ord("\n")
+        chars[[start, stop]] = ord("\n")
+    chars[0], chars[-1] = ord("["), ord("]")
+    return None
 
 
 def _diagnose(path: Path, text: bytearray, chars: np.ndarray) -> NoReturn:

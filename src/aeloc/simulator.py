@@ -346,6 +346,7 @@ def write_manifest(path: str | Path, model: SpecimenModel, rows: list[ManifestRo
 def read_manifest(path: str | Path) -> tuple[dict, list[ManifestRow]]:
     path = Path(path)
     rows: list[ManifestRow] = []
+    listed: set[str] = set()
     with open(path) as fh:
         first = fh.readline().strip()
         if not first.startswith("#"):
@@ -367,6 +368,9 @@ def read_manifest(path: str | Path) -> tuple[dict, list[ManifestRow]]:
                     f"{path}:{ln}: role must be 'prototype' or 'test', got {fields[1]!r}"
                 )
             position = parse_number(fields[2], f"{path}:{ln}: position_mm")
+            if fields[0] in listed:
+                raise ValueError(f"{path}:{ln}: file {fields[0]!r} is listed twice")
+            listed.add(fields[0])
             rows.append(ManifestRow(fields[0], fields[1], position, fields[3]))
     return meta, rows
 

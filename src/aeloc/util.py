@@ -9,8 +9,9 @@ from pathlib import Path
 KM_S_TO_MM_S = 1e6
 
 
-def atomic_write_bytes(path: str | Path, *chunks) -> Path:
-    """Write the byte ``chunks`` one after another to ``path`` via a temp file + rename.
+def atomic_write_bytes(path: str | Path, chunks) -> Path:
+    """Write the iterable of byte ``chunks`` one after another to ``path`` via a temp file
+    + rename; a lazy iterable is drawn one chunk at a time as the file is written.
 
     The temp file sits in the same directory under a fresh random name.  It is
     created with mode 0o666, so the kernel applies the process umask as it does
@@ -33,7 +34,7 @@ def atomic_write_bytes(path: str | Path, *chunks) -> Path:
 
 def atomic_write_text(path: str | Path, text: str) -> Path:
     """:func:`atomic_write_bytes` of ``text`` encoded as UTF-8."""
-    return atomic_write_bytes(path, text.encode())
+    return atomic_write_bytes(path, [text.encode()])
 
 
 def fmt(x: float | int) -> str:

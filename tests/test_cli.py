@@ -411,6 +411,30 @@ def test_manifest_row_with_an_unknown_role_is_a_data_error(tmp_path, capsys, com
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, name", [("calibrate", "prototype_05.txt"),
+                                           ("evaluate", "test_01.txt")])
+def test_a_file_listed_twice_in_the_manifest_is_a_data_error(learned, tmp_path, capsys, command,
+                                                             name):
+    # the repeated row used to be read, and counted, twice
+    _, data, report, db = learned
+    twice = tmp_path / "twice"
+    shutil.copytree(data, twice)
+    manifest = twice / MANIFEST_NAME
+    lines = manifest.read_text().splitlines(keepends=True)
+    row = next(line for line in lines if line.startswith(name + ","))
+    manifest.write_text("".join(lines) + row)
+    out = tmp_path / "out.csv"
+    argv = {
+        "calibrate": ["calibrate", str(twice), "--report", str(out)],
+        "evaluate": ["evaluate", str(db), str(twice), "--report", str(out),
+                     "--calibration", str(report)],
+    }[command]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {manifest}:{len(lines) + 1}: file {name!r} is listed twice\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["calibrate", "learn"])
 def test_prototype_file_missing_from_the_manifest_is_a_data_error(tmp_path, capsys, command):
     build_dataset(tmp_path, specimen={"noise_snr_db": None}, seed=4)

@@ -191,6 +191,12 @@ CASES = {
         "# sample_rate_hz=0\n0.0,0.0\n1.0,1.0\n",
         1,
     ),
+    "pair-infinite-sample-rate": (
+        read_waveform_pair,
+        "pair.txt",
+        "# sample_rate_hz=" + "9" * 400 + "\n0.0,0.0\n1.0,1.0\n",
+        1,
+    ),
 }
 
 

@@ -14,6 +14,7 @@ from scipy import signal as sps
 
 from aeloc.signals import (
     CORRELATION_BLOCK,
+    READ_BLOCK,
     BandpassFilter,
     CorrelationFunction,
     CrossSpectra,
@@ -749,17 +750,49 @@ def test_reader_accepts_exactly_what_the_grammar_oracle_accepts(body):
     assert_same_doubles(read_or_refuse(body), grammar_oracle(body))
 
 
-def test_one_read_of_a_default_record_stays_under_2_7_mb(tmp_path):
-    # a paper-default 16384-sample test record; beside its text the read holds the parsed
-    # floats, the argument tuple that packs them and the packed doubles
+def _default_record_file(directory):
+    """A paper-default 16384-sample test record written as ``test_00.txt``: 653 KB, five
+    read blocks."""
     model = parse_config({}).model
     spec = SourceSpec(1500.0, CONTINUOUS_NOISE, 1.0, 40_000.0, (30_000.0, 50_000.0), seed=5)
     ch1, ch2 = propagate(synth_source(spec, model), spec, model)
-    path = write_waveform_pair(tmp_path / "test_00.txt", ch1, ch2)
+    return write_waveform_pair(directory / "test_00.txt", ch1, ch2), ch1, ch2
+
+
+def test_one_read_and_one_write_of_a_default_record_hold_a_block_not_a_file(tmp_path):
+    # beside the file's body (read) or the samples (write) only one block's text and floats
+    # are held; reading and writing the whole file at once peaked at 2.49 and 1.70 MB
+    path, ch1, ch2 = _default_record_file(tmp_path)
     read_waveform_pair(path)  # the first call's one-off allocations are not the read's
-    (got, _), peak = traced_peak(lambda: read_waveform_pair(path))
+    _, write_peak = traced_peak(lambda: write_waveform_pair(path, ch1, ch2))
+    (got, _), read_peak = traced_peak(lambda: read_waveform_pair(path))
     assert got.samples.tobytes() == ch1.samples.tobytes()
-    assert peak <= 2.7e6, peak / 1e6
+    assert read_peak <= 1.9e6, read_peak / 1e6
+    assert write_peak <= 1.15e6, write_peak / 1e6
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (b"0.5,0.25a", "unexpected character 'a'"),
+        (b"0.5,0.25,0.125", "expected one 'ch1,ch2' pair, found 2 commas"),
+        (b"0.5,1.e5", "no digit after decimal point"),
+    ],
+    ids=["bad-byte", "two-commas", "malformed-number"],
+)
+def test_a_fault_in_the_last_block_names_its_line(tmp_path, line, message):
+    # the file holds five blocks, and the faulty line sits in the last one: the four before
+    # it have been checked, and maybe parsed, when it is refused, and their bytes must be
+    # back in place for the line count
+    path, _, _ = _default_record_file(tmp_path)
+    assert path.stat().st_size > 4 * READ_BLOCK
+    lines = path.read_bytes().split(b"\n")
+    at = len(lines) - 3  # 0-based, so file line at + 1, a few lines before the end
+    lines[at] = line
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError) as info:
+        read_waveform_pair(path)
+    assert str(info.value) == f"{path}:{at + 1}: {message}"
 
 
 # (body after the header, the message after "<path>:"), the message naming the 1-based file
@@ -814,3 +847,7 @@ def test_waveform_validation():
         Waveform([1.0, np.nan], 10.0)
     with pytest.raises(ValueError):
         Waveform([1.0], 0.0)
+    # an infinite rate used to be accepted, and only the writer's round() refused it
+    for rate in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="sample_rate must be positive and finite"):
+            Waveform([1.0], rate)
