@@ -66,11 +66,12 @@ def locate_pair(
 class Dataset:
     """One role's records of a dataset directory, from :func:`load_dataset`.
 
-    ``rows`` are the manifest rows of that role.
-    Iterating yields ``(position_mm, (ch1, ch2))`` per row, the form
-    :func:`~aeloc.calibration.sweep_bands` takes, and reads each file only when
-    it gets there; ``len`` counts the rows.  A record whose sample count differs
-    from the first one's is refused: the spectra share one FFT length.
+    ``rows`` are the manifest rows of that role, and ``sample_rate`` the header
+    rate of the first one's pair file.  Iterating yields ``(position_mm, (ch1,
+    ch2))`` per row, the form :func:`~aeloc.calibration.sweep_bands` takes, and
+    reads each file only when it gets there; ``len`` counts the rows.  A record
+    whose sample count or rate differs from the first one's is refused: the
+    spectra share one FFT length and one rate.
     """
 
     directory: Path
@@ -84,49 +85,39 @@ class Dataset:
     def __iter__(self):
         first = None
         for row in self.rows:
-            pair = self.read(row)
+            path = self.directory / row.file
+            pair = read_waveform_pair(path)
+            n, rate = len(pair[0]), pair[0].sample_rate
             if first is None:
-                first = (row.file, len(pair[0]))
-            elif len(pair[0]) != first[1]:
+                first = (path, n, rate)
+            elif (n, rate) != first[1:]:
+                path_0, n_0, rate_0 = first
+                fault = (f"{n} samples, but {path_0} has {n_0}" if n != n_0
+                         else f"sample rate {rate} Hz, but {path_0} has {rate_0} Hz")
                 raise ValueError(
-                    f"{self.directory / row.file}: {len(pair[0])} samples, but "
-                    f"{self.directory / first[0]} has {first[1]}; a dataset's "
-                    f"{row.role} records must share one length"
+                    f"{path}: {fault}; a dataset's {row.role} records must share one length "
+                    "and rate"
                 )
             yield row.position_mm, pair
             del pair  # dropped before the next file is read
-
-    def read(self, row: ManifestRow) -> tuple[Waveform, Waveform]:
-        """The pair file of ``row``; its rate must match the manifest's, where one is given."""
-        pair = read_waveform_pair(self.directory / row.file)
-        rate = self.meta.get("sample_rate_hz")
-        if rate is not None and abs(pair[0].sample_rate - rate) > 1e-6:
-            raise ValueError(
-                f"{row.file}: sample rate {pair[0].sample_rate} Hz differs from the "
-                f"manifest's {rate} Hz"
-            )
-        return pair
 
 
 def load_dataset(dataset_dir, role: str) -> Dataset:
     """The manifest of ``dataset_dir`` and its ``role`` rows, whose files are read lazily.
 
-    The manifest is read once.  A listed file missing on disk, or a
-    ``<role>_*.txt`` file the manifest does not list, is an error.  The sample
-    rate is the manifest's ``sample_rate_hz``, else the header rate of the first
+    The manifest is read once.  A listed file missing on disk, a
+    ``<role>_*.txt`` file the manifest does not list, or a manifest listing no
+    ``role`` file is an error.  The sample rate is the header rate of the first
     ``role`` file.
     """
     dataset_dir = Path(dataset_dir)
     meta, manifest = read_manifest(dataset_dir / MANIFEST_NAME)
     rows = [row for row in manifest if row.role == role]
     _check_orphans(dataset_dir, rows, role)
-    rate = meta.get("sample_rate_hz")
-    if rate is None:
-        if not rows:
-            raise ValueError(f"{dataset_dir}: manifest lists no {role} sources")
-        with open(dataset_dir / rows[0].file, "rb") as fh:
-            rate = read_sample_rate(fh)
-    return Dataset(dataset_dir, meta, rows, rate)
+    if not rows:
+        raise ValueError(f"{dataset_dir}: manifest lists no {role} sources")
+    with open(dataset_dir / rows[0].file, "rb") as fh:
+        return Dataset(dataset_dir, meta, rows, read_sample_rate(fh))
 
 
 def load_prototype_pairs(dataset_dir):
@@ -152,8 +143,6 @@ def learn_prototypes(
     """
     dataset = load_dataset(dataset_dir, "prototype")
     filt.check_rate(dataset.sample_rate)
-    if not dataset.rows:
-        raise ValueError(f"{dataset.directory}: manifest lists no prototype sources")
     positions, spectra = prototype_spectra(dataset, filt.max_lag)
     listed = positions.tolist()
     duplicates = sorted({z for z in listed if listed.count(z) > 1})
@@ -237,11 +226,8 @@ def evaluate_dataset(
     3xMAD-trimmed averages are reported.
     """
     dataset = load_dataset(dataset_dir, "test")
-    filt.check_rate(dataset.sample_rate)
     manifest_path = dataset.directory / MANIFEST_NAME
     meta = dataset.meta
-    if not dataset.rows:
-        raise ValueError(f"{dataset.directory}: manifest lists no test sources")
     for key in ("sensor_1_mm", "sensor_2_mm"):
         if key not in meta:
             raise ValueError(f"{manifest_path}: header lacks {key!r}")
@@ -256,7 +242,7 @@ def evaluate_dataset(
     failed: list[tuple[str, str]] = []
     for row in dataset.rows:
         try:
-            ch1, ch2 = dataset.read(row)
+            ch1, ch2 = read_waveform_pair(dataset.directory / row.file)
             located.append((row, locate_pair(pset, filt, ch1, ch2)))
         except (ValueError, OSError) as exc:
             failed.append((row.file, str(exc)))

@@ -420,7 +420,7 @@ def write_waveform_pair(path: str | Path, ch1: Waveform, ch2: Waveform) -> Path:
     if len(ch1) != len(ch2):
         raise ValueError("channels of a pair must have equal length")
     rate = round(ch1.sample_rate)
-    if abs(rate - ch1.sample_rate) > 1e-6:
+    if rate != ch1.sample_rate:
         raise ValueError(f"file format stores integer sample rates, got {ch1.sample_rate}")
     header = b"# sample_rate_hz=%d\n" % rate
     return atomic_write_bytes(path, itertools.chain([header], _pair_lines(ch1, ch2)))

@@ -298,6 +298,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     merged.update({k: v for k, v in raw.items() if k != "specimen"})
     spec_raw["velocity_points"] = spec_raw.pop("velocity_points_hz_km_s")
     spec_raw["record_length"] = _integer("specimen.record_length", spec_raw["record_length"])
+    # a pair file's header stores the rate as an integer
+    spec_raw["sample_rate_hz"] = float(_integer("specimen.sample_rate_hz",
+                                                spec_raw["sample_rate_hz"]))
     model = SpecimenModel(**spec_raw)
     seed = _integer("seed", merged["seed"])
     if seed < 0:
@@ -334,9 +337,9 @@ MANIFEST_NAME = "manifest.txt"
 
 
 def write_manifest(path: str | Path, model: SpecimenModel, rows: list[ManifestRow]) -> Path:
+    # the pair files state the sample rate, in their first line
     lines = [
-        f"# sensor_1_mm={fmt(model.sensor_1_mm)} sensor_2_mm={fmt(model.sensor_2_mm)} "
-        f"sample_rate_hz={fmt(model.sample_rate_hz)}",
+        f"# sensor_1_mm={fmt(model.sensor_1_mm)} sensor_2_mm={fmt(model.sensor_2_mm)}",
         "file,role,position_mm,kind",
     ]
     lines.extend(f"{r.file},{r.role},{fmt(r.position_mm)},{r.kind}" for r in rows)

@@ -166,6 +166,35 @@ def test_simulate_names_the_pair_it_could_not_write(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == [f"prototype_{i:02d}.txt" for i in range(6)]
 
 
+@pytest.mark.parametrize("rate", [1000000.0000001, 1000000.5])
+def test_simulate_refuses_a_sample_rate_the_pair_format_cannot_store(tmp_path, capsys, rate):
+    # a pair file's header holds an integer rate: the first used to pass the writer
+    # rounded, the second to fail at the first write, leaving --out behind
+    cfg = small_config()
+    cfg["specimen"]["sample_rate_hz"] = rate
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "data"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: specimen.sample_rate_hz must be an integer, got {rate!r}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("caller_filter", ["error", "ignore"])
+def test_simulate_prints_the_out_of_span_warning_as_a_line(tmp_path, capsys, caller_filter):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(test_positions_mm=[500.0])))
+    with warnings.catch_warnings():
+        warnings.simplefilter(caller_filter)
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "d")]) == 0
+    assert capsys.readouterr().err == (
+        "warning: source at 500.0 mm lies outside the sensor span [800.0, 3200.0] mm; "
+        "delays saturate there\n"
+    )
+
+
 def test_usage_error_exit_code():
     assert cli.main(["frobnicate"]) == 1
 
@@ -335,6 +364,21 @@ def test_calibrate_writes_report_and_svg(learned):
     assert len([l for l in lines if not l.startswith("#")]) == 1 + 3
 
 
+@pytest.mark.parametrize("caller_filter", ["error", "ignore"])
+def test_calibrate_prints_each_band_it_skips_as_a_warning_line(learned, tmp_path, capsys,
+                                                              caller_filter):
+    _, data, _, _ = learned
+    # two bands: 30-40 kHz, and 500-510 kHz, which reaches the 500 kHz Nyquist frequency
+    grid = ["--f-start", "30000", "--step", "470000", "--f-stop", "510000"]
+    with warnings.catch_warnings():
+        warnings.simplefilter(caller_filter)
+        assert cli.main(["calibrate", str(data), "--report", str(tmp_path / "r.csv"), *grid]) == 0
+    assert capsys.readouterr().err == (
+        "warning: skipping band 500000.0-510000.0 Hz: f_high=510000.0 Hz is not below the "
+        "Nyquist frequency 500000.0 Hz\n"
+    )
+
+
 def test_calibrate_band_count_for_seventy_band_grid(tmp_path, learned):
     _, data, _, _ = learned
     report = tmp_path / "wide.csv"
@@ -359,7 +403,7 @@ def test_calibrate_without_prototypes_is_a_named_data_error(tmp_path, capsys):
     build_dataset(tmp_path, prototypes=[], tests=[1700.0], seed=4)
     code = cli.main(["calibrate", str(tmp_path), "--report", str(tmp_path / "r.csv")])
     assert code == 2
-    assert "at least 3 prototypes, got 0" in capsys.readouterr().err
+    assert f"error: {tmp_path}: manifest lists no prototype sources" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -376,20 +420,25 @@ def test_calibrate_names_file_and_line_of_a_corrupt_prototype(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["calibrate", "learn"])
-def test_manifest_rate_disagreeing_with_files_is_a_data_error(tmp_path, capsys, command):
+def test_a_manifest_rate_is_ignored_and_the_pair_files_state_the_rate(tmp_path, capsys, command):
+    # manifests used to repeat the rate in their header; a stale copy changes nothing
     build_dataset(tmp_path, specimen={"noise_snr_db": None}, seed=4)
     manifest = tmp_path / MANIFEST_NAME
-    text = manifest.read_text().replace("sample_rate_hz=1000000.0", "sample_rate_hz=500000.0")
-    manifest.write_text(text)
-    # the report agrees with the manifest, so what learn refuses is the files' rate
+    first, rest = manifest.read_text().split("\n", 1)
+    if command == "calibrate":
+        grid = ["--f-start", "30000", "--f-stop", "50000", "--step", "5000"]
+        fresh = tmp_path / "fresh.csv"
+        assert cli.main(["calibrate", str(tmp_path), "--report", str(fresh), *grid]) == 0
+    manifest.write_text(f"{first} sample_rate_hz=500000.0\n{rest}")
     out, band = tmp_path / "out", summary_report(tmp_path / "band.csv", 3e4, 4e4, sample_rate=5e5)
-    argv = {
-        "calibrate": ["calibrate", str(tmp_path), "--report", str(out)],
-        "learn": ["learn", str(tmp_path), "--db", str(out), "--calibration", str(band)],
-    }[command]
-    assert cli.main(argv) == 2
-    assert "differs from the manifest's 500000.0 Hz" in capsys.readouterr().err
-    assert not out.exists()
+    if command == "calibrate":
+        assert cli.main(["calibrate", str(tmp_path), "--report", str(out), *grid]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+    else:  # the report agrees with the stale copy, not with the files
+        assert cli.main(["learn", str(tmp_path), "--db", str(out), "--calibration", str(band)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: sample rate 1000000.0 Hz differs from {band}'s 500000.0 Hz\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["calibrate", "learn"])
@@ -466,6 +515,24 @@ def test_truncated_prototype_file_is_a_data_error(tmp_path, capsys, command):
     assert cli.main(argv) == 2
     first = tmp_path / "prototype_00.txt"
     assert f"error: {cut}: 6000 samples, but {first} has 8192" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "learn"])
+def test_prototype_file_at_another_rate_is_a_data_error(tmp_path, capsys, command):
+    # each record's rate must be the first one's, as its length must
+    build_dataset(tmp_path, specimen={"noise_snr_db": None}, seed=4)
+    slow = tmp_path / "prototype_03.txt"
+    write_waveform_pair(slow, *(Waveform(w.samples, FS / 2) for w in read_waveform_pair(slow)))
+    out, band = tmp_path / "out", summary_report(tmp_path / "band.csv", 3e4, 4e4)
+    argv = {
+        "calibrate": ["calibrate", str(tmp_path), "--report", str(out)],
+        "learn": ["learn", str(tmp_path), "--db", str(out), "--calibration", str(band)],
+    }[command]
+    assert cli.main(argv) == 2
+    first = tmp_path / "prototype_00.txt"
+    assert (f"error: {slow}: sample rate 500000.0 Hz, but {first} has 1000000.0 Hz"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -988,6 +1055,12 @@ def _swap_channels(ch1, ch2):
     return ch2, ch1
 
 
+def _clip(w):
+    """``w`` clipped at 10 % of its peak."""
+    level = 0.1 * np.abs(w.samples).max()
+    return Waveform(np.clip(w.samples, -level, level), w.sample_rate)
+
+
 # The fault matrix's benign rows: a fault in a located pair file that locate answers with
 # exit 0, and the position it must give instead of the fault-free one z, from the sensors
 # at s1 and s2 (mm).  The top weight stays the fault-free one.
@@ -995,6 +1068,9 @@ BENIGN_FAULTS = {
     # the delay's sign is the only evidence of the channel order: a swap negates the delay
     # and mirrors the position about the sensors' midpoint
     "swapped-channels": (_swap_channels, lambda z, s1, s2: s1 + s2 - z),
+    # clipping keeps the zero crossings that the correlation peak rests on
+    "clipped-ch1": (lambda ch1, ch2: (_clip(ch1), ch2), lambda z, s1, s2: z),
+    "clipped-ch2": (lambda ch1, ch2: (ch1, _clip(ch2)), lambda z, s1, s2: z),
 }
 
 
@@ -1013,6 +1089,30 @@ def test_fault_matrix_benign_rows(learned, tmp_path, fault):
     z = expected(float(clean["position_mm"]), meta["sensor_1_mm"], meta["sensor_2_mm"])
     assert float(got["position_mm"]) == pytest.approx(z, abs=0.05)
     assert float(got["top_weight"]) == pytest.approx(float(clean["top_weight"]), abs=1e-3)
+
+
+# The fault matrix's refused rows: a fault in a located pair file that locate refuses, and
+# how that file's status in the location report starts.  The intact file beside it is
+# still located, and locate exits 2.
+REFUSED_FAULTS = {
+    "zero-channel": (lambda ch1, ch2: (ch1, Waveform(np.zeros(len(ch2)), ch2.sample_rate)),
+                     "failed: no signal"),
+}
+
+
+@pytest.mark.parametrize("fault", REFUSED_FAULTS)
+def test_fault_matrix_refused_rows(learned, tmp_path, fault):
+    _, data, _, db = learned
+    edit, status = REFUSED_FAULTS[fault]
+    intact = data / "test_02.txt"
+    faulty = tmp_path / "faulty.txt"
+    write_waveform_pair(faulty, *edit(*read_waveform_pair(intact)))
+    out = tmp_path / "loc.csv"
+    assert cli.main(["locate", str(db), str(intact), str(faulty), "--out", str(out)]) == 2
+    with open(out, newline="") as fh:
+        clean, got = csv.DictReader(fh)
+    assert clean["status"] == "ok"
+    assert got["status"].startswith(status) and got["position_mm"] == ""
 
 
 @pytest.mark.parametrize("command", ["locate", "evaluate"])
@@ -1157,8 +1257,9 @@ def test_evaluate_names_a_manifest_header_without_sensor_positions(learned, tmp_
     shutil.copytree(data, bare)
     manifest = bare / MANIFEST_NAME
     text = manifest.read_text()
-    token = next(t for t in text.splitlines()[0].split() if t.startswith(key + "="))
-    manifest.write_text(text.replace(token + " ", "", 1))
+    first, rest = text.split("\n", 1)
+    kept = [token for token in first.split() if not token.startswith(key + "=")]
+    manifest.write_text(" ".join(kept) + "\n" + rest)
     code = cli.main(
         ["evaluate", str(db), str(bare), "--report", str(tmp_path / "r.csv"),
          "--calibration", str(report)]
