@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -67,9 +68,10 @@ class Dataset:
     """One role's records of a dataset directory, from :func:`load_dataset`.
 
     ``rows`` are the manifest rows of that role, and ``sample_rate`` the header
-    rate of the first one's pair file.  Iterating yields ``(position_mm, (ch1,
-    ch2))`` per row, the form :func:`~aeloc.calibration.sweep_bands` takes, and
-    reads each file only when it gets there; ``len`` counts the rows.  A record
+    rate of the first one's pair file, read on first use.  Iterating yields
+    ``(position_mm, (ch1, ch2))`` per row, the form
+    :func:`~aeloc.calibration.sweep_bands` takes, and reads each file only when
+    it gets there; ``len`` counts the rows.  A record
     whose sample count or rate differs from the first one's is refused: the
     spectra share one FFT length and one rate.
     """
@@ -77,7 +79,11 @@ class Dataset:
     directory: Path
     meta: dict
     rows: list[ManifestRow]
-    sample_rate: float
+
+    @cached_property
+    def sample_rate(self) -> float:
+        with open(self.directory / self.rows[0].file, "rb") as fh:
+            return read_sample_rate(fh)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -107,8 +113,7 @@ def load_dataset(dataset_dir, role: str) -> Dataset:
 
     The manifest is read once.  A listed file missing on disk, a
     ``<role>_*.txt`` file the manifest does not list, or a manifest listing no
-    ``role`` file is an error.  The sample rate is the header rate of the first
-    ``role`` file.
+    ``role`` file is an error.
     """
     dataset_dir = Path(dataset_dir)
     meta, manifest = read_manifest(dataset_dir / MANIFEST_NAME)
@@ -116,8 +121,7 @@ def load_dataset(dataset_dir, role: str) -> Dataset:
     _check_orphans(dataset_dir, rows, role)
     if not rows:
         raise ValueError(f"{dataset_dir}: manifest lists no {role} sources")
-    with open(dataset_dir / rows[0].file, "rb") as fh:
-        return Dataset(dataset_dir, meta, rows, read_sample_rate(fh))
+    return Dataset(dataset_dir, meta, rows)
 
 
 def load_prototype_pairs(dataset_dir):

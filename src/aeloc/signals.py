@@ -21,7 +21,7 @@ import numpy as np
 import orjson
 from scipy import fft as sp_fft
 
-# scipy.signal takes about a second to load: the three functions using it, no stage's, import it
+# scipy.signal takes about a second to load: the two functions using it, no stage's, import it
 
 from .util import atomic_write_bytes, positive_field
 
@@ -294,17 +294,10 @@ def cross_correlate(y1: Waveform, y2: Waveform, max_lag: int) -> CorrelationFunc
     """Correlation r[lag] = sum_t y1[t] * y2[t + lag], truncated at the record edges.
 
     If y2 equals y1 delayed by d samples the peak falls at lag = +d.  Only
-    lags -max_lag..+max_lag are computed (:class:`CrossSpectra`); short records
-    take the direct sum in place of the FFT values, free of FFT rounding.
+    lags -max_lag..+max_lag are computed, by :class:`CrossSpectra`'s lag-window FFT.
     """
-    from scipy import signal as sps
     spectra = CrossSpectra.of_pairs([(y2, y1)], max_lag)
     (values,) = spectra.correlations()
-    a, b = y1.samples, y2.samples
-    if sps.choose_conv_method(b, a[::-1], mode="full") == "direct":
-        full = np.convolve(b, a[::-1])
-        centre = len(a) - 1  # index of lag 0 in the full correlation
-        values = full[centre - spectra.lag : centre + spectra.lag + 1]
     return CorrelationFunction(values, spectra.sample_rate)
 
 

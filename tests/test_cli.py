@@ -21,6 +21,7 @@ from aeloc.signals import (
     Waveform,
     design_bandpass,
     filtered_delay,
+    read_sample_rate,
     read_waveform_pair,
     write_waveform_pair,
 )
@@ -621,7 +622,7 @@ def write_synthetic_prototypes(out_dir, shifts, positions):
     """Pairs with exact sample shifts, bypassing the simulator for full control."""
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [
-        "# sensor_1_mm=0.0 sensor_2_mm=2400.0 sample_rate_hz=1000000.0",
+        "# sensor_1_mm=0.0 sensor_2_mm=2400.0",
         "file,role,position_mm,kind",
     ]
     for i, (shift, z) in enumerate(zip(shifts, positions)):
@@ -671,7 +672,7 @@ def _learn(tmp_path, report):
 
 
 def test_learn_reads_each_prototype_once(tmp_path, monkeypatch):
-    # calibrate too; without a manifest rate only the first file's header line is read for it
+    # calibrate too; only the first file's header line is read for the rate
     write_synthetic_prototypes(tmp_path, shifts=[-20, 0, 20], positions=[100.0, 200.0, 300.0])
     cal_args = ["--f-start", "35000", "--f-stop", "45000", "--max-delay-s", "1e-4"]
     band = _band_report(tmp_path)
@@ -679,23 +680,35 @@ def test_learn_reads_each_prototype_once(tmp_path, monkeypatch):
         ["learn", str(tmp_path), "--db", str(tmp_path / "p.db"), "--calibration", str(band)],
         ["calibrate", str(tmp_path), "--report", str(tmp_path / "cal.csv"), *cal_args],
     )
-    manifest = tmp_path / MANIFEST_NAME
-    for rate_in_manifest in (True, False):
-        if not rate_in_manifest:
-            manifest.write_text(manifest.read_text().replace(" sample_rate_hz=1000000.0", ""))
-        for argv in commands:
-            reads = _log_pair_reads(monkeypatch)
-            assert cli.main(argv) == 0
-            assert reads == {f"prototype_{i:02d}.txt": 1 for i in range(3)}, (argv[0], reads)
-
-
-def test_learn_takes_rate_from_first_prototype_without_manifest_rate(tmp_path):
-    write_synthetic_prototypes(tmp_path, shifts=[-20, 0, 20], positions=[100.0, 200.0, 300.0])
-    manifest = tmp_path / MANIFEST_NAME
-    text = manifest.read_text().replace(" sample_rate_hz=1000000.0", "")
-    manifest.write_text(text)
-    assert _learn(tmp_path, _band_report(tmp_path)) == 0
+    for argv in commands:
+        reads = _log_pair_reads(monkeypatch)
+        assert cli.main(argv) == 0
+        assert reads == {f"prototype_{i:02d}.txt": 1 for i in range(3)}, (argv[0], reads)
     assert len(load_prototypes(tmp_path / "p.db")) == 3
+
+
+def test_only_calibrate_and_learn_read_a_dataset_rate(learned, tmp_path, monkeypatch):
+    # evaluate checks each test file's own rate as it locates it, so no header is read ahead
+    _, data, report, db = learned
+    calls = []
+
+    def counting_read(fh):
+        calls.append(Path(fh.name).name)
+        return read_sample_rate(fh)
+
+    monkeypatch.setattr(pipeline, "read_sample_rate", counting_read)
+    commands = {
+        "calibrate": ["calibrate", str(data), "--report", str(tmp_path / "cal.csv"),
+                      "--f-start", "35000", "--f-stop", "45000"],
+        "learn": ["learn", str(data), "--db", str(tmp_path / "p.db"),
+                  "--calibration", str(report)],
+        "evaluate": ["evaluate", str(db), str(data), "--report", str(tmp_path / "e.csv")],
+    }
+    for command, argv in commands.items():
+        calls.clear()
+        assert cli.main(argv) == 0
+        expected = [] if command == "evaluate" else ["prototype_00.txt"]
+        assert calls == expected, command
 
 
 def test_learn_skips_out_of_window_prototypes(tmp_path, capsys):
@@ -1113,6 +1126,54 @@ def test_fault_matrix_refused_rows(learned, tmp_path, fault):
         clean, got = csv.DictReader(fh)
     assert clean["status"] == "ok"
     assert got["status"].startswith(status) and got["position_mm"] == ""
+
+
+def _truncate(w, n=999):
+    return Waveform(w.samples[:n], w.sample_rate)
+
+
+_UNEQUAL_LENGTH = ("error: {data}/prototype_05.txt: 999 samples, but {data}/prototype_00.txt "
+                   "has 16384; a dataset's prototype records must share one length and rate\n")
+
+# The fault matrix's prototype rows: a fault in prototype_05.txt of the seed-0 dataset, and
+# what calibrate and learn answer, each as (exit code, stdout lines, stderr); learn takes a
+# 35-45 kHz report of its own, so it runs where calibrate refuses.  A zero channel leaves
+# the band and velocity unchanged, and only learn names the file it skips.
+PROTOTYPE_FAULTS = {
+    "zero-ch2": (
+        lambda ch1, ch2: (ch1, Waveform(np.zeros(len(ch2)), ch2.sample_rate)),
+        (0, ["best band: 35000-45000 Hz (rmse 0.003 mm)", "velocity: 1.7000 km/s"], ""),
+        (0, ["stored 11 prototypes in {db}"],
+         "warning: skipped prototype_05.txt: no signal: correlation function is identically "
+         "zero\n"),
+    ),
+    "truncated": (
+        lambda ch1, ch2: (_truncate(ch1), _truncate(ch2)),
+        (2, [], _UNEQUAL_LENGTH),
+        (2, [], _UNEQUAL_LENGTH),
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", PROTOTYPE_FAULTS)
+def test_fault_matrix_prototype_rows(paper_seed0, tmp_path, capsys, fault):
+    data = tmp_path / "data"
+    shutil.copytree(paper_seed0, data)
+    edit, calibrate_answer, learn_answer = PROTOTYPE_FAULTS[fault]
+    path = data / "prototype_05.txt"
+    write_waveform_pair(path, *edit(*read_waveform_pair(path)))
+    report, db = tmp_path / "cal.csv", tmp_path / "p.db"
+    runs = (
+        (["calibrate", str(data), "--report", str(report)], calibrate_answer),
+        (["learn", str(data), "--db", str(db), "--calibration",
+          str(summary_report(tmp_path / "band.csv"))], learn_answer),
+    )
+    for argv, (code, out_lines, err) in runs:
+        assert cli.main(argv) == code, argv[0]
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert all(line.format(db=db) in lines for line in out_lines), (argv[0], lines)
+        assert captured.err == err.format(data=data), argv[0]
 
 
 @pytest.mark.parametrize("command", ["locate", "evaluate"])

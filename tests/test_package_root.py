@@ -20,7 +20,7 @@ def _readme_library_code() -> str:
 
 
 def test_scripts_and_readme_imports_resolve():
-    for script in ("run_band_experiment", "density_sweep", "stage_memory"):
+    for script in ("run_band_experiment", "density_sweep", "stage_memory", "cold_start"):
         spec = importlib.util.spec_from_file_location(script, ROOT / "scripts" / f"{script}.py")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)  # runs the imports; main() stays behind __main__
@@ -75,6 +75,21 @@ def test_importing_the_cli_leaves_scipy_signal_unloaded():
     # scipy.signal pulls in scipy.stats, optimize, interpolate and spatial: about a second
     # of start-up for every CLI call, and no stage uses it
     probe = "import sys, aeloc.cli; print('scipy.signal' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), *sys.path])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.stdout.split() == ["False"], out.stderr
+
+
+def test_correlating_a_pair_leaves_scipy_signal_unloaded():
+    # cross_correlate and pair_delay take CrossSpectra's lag-window FFT, which needs scipy.fft only
+    probe = (
+        "import sys\n"
+        "from aeloc.signals import Waveform, cross_correlate, pair_delay\n"
+        "a, b = Waveform([0.0, 1.0, 0.0, 0.0], 10.0), Waveform([0.0, 0.0, 1.0, 0.0], 10.0)\n"
+        "cross_correlate(a, b, 2)\n"
+        "pair_delay(b, a, 2)\n"
+        "print('scipy.signal' in sys.modules)"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), *sys.path])}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert out.stdout.split() == ["False"], out.stderr

@@ -29,3 +29,11 @@ def test_density_sweep_script_prints_one_row_per_pitch():
     header, *rows = run.stdout.splitlines()
     assert header.split() == ["pitch", "[mm]", "prototypes", "mean", "error", "[mm]"]
     assert [row.split()[:2] for row in rows] == [["400", "6"]]
+
+
+def test_cold_start_script_times_one_locate_process():
+    run = _run_script("cold_start.py", "--runs", "1")
+    assert run.returncode == 0, run.stderr
+    (line,) = run.stdout.splitlines()
+    assert line.startswith("locate, one event, 1 fresh processes: median ")
+    assert line.endswith(" MB")

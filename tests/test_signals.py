@@ -289,7 +289,7 @@ def test_unit_shift_hand_example():
     y1 = Waveform([0.0, 1.0, 0.0, 0.0], 10.0)
     y2 = Waveform([0.0, 0.0, 1.0, 0.0], 10.0)
     r = cross_correlate(y1, y2, 2)
-    assert np.array_equal(r.values, [0.0, 0.0, 0.0, 1.0, 0.0])
+    assert np.allclose(r.values, [0.0, 0.0, 0.0, 1.0, 0.0], rtol=0.0, atol=1e-15)
     assert np.argmax(r.values) - r.max_lag == 1
 
 
@@ -303,23 +303,22 @@ def test_matches_enumeration_oracle():
 
 
 @pytest.mark.parametrize(
-    "n1, n2, max_lag, method",
+    "n1, n2, max_lag",
     [
-        (48, 48, 20, "direct"),
-        (48, 37, 36, "direct"),  # max_lag = min(n1, n2) - 1
-        (37, 48, 36, "direct"),
-        (2048, 2048, 500, "direct"),
-        (3000, 3000, 500, "fft"),
-        (8192, 6000, 5999, "fft"),  # max_lag = min(n1, n2) - 1
-        (6000, 8192, 2500, "fft"),
-        (16384, 16384, 2500, "fft"),  # paper-default record and delay window
+        (48, 48, 20),
+        (48, 37, 36),  # max_lag = min(n1, n2) - 1
+        (37, 48, 36),
+        (2048, 2048, 500),
+        (3000, 3000, 500),
+        (8192, 6000, 5999),  # max_lag = min(n1, n2) - 1
+        (6000, 8192, 2500),
+        (16384, 16384, 2500),  # paper-default record and delay window
     ],
 )
-def test_lag_window_matches_full_correlation(n1, n2, max_lag, method):
+def test_lag_window_matches_full_correlation(n1, n2, max_lag):
     rng = np.random.default_rng(n1 * 7 + n2)
     y1 = rng.normal(size=n1)
     y2 = rng.normal(size=n2)
-    assert sps.choose_conv_method(y2, y1, mode="full") == method
     r = cross_correlate(Waveform(y1, FS), Waveform(y2, FS), max_lag)
     expected = sps.correlate(y2, y1, mode="full")[n1 - 1 - max_lag : n1 + max_lag]
     scale = float(np.max(np.abs(expected)))
