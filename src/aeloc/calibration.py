@@ -56,10 +56,12 @@ class BandGrid:
 
 @dataclass(frozen=True, eq=False)
 class CalibrationRecord:
-    """One band's outcome; delays hold NaN where estimation failed."""
+    """One band's outcome; delays hold NaN where estimation failed, and ``errors`` the
+    picker's error of each such row (:func:`~aeloc.signals.pick_delays`)."""
 
     band: FilterSpec
     delays: np.ndarray
+    errors: dict[int, ValueError]
     rmse_mm: float
     slope_s_per_mm: float
     intercept_s: float
@@ -135,14 +137,18 @@ def estimate_velocity(slope_s_per_mm: float) -> float:
 
 
 def _band_record(
-    spec: FilterSpec, delays: np.ndarray, positions: np.ndarray, sample_rate: float
+    spec: FilterSpec,
+    delays: np.ndarray,
+    errors: dict[int, ValueError],
+    positions: np.ndarray,
+    sample_rate: float,
 ) -> CalibrationRecord:
     valid = np.nonzero(np.isfinite(delays))[0]
     if valid.size < 3 or np.unique(positions[valid]).size < 2:
-        return CalibrationRecord(spec, delays, float("inf"), 0.0, 0.0)
+        return CalibrationRecord(spec, delays, errors, float("inf"), 0.0, 0.0)
     slope, intercept, rmse, outliers = _robust_fit(positions[valid], delays[valid], sample_rate)
     return CalibrationRecord(
-        spec, delays, rmse, slope, intercept, tuple(int(valid[i]) for i in outliers)
+        spec, delays, errors, rmse, slope, intercept, tuple(int(valid[i]) for i in outliers)
     )
 
 
@@ -209,8 +215,8 @@ def sweep_bands(
             warnings.warn(f"skipping band {spec.f_low}-{spec.f_high} Hz: {exc}", stacklevel=2)
             continue
         # the windows go straight to the picker: no band's outlive its delays
-        delays, _ = pick_delays(spectra.correlations(filt), spectra.sample_rate)
-        records.append(_band_record(spec, delays, positions, spectra.sample_rate))
+        delays, errors = pick_delays(spectra.correlations(filt), spectra.sample_rate)
+        records.append(_band_record(spec, delays, errors, positions, spectra.sample_rate))
     if not records:
         raise ValueError("every band in the grid was invalid for this sample rate")
     best = records[int(np.argmin([rec.rmse_mm for rec in records]))]

@@ -101,6 +101,8 @@ def _cmd_calibrate(args) -> int:
     grid = BandGrid(width=args.width, step=args.step, f_start=args.f_start, f_stop=args.f_stop)
     max_lag = lag_window(args.max_delay_s, dataset.sample_rate)
     result = sweep_bands(dataset, grid, args.order, max_lag=max_lag)
+    for i, exc in result.best.errors.items():  # as learn names the same prototypes
+        print(f"warning: skipped {dataset.rows[i].file}: {exc}", file=sys.stderr)
     write_calibration_report(args.report, result, args.max_delay_s)
     if args.svg:
         xs, ys = linear_fit_points(

@@ -13,15 +13,13 @@ import os
 import re
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
 import orjson
-from scipy import fft as sp_fft
 
-# scipy.signal takes about a second to load: the two functions using it, no stage's, import it
+# scipy.signal takes about a second to load: apply_filter, the one function using it, imports it
 
 from .util import atomic_write_bytes, positive_field
 
@@ -101,7 +99,7 @@ class BandpassFilter:
     max_lag: int = field(init=False, repr=False, compare=False)
     # what check_rate names: the file read() took the filter from; never written
     source: str = field(default="the filter", init=False, repr=False, compare=False)
-    # rfft_power's responses by FFT length, computed on first use like sos
+    # rfft_power's responses by FFT length, each computed on first use
     _rfft_powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -148,15 +146,6 @@ class BandpassFilter:
                 f"sample rate {rate} Hz differs from {self.source}'s {self.sample_rate} Hz"
             )
 
-    @cached_property
-    def sos(self) -> np.ndarray:
-        """Second-order sections, designed on first use; only :func:`apply_filter` needs them."""
-        from scipy import signal as sps
-        spec = self.spec
-        return sps.butter(
-            spec.order, [spec.f_low, spec.f_high], "bandpass", output="sos", fs=self.sample_rate
-        )
-
     def power_response(self, omega: np.ndarray) -> np.ndarray:
         """|H(e^jω)|² at ``omega`` radians per sample, in closed form.
 
@@ -173,7 +162,7 @@ class BandpassFilter:
         """:meth:`power_response` at the bins of an ``nfft``-point rfft, once per ``nfft``."""
         power = self._rfft_powers.get(nfft)
         if power is None:
-            power = self.power_response(2.0 * np.pi * sp_fft.rfftfreq(nfft))
+            power = self.power_response(2.0 * np.pi * np.fft.rfftfreq(nfft))
             power.flags.writeable = False
             self._rfft_powers[nfft] = power
         return power
@@ -189,7 +178,9 @@ def apply_filter(filt: BandpassFilter, w: Waveform) -> Waveform:
     """Run a single causal forward pass; output keeps length and sample rate."""
     filt.check_rate(w.sample_rate)
     from scipy import signal as sps
-    return Waveform(sps.sosfilt(filt.sos, w.samples), w.sample_rate)
+    band = [filt.spec.f_low, filt.spec.f_high]  # the sections are designed on every call
+    sos = sps.butter(filt.spec.order, band, "bandpass", output="sos", fs=filt.sample_rate)
+    return Waveform(sps.sosfilt(sos, w.samples), w.sample_rate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,6 +193,12 @@ class CorrelationFunction:
     @property
     def max_lag(self) -> int:
         return (len(self.values) - 1) // 2
+
+
+def _fast_length(n: int) -> int:
+    """The least 2^a·3^b·5^c >= n, as ``scipy.fft.next_fast_len(n, real=True)`` gives it."""
+    odd = (3**b * 5**c for b in range(n.bit_length()) for c in range(n.bit_length()))
+    return min(p << (-(-n // p) - 1).bit_length() for p in odd if p < 2 * n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +235,7 @@ class CrossSpectra:
         for ch1, ch2 in pairs:
             if cross is None:
                 rate, longest = ch1.sample_rate, max(len(ch1), len(ch2))
-                nfft = sp_fft.next_fast_len(longest + lag, real=True)
+                nfft = _fast_length(longest + lag)
                 cross = np.empty((len(pairs), nfft // 2 + 1), np.complex128)
             if taken == len(cross):
                 raise ValueError(f"pairs yielded more records than their length of {len(cross)}")
@@ -258,8 +255,8 @@ class CrossSpectra:
             # rfft(ch1) * conj(rfft(ch2)) is the spectrum of cross_correlate(ch2, ch1), as in
             # pair_delay; numpy rounds in-place complex products differently from out-of-place
             row = cross[taken]
-            row[:] = sp_fft.rfft(ch1.samples, nfft)
-            conj = sp_fft.rfft(ch2.samples, nfft)
+            row[:] = np.fft.rfft(ch1.samples, nfft)
+            conj = np.fft.rfft(ch2.samples, nfft)
             row *= np.conj(conj, out=conj)
             taken += 1
             del ch1, ch2, w, conj  # unbound before the next pair is read
@@ -284,7 +281,7 @@ class CrossSpectra:
             cross = self.values[rows]
             if filt is not None:
                 cross = np.multiply(cross, power, out=block[: len(cross)])
-            circ = sp_fft.irfft(cross, self.nfft, axis=-1)
+            circ = np.fft.irfft(cross, self.nfft, axis=-1)
             windows[rows, :lag] = circ[:, -lag:]
             windows[rows, lag:] = circ[:, : lag + 1]
         return windows

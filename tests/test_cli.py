@@ -1104,12 +1104,20 @@ def test_fault_matrix_benign_rows(learned, tmp_path, fault):
     assert float(got["top_weight"]) == pytest.approx(float(clean["top_weight"]), abs=1e-3)
 
 
+def _truncate(w, n=999):
+    return Waveform(w.samples[:n], w.sample_rate)
+
+
 # The fault matrix's refused rows: a fault in a located pair file that locate refuses, and
 # how that file's status in the location report starts.  The intact file beside it is
 # still located, and locate exits 2.
 REFUSED_FAULTS = {
     "zero-channel": (lambda ch1, ch2: (ch1, Waveform(np.zeros(len(ch2)), ch2.sample_rate)),
                      "failed: no signal"),
+    # shorter than the delay window; a cut to 4000 samples still locates, 0.06 mm off
+    "truncated": (lambda ch1, ch2: (_truncate(ch1), _truncate(ch2)),
+                  "failed: max_lag=2500 must be smaller than every record "
+                  "(pair 0: lengths 999 and 999)"),
 }
 
 
@@ -1128,24 +1136,21 @@ def test_fault_matrix_refused_rows(learned, tmp_path, fault):
     assert got["status"].startswith(status) and got["position_mm"] == ""
 
 
-def _truncate(w, n=999):
-    return Waveform(w.samples[:n], w.sample_rate)
-
-
 _UNEQUAL_LENGTH = ("error: {data}/prototype_05.txt: 999 samples, but {data}/prototype_00.txt "
                    "has 16384; a dataset's prototype records must share one length and rate\n")
 
 # The fault matrix's prototype rows: a fault in prototype_05.txt of the seed-0 dataset, and
 # what calibrate and learn answer, each as (exit code, stdout lines, stderr); learn takes a
 # 35-45 kHz report of its own, so it runs where calibrate refuses.  A zero channel leaves
-# the band and velocity unchanged, and only learn names the file it skips.
+# the band and velocity unchanged, and both name the file they skip.
+_SKIPPED_ZERO = ("warning: skipped prototype_05.txt: no signal: correlation function is "
+                 "identically zero\n")
 PROTOTYPE_FAULTS = {
     "zero-ch2": (
         lambda ch1, ch2: (ch1, Waveform(np.zeros(len(ch2)), ch2.sample_rate)),
-        (0, ["best band: 35000-45000 Hz (rmse 0.003 mm)", "velocity: 1.7000 km/s"], ""),
-        (0, ["stored 11 prototypes in {db}"],
-         "warning: skipped prototype_05.txt: no signal: correlation function is identically "
-         "zero\n"),
+        (0, ["best band: 35000-45000 Hz (rmse 0.003 mm)", "velocity: 1.7000 km/s"],
+         _SKIPPED_ZERO),
+        (0, ["stored 11 prototypes in {db}"], _SKIPPED_ZERO),
     ),
     "truncated": (
         lambda ch1, ch2: (_truncate(ch1), _truncate(ch2)),

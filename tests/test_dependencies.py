@@ -44,3 +44,27 @@ def test_every_third_party_import_is_a_declared_dependency():
     declared = _declared_dependencies()
     undeclared = {n: f for n, f in third_party.items() if _normalized(n) not in declared}
     assert not undeclared, f"imported but not in [project] dependencies: {undeclared}"
+
+
+def _import_time_imports(node) -> set[str]:
+    """Top-level packages imported by ``node`` when its module loads: function bodies excluded."""
+    names = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            names.add(child.module.split(".")[0])
+        names |= _import_time_imports(child)
+    return names
+
+
+def test_no_module_imports_scipy_when_it_loads():
+    # scipy costs a CLI call about 0.4 s of start-up; apply_filter, which no stage calls,
+    # imports it in its body
+    eager = [path.name for path in sorted((ROOT / "src" / "aeloc").glob("*.py"))
+             if "scipy" in _import_time_imports(ast.parse(path.read_text()))]
+    assert not eager, f"import scipy when loaded: {eager}"
+    signals = ast.parse((ROOT / "src" / "aeloc" / "signals.py").read_text())
+    assert "numpy" in _import_time_imports(signals)  # the scan sees module-level imports

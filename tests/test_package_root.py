@@ -3,6 +3,7 @@
 import argparse
 import ast
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 from aeloc import cli
+from aeloc.simulator import default_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -17,6 +19,13 @@ ROOT = Path(__file__).resolve().parents[1]
 def _readme_library_code() -> str:
     section = (ROOT / "README.md").read_text().split("## Library use", 1)[1]
     return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+
+
+def _fresh_interpreter(probe: str, *args: str) -> subprocess.CompletedProcess:
+    """``probe`` run by a new Python that imports this checkout's aeloc."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), *sys.path])}
+    return subprocess.run([sys.executable, "-c", probe, *args], env=env, capture_output=True,
+                          text=True)
 
 
 def test_scripts_and_readme_imports_resolve():
@@ -34,8 +43,7 @@ def test_scripts_and_readme_imports_resolve():
     # a fresh interpreter: in this one other imports have attached the submodules already
     modules = ("calibration", "grnn", "pipeline", "signals", "simulator", "svgplot", "util")
     probe = "import aeloc; print(' '.join(getattr(aeloc, m).__name__ for m in %r))" % (modules,)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), *sys.path])}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    out = _fresh_interpreter(probe)
     assert out.stdout.split() == [f"aeloc.{m}" for m in modules], out.stderr
 
 
@@ -71,28 +79,54 @@ def test_every_public_definition_is_used_outside_the_tests():
     assert not unused, f"public but used only by tests: {unused}"
 
 
-def test_importing_the_cli_leaves_scipy_signal_unloaded():
-    # scipy.signal pulls in scipy.stats, optimize, interpolate and spatial: about a second
-    # of start-up for every CLI call, and no stage uses it
-    probe = "import sys, aeloc.cli; print('scipy.signal' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), *sys.path])}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-    assert out.stdout.split() == ["False"], out.stderr
+# the scipy modules a probe has loaded, printed as its last line
+_LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
 
 
-def test_correlating_a_pair_leaves_scipy_signal_unloaded():
-    # cross_correlate and pair_delay take CrossSpectra's lag-window FFT, which needs scipy.fft only
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # importing scipy.fft costs every CLI call about 0.4 s of start-up, and scipy.signal
+    # pulls in scipy.stats, optimize, interpolate and spatial: no stage uses either
+    out = _fresh_interpreter("import sys, aeloc.cli\n" + _LOADED_SCIPY)
+    assert out.stdout.splitlines() == ["[]"], out.stderr
+
+
+def test_correlating_a_pair_leaves_scipy_unloaded():
+    # cross_correlate and pair_delay take CrossSpectra's lag-window FFT, from numpy.fft
     probe = (
         "import sys\n"
         "from aeloc.signals import Waveform, cross_correlate, pair_delay\n"
         "a, b = Waveform([0.0, 1.0, 0.0, 0.0], 10.0), Waveform([0.0, 0.0, 1.0, 0.0], 10.0)\n"
         "cross_correlate(a, b, 2)\n"
         "pair_delay(b, a, 2)\n"
-        "print('scipy.signal' in sys.modules)"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), *sys.path])}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-    assert out.stdout.split() == ["False"], out.stderr
+    out = _fresh_interpreter(probe + _LOADED_SCIPY)
+    assert out.stdout.splitlines() == ["[]"], out.stderr
+
+
+def test_the_five_stages_leave_scipy_unloaded(tmp_path):
+    # only apply_filter, which no stage calls, imports scipy
+    config = default_config()
+    config["specimen"]["record_length"] = 8192
+    config["prototype_positions_mm"] = [900.0 + 400.0 * k for k in range(6)]
+    config["test_positions_mm"] = [900.0, 1500.0, 2100.0]
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    data, report, db = tmp_path / "data", tmp_path / "cal.csv", tmp_path / "p.db"
+    stages = [
+        ["simulate", "--config", tmp_path / "config.json", "--out", data],
+        ["calibrate", data, "--report", report, "--svg", tmp_path / "cal.svg"],
+        ["learn", data, "--db", db, "--calibration", report],
+        ["locate", db, data / "test_01.txt", "--out", tmp_path / "loc.csv"],
+        ["evaluate", db, data, "--report", tmp_path / "eval.csv", "--svg", tmp_path / "e.svg"],
+    ]
+    probe = (
+        "import json, sys\n"
+        "from aeloc import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+    )
+    out = _fresh_interpreter(probe + _LOADED_SCIPY, json.dumps(stages, default=str))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def _parser_flags(parser: argparse.ArgumentParser) -> set[str]:

@@ -32,6 +32,7 @@ from aeloc.signals import (
     pick_delays,
     read_waveform_pair,
     write_waveform_pair,
+    _fast_length,
 )
 from aeloc.simulator import CONTINUOUS_NOISE, SourceSpec, parse_config, propagate, synth_source
 from aeloc.util import fmt
@@ -151,7 +152,8 @@ def test_zero_waveform_stays_zero():
 def test_power_response_matches_sosfreqz(fs, f_low, f_high, order):
     filt = design_bandpass(FilterSpec(f_low, f_high, order), fs)
     omega = 2.0 * np.pi * np.fft.rfftfreq(19_200)  # rfft bins from 0 to pi
-    _, h = sps.sosfreqz(filt.sos, worN=omega)
+    sos = sps.butter(order, [f_low, f_high], btype="bandpass", fs=fs, output="sos")
+    _, h = sps.sosfreqz(sos, worN=omega)
     assert np.allclose(filt.power_response(omega), np.abs(h) ** 2, rtol=0.0, atol=1e-9)
 
 
@@ -204,12 +206,20 @@ def test_rfft_power_is_computed_once_per_filter_and_fft_length(monkeypatch):
     assert len(calls) == 2
 
 
-def test_sos_is_the_scipy_design_bit_for_bit():
-    spec = FilterSpec(35_000.0, 45_000.0, 4)
-    filt = design_bandpass(spec, FS)
+def test_apply_filter_is_sosfilt_of_the_scipy_design_bit_for_bit():
+    filt = design_bandpass(FilterSpec(35_000.0, 45_000.0, 4), FS)
+    w = Waveform(np.random.default_rng(5).standard_normal(4000), FS)
     sos = sps.butter(4, [35_000.0, 45_000.0], btype="bandpass", fs=FS, output="sos")
-    assert filt.sos.tobytes() == sos.tobytes()
-    assert filt.sos is filt.sos  # designed once, on first use
+    assert apply_filter(filt, w).samples.tobytes() == sps.sosfilt(sos, w.samples).tobytes()
+
+
+def test_fast_length_is_scipys_next_fast_len():
+    # scipy.fft is the reference here only: the stages take their FFTs from numpy.fft
+    from scipy.fft import next_fast_len
+
+    rng = np.random.default_rng(27)
+    for n in [*range(1, 20_000), *rng.integers(20_000, 10**9, 300).tolist()]:
+        assert _fast_length(n) == next_fast_len(n, real=True), n
 
 
 def test_band_selectivity_power_ratio():
