@@ -14,7 +14,7 @@ holds one block of the file's text and floats at a time.  For each row it
 prints the ``tracemalloc`` peak above what was held when the step began, and
 what the step still holds when it returns.  The stages' own output is
 discarded.  Only allocations made through Python and numpy are
-traced; native buffers such as scipy's FFT plans are not.
+traced; buffers that native code allocates outside numpy's allocator are not.
 """
 
 import argparse

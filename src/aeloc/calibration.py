@@ -21,6 +21,7 @@ from .signals import (
     design_bandpass,
     pick_delays,
 )
+from .svgplot import scatter_svg
 from .util import KM_S_TO_MM_S, atomic_write_text, fmt, key_value_fields, positive_field
 
 
@@ -255,6 +256,22 @@ def write_calibration_report(path, result: CalibrationResult, max_delay_s: float
     lines.append("# outlier_indices=" + ",".join(str(i) for i in result.best.outlier_indices))
     lines.extend(f"# {key}={fmt(value)}" for key, value in est.fields().items())
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def calibration_scatter_svg(result: CalibrationResult) -> str:
+    """The best band's delay against position: the prototypes whose delay was estimated,
+    and the fitted line across every prototype position."""
+    best, positions = result.best, result.positions_mm
+    estimated = np.isfinite(best.delays)
+    ends = [float(positions.min()), float(positions.max())]
+    fit = [best.slope_s_per_mm * z + best.intercept_s for z in ends]
+    return scatter_svg(
+        f"Delay vs position, band {best.band.f_low:.0f}-{best.band.f_high:.0f} Hz",
+        "source position [mm]",
+        "delay [s]",
+        [("prototype source", positions[estimated], best.delays[estimated], "plus")],
+        lines=[("linear fit", ends, fit)],
+    )
 
 
 def read_calibration_report(path) -> tuple[BandpassFilter, float]:

@@ -16,6 +16,7 @@ from dataclasses import asdict, replace
 from . import grnn, pipeline
 from .calibration import (
     BandGrid,
+    calibration_scatter_svg,
     read_calibration_report,
     rmse_surface_is_flat,
     sweep_bands,
@@ -23,7 +24,6 @@ from .calibration import (
 )
 from .signals import BandpassFilter, FilterSpec, lag_window, read_waveform_pair
 from .simulator import default_config, load_config, parse_config, run_experiment
-from .svgplot import linear_fit_points, scatter_svg
 from .util import atomic_write_text
 
 
@@ -105,17 +105,7 @@ def _cmd_calibrate(args) -> int:
         print(f"warning: skipped {dataset.rows[i].file}: {exc}", file=sys.stderr)
     write_calibration_report(args.report, result, args.max_delay_s)
     if args.svg:
-        xs, ys = linear_fit_points(
-            result.positions_mm, result.best.slope_s_per_mm, result.best.intercept_s
-        )
-        svg = scatter_svg(
-            f"Delay vs position, band {result.best_band.f_low:.0f}-{result.best_band.f_high:.0f} Hz",
-            "source position [mm]",
-            "delay [s]",
-            [("prototype source", list(result.positions_mm), list(result.best.delays), "plus")],
-            lines=[("linear fit", xs, ys)],
-        )
-        atomic_write_text(args.svg, svg)
+        atomic_write_text(args.svg, calibration_scatter_svg(result))
     print(
         f"best band: {result.best_band.f_low:.0f}-{result.best_band.f_high:.0f} Hz "
         f"(rmse {result.best.rmse_mm:.3f} mm)"

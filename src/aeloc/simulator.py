@@ -12,6 +12,7 @@ the geometric arrival-time difference.
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -280,39 +281,72 @@ def default_config() -> dict:
 
 def _integer(key: str, value) -> int:
     """``value`` as an int; a boolean or a number with a fraction is refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)) or value % 1:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
 
+def _floats(key: str, value, depth: int = 0):
+    """``value`` as a float or, ``depth`` lists deep, as nested tuples of floats; a value of
+    another kind (a boolean, a string, null, a list where a number belongs) names ``key``."""
+    if depth == 0 and isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    if depth and isinstance(value, (list, tuple)):
+        return tuple(_floats(key, item, depth - 1) for item in value)
+    kind = ("a number", "a list of numbers", "a list of [frequency, value] pairs")[depth]
+    raise ValueError(f"{key}: {value!r} is not {kind}")
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Overlay ``raw`` on :func:`default_config`; keys the defaults lack are rejected."""
+    """Overlay ``raw`` on :func:`default_config`; keys the defaults lack, and values of
+    another kind than the defaults', are refused by key."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"configuration: {raw!r} is not an object of keys")
     merged = default_config()
     unknown = set(raw) - set(merged)
     if unknown:
         raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
-    spec_raw = {**merged["specimen"], **raw.get("specimen", {})}
+    if not isinstance(specimen := raw.get("specimen", {}), dict):
+        raise ValueError(f"specimen: {specimen!r} is not an object of keys")
+    spec_raw = {**merged["specimen"], **specimen}
     unknown = set(spec_raw) - set(merged["specimen"])
     if unknown:
         raise ValueError(f"unknown specimen keys: {sorted(unknown)}")
     merged.update({k: v for k, v in raw.items() if k != "specimen"})
-    spec_raw["velocity_points"] = spec_raw.pop("velocity_points_hz_km_s")
-    spec_raw["record_length"] = _integer("specimen.record_length", spec_raw["record_length"])
-    # a pair file's header stores the rate as an integer
-    spec_raw["sample_rate_hz"] = float(_integer("specimen.sample_rate_hz",
-                                                spec_raw["sample_rate_hz"]))
-    model = SpecimenModel(**spec_raw)
+
+    def number(key: str, depth: int = 0):
+        # checked, then passed on as written: the manifest spells the sensors as given
+        _floats(f"specimen.{key}", spec_raw[key], depth)
+        return spec_raw[key]
+
+    attenuation, snr = spec_raw["attenuation_db_per_m"], spec_raw["noise_snr_db"]
+    model = SpecimenModel(
+        length_mm=number("length_mm"),
+        sensor_1_mm=number("sensor_1_mm"),
+        sensor_2_mm=number("sensor_2_mm"),
+        velocity_points=number("velocity_points_hz_km_s", 2),
+        attenuation_db_per_m=number(
+            "attenuation_db_per_m", 2 if isinstance(attenuation, (list, tuple)) else 0
+        ),
+        noise_snr_db=None if snr is None else number("noise_snr_db"),
+        # a pair file's header stores the rate as an integer
+        sample_rate_hz=float(_integer("specimen.sample_rate_hz", spec_raw["sample_rate_hz"])),
+        record_length=_integer("specimen.record_length", spec_raw["record_length"]),
+        reflection_coeff=number("reflection_coeff"),
+    )
     seed = _integer("seed", merged["seed"])
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {merged['seed']!r}")
     return ExperimentConfig(
         model=model,
-        prototype_positions_mm=tuple(float(z) for z in merged["prototype_positions_mm"]),
-        test_positions_mm=tuple(float(z) for z in merged["test_positions_mm"]),
+        prototype_positions_mm=_floats(
+            "prototype_positions_mm", merged["prototype_positions_mm"], 1
+        ),
+        test_positions_mm=_floats("test_positions_mm", merged["test_positions_mm"], 1),
         test_source_kind=merged["test_source_kind"],
-        burst_center_freq_hz=float(merged["burst_center_freq_hz"]),
-        continuous_band_hz=tuple(float(f) for f in merged["continuous_band_hz"]),
-        source_amplitude=float(merged["source_amplitude"]),
+        burst_center_freq_hz=_floats("burst_center_freq_hz", merged["burst_center_freq_hz"]),
+        continuous_band_hz=_floats("continuous_band_hz", merged["continuous_band_hz"], 1),
+        source_amplitude=_floats("source_amplitude", merged["source_amplitude"]),
         seed=seed,
     )
 

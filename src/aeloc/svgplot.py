@@ -6,8 +6,6 @@ so no plotting library with embedded ids or metadata is involved.
 
 from __future__ import annotations
 
-import numpy as np
-
 _WIDTH = 720
 _HEIGHT = 540
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 80, 24, 48, 64
@@ -125,9 +123,3 @@ def scatter_svg(
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
-
-def linear_fit_points(xs, slope: float, intercept: float) -> tuple[list[float], list[float]]:
-    """Endpoints of the fitted line across the data span (for overlay plotting)."""
-    xs = np.asarray(xs, dtype=np.float64)
-    x0, x1 = float(xs.min()), float(xs.max())
-    return [x0, x1], [slope * x0 + intercept, slope * x1 + intercept]

@@ -124,6 +124,9 @@ def test_simulate_writes_default_config(tmp_path):
         assert (plain / name).read_bytes() == (configured / name).read_bytes(), name
 
 
+_TOO_FEW_SAMPLES = "sample rate must be positive and record_length >= 2"
+
+
 @pytest.mark.parametrize(
     "setting,message",
     [
@@ -143,8 +146,24 @@ def test_simulate_writes_default_config(tmp_path):
             "test source 1: record too short: the delayed burst from 0.0 mm would wrap past "
             "the record end",
         ),
+        # a value of the wrong kind, refused by its key: a string of positions used to be
+        # iterated by character, the others to end in a TypeError's traceback
+        ({"prototype_positions_mm": "900"}, "prototype_positions_mm: '900' is not a list of"),
+        ({"test_positions_mm": None}, "test_positions_mm: None is not a list of numbers"),
+        (
+            {"specimen": {"velocity_points_hz_km_s": 5}},
+            "specimen.velocity_points_hz_km_s: 5 is not a list of [frequency, value] pairs",
+        ),
+        ({"specimen": {"noise_snr_db": "loud"}}, "specimen.noise_snr_db: 'loud' is not a number"),
+        ({"specimen": {"length_mm": "long"}}, "specimen.length_mm: 'long' is not a number"),
+        ({"specimen": {"reflection_coeff": "x"}}, "specimen.reflection_coeff: 'x' is not a"),
+        ({"specimen": []}, "specimen: [] is not an object of keys"),
+        ({"specimen": {"sample_rate_hz": 0}}, _TOO_FEW_SAMPLES),
+        ({"specimen": {"record_length": 1}}, _TOO_FEW_SAMPLES),
     ],
-    ids=["kind", "amplitude", "band", "position", "wrapping-burst"],
+    ids=["kind", "amplitude", "band", "position", "wrapping-burst", "positions-string",
+         "positions-null", "velocity-number", "snr-string", "length-string", "reflection-string",
+         "specimen-list", "zero-sample-rate", "one-sample-record"],
 )
 def test_simulate_refuses_a_bad_source_before_writing_any_pair(tmp_path, capsys, setting, message):
     cfg = {**default_config(), "specimen": {"record_length": 4096}, **setting}
@@ -154,6 +173,15 @@ def test_simulate_refuses_a_bad_source_before_writing_any_pair(tmp_path, capsys,
     assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert list(out.glob("*.txt")) == []
+
+
+def test_simulate_refuses_a_config_that_is_not_an_object(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("[]")
+    out = tmp_path / "data"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: configuration: [] is not an object of keys\n"
+    assert not out.exists()
 
 
 def test_simulate_names_the_pair_it_could_not_write(tmp_path, capsys):
@@ -1118,6 +1146,10 @@ REFUSED_FAULTS = {
     "truncated": (lambda ch1, ch2: (_truncate(ch1), _truncate(ch2)),
                   "failed: max_lag=2500 must be smaller than every record "
                   "(pair 0: lengths 999 and 999)"),
+    # the status goes on to name the database and its rate
+    "other-rate": (lambda ch1, ch2: (Waveform(ch1.samples, 500_000.0),
+                                     Waveform(ch2.samples, 500_000.0)),
+                   "failed: sample rate 500000.0 Hz differs from "),
 }
 
 
@@ -1167,9 +1199,9 @@ def test_fault_matrix_prototype_rows(paper_seed0, tmp_path, capsys, fault):
     edit, calibrate_answer, learn_answer = PROTOTYPE_FAULTS[fault]
     path = data / "prototype_05.txt"
     write_waveform_pair(path, *edit(*read_waveform_pair(path)))
-    report, db = tmp_path / "cal.csv", tmp_path / "p.db"
+    report, db, svg = tmp_path / "cal.csv", tmp_path / "p.db", tmp_path / "cal.svg"
     runs = (
-        (["calibrate", str(data), "--report", str(report)], calibrate_answer),
+        (["calibrate", str(data), "--report", str(report), "--svg", str(svg)], calibrate_answer),
         (["learn", str(data), "--db", str(db), "--calibration",
           str(summary_report(tmp_path / "band.csv"))], learn_answer),
     )
@@ -1179,6 +1211,13 @@ def test_fault_matrix_prototype_rows(paper_seed0, tmp_path, capsys, fault):
         lines = captured.out.splitlines()
         assert all(line.format(db=db) in lines for line in out_lines), (argv[0], lines)
         assert captured.err == err.format(data=data), argv[0]
+    # the plot marks each prototype whose delay was estimated, and no skipped one at nan
+    if calibrate_answer[0] == 0:
+        plot = svg.read_text()
+        assert "nan" not in plot
+        assert plot.count("<path") == 12 - calibrate_answer[2].count("skipped")
+    else:
+        assert not svg.exists()
 
 
 @pytest.mark.parametrize("command", ["locate", "evaluate"])

@@ -68,3 +68,15 @@ def test_no_module_imports_scipy_when_it_loads():
     assert not eager, f"import scipy when loaded: {eager}"
     signals = ast.parse((ROOT / "src" / "aeloc" / "signals.py").read_text())
     assert "numpy" in _import_time_imports(signals)  # the scan sees module-level imports
+
+
+def test_svgplot_imports_only_the_standard_library():
+    # the renderer draws the points it is given; what a plot shows is built beside the
+    # result it shows (calibration.calibration_scatter_svg, pipeline.evaluation_scatter_svg)
+    tree = ast.parse((ROOT / "src" / "aeloc" / "svgplot.py").read_text())
+    relative = [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level]
+    assert not relative, f"svgplot imports from its own package: {relative}"
+    outside = _imported_top_level_packages(ROOT / "src" / "aeloc" / "svgplot.py")
+    outside -= set(sys.stdlib_module_names)
+    assert not outside, f"svgplot imports beyond the standard library: {sorted(outside)}"

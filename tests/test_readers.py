@@ -3,6 +3,7 @@ or out of range."""
 
 import re
 
+import numpy as np
 import pytest
 
 from aeloc.calibration import read_calibration_summary
@@ -231,3 +232,20 @@ def test_a_repeated_header_field_is_refused_not_overwritten(tmp_path, reader, na
     with pytest.raises(ValueError) as info:
         reader(path)
     assert str(info.value) == f"{path}:{line}: header field {key!r} appears twice"
+
+
+def test_a_blank_line_between_rows_is_skipped(tmp_path):
+    rows = ("prototype_00.txt,prototype,900.0,discrete-burst\n",
+            "test_00.txt,test,1500.0,continuous-noise\n")
+    plain, spaced = tmp_path / "plain.txt", tmp_path / "spaced.txt"
+    plain.write_text(_MANIFEST_HEADER + _MANIFEST_COLUMNS + "".join(rows))
+    spaced.write_text(_MANIFEST_HEADER + _MANIFEST_COLUMNS + "\n".join(rows))
+    assert read_manifest(spaced) == read_manifest(plain)
+    assert [row.file for row in read_manifest(spaced)[1]] == ["prototype_00.txt", "test_00.txt"]
+    plain, spaced = tmp_path / "plain.db", tmp_path / "spaced.db"
+    plain.write_text(_DATABASE)
+    spaced.write_text(_DATABASE.replace("\n0.0,", "\n\n0.0,"))
+    got, want = load_prototypes(spaced), load_prototypes(plain)
+    assert len(got) == 2 and got.header == want.header
+    for name in ("given", "hidden", "sigmas"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))

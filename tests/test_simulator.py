@@ -403,6 +403,20 @@ def test_config_accepts_integral_numbers():
     assert type(cfg.seed) is int and type(cfg.model.record_length) is int
 
 
+@pytest.mark.parametrize(
+    "specimen, attenuation, snr",
+    [
+        ({"attenuation_db_per_m": 5}, ((0.0, 5.0),), 20.0),
+        ({"attenuation_db_per_m": [[0, 5.0], [80000, 10]]}, ((0.0, 5.0), (80000.0, 10.0)), 20.0),
+        ({"noise_snr_db": None}, ((0.0, 5.0),), None),
+    ],
+    ids=["attenuation-number", "attenuation-curve", "no-noise"],
+)
+def test_config_accepts_each_form_of_a_specimen_value(specimen, attenuation, snr):
+    model = parse_config({"specimen": specimen}).model
+    assert (model.attenuation_db_per_m, model.noise_snr_db) == (attenuation, snr)
+
+
 def test_simulate_exits_2_on_a_fractional_seed(tmp_path, capsys):
     from aeloc import cli
 
