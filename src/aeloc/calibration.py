@@ -195,7 +195,8 @@ def sweep_bands(
     ``prototype_signals`` is an iterable with a length of (position_mm, (ch1, ch2))
     with Waveform channels, read once (:func:`prototype_spectra`).  Bands invalid
     for the sample rate are skipped with a warning; bands where fewer than three
-    delays survive get infinite rmse.  Ties on rmse resolve to the lowest f_low.
+    delays survive get infinite rmse.  Ties on rmse resolve to the lowest f_low.  A best
+    band whose fitted line leaves the ``max_lag`` window at a prototype position is refused.
 
     Delays come from :func:`~aeloc.signals.filtered_delay`'s estimator: the spectra
     are taken once (:class:`~aeloc.signals.CrossSpectra`), and each band costs one
@@ -223,6 +224,16 @@ def sweep_bands(
     best = records[int(np.argmin([rec.rmse_mm for rec in records]))]
     if not np.isfinite(best.rmse_mm):
         raise ValueError("no band produced enough usable delay estimates")
+    # a delay the line puts outside the window cannot have been picked inside it
+    fitted = best.slope_s_per_mm * positions + best.intercept_s
+    outside = np.flatnonzero(np.abs(fitted) * spectra.sample_rate >= max_lag)
+    if outside.size:
+        at = outside[0]
+        raise ValueError(
+            f"band {best.band.f_low:.0f}-{best.band.f_high:.0f} Hz: the fitted delay at "
+            f"{positions[at]} mm is {fitted[at]:.5g} s, outside the delay window of "
+            f"{max_lag} samples"
+        )
     return CalibrationResult(best, records, positions, spectra.sample_rate)
 
 

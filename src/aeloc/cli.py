@@ -252,7 +252,3 @@ def main(argv=None) -> int:
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

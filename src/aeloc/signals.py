@@ -349,8 +349,9 @@ def estimate_delay(r: CorrelationFunction, refine: bool = True) -> DelayEstimate
 def pair_delay(ch1: Waveform, ch2: Waveform, max_lag: int) -> DelayEstimate:
     """Arrival-time difference t(ch1) - t(ch2) of a common wavefront, in seconds.
 
-    Positive when the wave reaches channel 2 first.  This is the delay the
-    calibration sweep and the locator feed to the regression stage.
+    Positive when the wave reaches channel 2 first.  The stages take this delay
+    through a band instead: the sweep and ``learn`` from :func:`pick_delays`, the
+    locator from :func:`filtered_delay`.
     """
     return estimate_delay(cross_correlate(ch2, ch1, max_lag))
 
@@ -440,7 +441,8 @@ def read_waveform_pair(path: str | Path) -> tuple[Waveform, Waveform]:
     values beyond the double range.  Values read back as the correctly rounded
     double, so every float the writer formats reads back bit-identical; the
     integer token ``-0`` reads as +0.0.  Malformed input raises ``ValueError``
-    with ``<path>:<line>:`` in front, the header counting as line 1.
+    with ``<path>:<line>:`` of its first faulty line in front, the header
+    counting as line 1.
     """
     path = Path(path)
     # the body as "[" + lines + "]", read into place, so it is held once
@@ -472,7 +474,7 @@ def read_waveform_pair(path: str | Path) -> tuple[Waveform, Waveform]:
     ):
         data = data.reshape(-1, 2)
         return Waveform(data[:, 0], rate), Waveform(data[:, 1], rate)
-    _diagnose(path, text, chars)
+    _diagnose(path, text)
 
 
 def _parse_blocks(text: bytearray, chars: np.ndarray) -> np.ndarray | None:
@@ -523,33 +525,20 @@ def _parse_blocks(text: bytearray, chars: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _diagnose(path: Path, text: bytearray, chars: np.ndarray) -> NoReturn:
-    """Raise the error of the first fault in a body that :func:`read_waveform_pair` refused.
+def _diagnose(path: Path, text: bytearray) -> NoReturn:
+    """Raise the error of the first faulty line in a body that :func:`read_waveform_pair`
+    refused, ``text`` being the body as ``"[" + lines + "]"``.
 
-    ``text`` is the body as ``"[" + lines + "]"`` and ``chars`` a byte view of it.  The
-    checks run in order: foreign bytes, one comma per line, then orjson's own message.
+    Each line in turn is checked for a foreign byte, then for one comma, then by orjson,
+    whose own message is given.
     """
-    newlines = np.flatnonzero(chars == ord("\n"))
-
-    def line_at(offset: int) -> int:
-        return int(np.searchsorted(newlines, offset)) + 2
-
-    # the brackets cut off; in file order, so [0] is the first one
-    foreign = text.translate(None, _SAMPLE_BYTES)[1:-1]
-    if foreign:
-        at = text.index(foreign[:1], 1)
-        raise ValueError(f"{path}:{line_at(at)}: unexpected character {chr(foreign[0])!r}")
-    commas = np.flatnonzero(chars == ord(","))
-    per_line = np.bincount(np.searchsorted(newlines, commas), minlength=newlines.size + 1)
-    bad = np.flatnonzero(per_line != 1)
-    if bad.size:
-        line = int(bad[0])
-        raise ValueError(
-            f"{path}:{line + 2}: expected one 'ch1,ch2' pair, found {per_line[line]} commas"
-        )
-    chars[newlines] = ord(",")
-    try:
-        orjson.loads(text)
-    except orjson.JSONDecodeError as exc:
-        raise ValueError(f"{path}:{line_at(exc.pos)}: {exc.msg}") from None
+    for line, row in enumerate(text[1:-1].split(b"\n"), start=2):
+        if foreign := row.translate(None, _SAMPLE_BYTES):
+            raise ValueError(f"{path}:{line}: unexpected character {chr(foreign[0])!r}")
+        if (commas := row.count(b",")) != 1:
+            raise ValueError(f"{path}:{line}: expected one 'ch1,ch2' pair, found {commas} commas")
+        try:
+            orjson.loads(b"[" + row + b"]")
+        except orjson.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{line}: {exc.msg}") from None
     raise AssertionError(f"{path}: refused by the reader, yet no fault found")

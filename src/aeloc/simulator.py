@@ -288,13 +288,26 @@ def _integer(key: str, value) -> int:
 
 def _floats(key: str, value, depth: int = 0):
     """``value`` as a float or, ``depth`` lists deep, as nested tuples of floats; a value of
-    another kind (a boolean, a string, null, a list where a number belongs) names ``key``."""
+    another kind (a boolean, a string, null, a list where a number belongs) names ``key``.
+    Depth 2 is a curve, a non-empty list of [frequency, value] pairs."""
     if depth == 0 and isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
-    if depth and isinstance(value, (list, tuple)):
-        return tuple(_floats(key, item, depth - 1) for item in value)
+    if depth == 1 and isinstance(value, (list, tuple)):
+        return tuple(_floats(key, item) for item in value)
+    if depth == 2 and isinstance(value, (list, tuple)):
+        if not value:
+            raise ValueError(f"{key}: a curve needs at least one [frequency, value] pair")
+        return tuple(_pair(key, item, "[frequency, value]") for item in value)
     kind = ("a number", "a list of numbers", "a list of [frequency, value] pairs")[depth]
     raise ValueError(f"{key}: {value!r} is not {kind}")
+
+
+def _pair(key: str, value, names: str) -> tuple[float, float]:
+    """``value`` as a list of two floats, ``names`` saying what the two are."""
+    pair = _floats(key, value, 1)
+    if len(pair) != 2:
+        raise ValueError(f"{key}: {value!r} is not a {names} pair")
+    return pair
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -345,7 +358,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         test_positions_mm=_floats("test_positions_mm", merged["test_positions_mm"], 1),
         test_source_kind=merged["test_source_kind"],
         burst_center_freq_hz=_floats("burst_center_freq_hz", merged["burst_center_freq_hz"]),
-        continuous_band_hz=_floats("continuous_band_hz", merged["continuous_band_hz"], 1),
+        continuous_band_hz=_pair(
+            "continuous_band_hz", merged["continuous_band_hz"], "[low, high]"
+        ),
         source_amplitude=_floats("source_amplitude", merged["source_amplitude"]),
         seed=seed,
     )

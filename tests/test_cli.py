@@ -160,10 +160,35 @@ _TOO_FEW_SAMPLES = "sample rate must be positive and record_length >= 2"
         ({"specimen": []}, "specimen: [] is not an object of keys"),
         ({"specimen": {"sample_rate_hz": 0}}, _TOO_FEW_SAMPLES),
         ({"specimen": {"record_length": 1}}, _TOO_FEW_SAMPLES),
+        # a list of the wrong length, refused by its key: each used to end in a message of
+        # unpacking ("not enough values to unpack", "too many values") or an unnamed curve
+        ({"continuous_band_hz": [30000]}, "continuous_band_hz: [30000] is not a [low, high] pair"),
+        (
+            {"continuous_band_hz": [30000, 40000, 50000]},
+            "continuous_band_hz: [30000, 40000, 50000] is not a [low, high] pair",
+        ),
+        (
+            {"specimen": {"velocity_points_hz_km_s": [[0, 1.02, 5], [80000, 2.38]]}},
+            "specimen.velocity_points_hz_km_s: [0, 1.02, 5] is not a [frequency, value] pair",
+        ),
+        (
+            {"specimen": {"velocity_points_hz_km_s": [[0]]}},
+            "specimen.velocity_points_hz_km_s: [0] is not a [frequency, value] pair",
+        ),
+        (
+            {"specimen": {"attenuation_db_per_m": [[0, 5, 1]]}},
+            "specimen.attenuation_db_per_m: [0, 5, 1] is not a [frequency, value] pair",
+        ),
+        (
+            {"specimen": {"velocity_points_hz_km_s": []}},
+            "specimen.velocity_points_hz_km_s: a curve needs at least one [frequency, value] pair",
+        ),
     ],
     ids=["kind", "amplitude", "band", "position", "wrapping-burst", "positions-string",
          "positions-null", "velocity-number", "snr-string", "length-string", "reflection-string",
-         "specimen-list", "zero-sample-rate", "one-sample-record"],
+         "specimen-list", "zero-sample-rate", "one-sample-record", "band-one-value",
+         "band-three-values", "velocity-three-values", "velocity-one-value",
+         "attenuation-three-values", "velocity-empty"],
 )
 def test_simulate_refuses_a_bad_source_before_writing_any_pair(tmp_path, capsys, setting, message):
     cfg = {**default_config(), "specimen": {"record_length": 4096}, **setting}
@@ -626,6 +651,28 @@ def test_calibrate_prints_the_outliers_it_excludes(paper_seed0, tmp_path, capsys
     assert out.startswith("best band: 35000-45000 Hz ")
     assert "\noutliers excluded from the fit: [0]\n" in out
     assert "# outlier_indices=0" in report.read_text().splitlines()
+
+
+_WINDOW_LEFT = ("error: band 45000-55000 Hz: the fitted delay at 900.0 mm is -0.0012046 s, "
+                "outside the delay window of 1000 samples\n")
+
+
+@pytest.mark.parametrize("window, err", [("0.001", _WINDOW_LEFT), ("0.0013", "")],
+                         ids=["1ms", "1.3ms"])
+def test_calibrate_refuses_a_window_its_fitted_line_leaves(paper_seed0, tmp_path, capsys,
+                                                           window, err):
+    # at 1 ms the best band's line puts the ends at 1.2046 ms, outside the window: calibrate
+    # used to exit 0 there and learn and evaluate went on to a mean error of 272 mm
+    report = tmp_path / "cal.csv"
+    argv = ["calibrate", str(paper_seed0), "--report", str(report), "--max-delay-s", window]
+    assert cli.main(argv) == (2 if err else 0)
+    captured = capsys.readouterr()
+    if err:
+        assert captured.err == err
+        assert not report.exists()
+    else:
+        assert "error" not in captured.err
+        assert report.exists()
 
 
 # -------------------------------------------------------------------- learn

@@ -804,6 +804,22 @@ def test_a_fault_in_the_last_block_names_its_line(tmp_path, line, message):
     assert str(info.value) == f"{path}:{at + 1}: {message}"
 
 
+def test_of_two_faults_in_different_blocks_the_first_line_is_named(tmp_path):
+    # a line of three fields in the first block and a foreign byte in the last: the first
+    # block fails its comma count, and the error names its line, not the last block's byte
+    path, _, _ = _default_record_file(tmp_path)
+    assert path.stat().st_size > 4 * READ_BLOCK
+    lines = path.read_bytes().split(b"\n")
+    first, last = 10, len(lines) - 3  # 0-based, so file lines first + 1 and last + 1
+    assert sum(len(row) + 1 for row in lines[: first + 1]) < READ_BLOCK
+    lines[first] = b"0.5,0.25,0.125"
+    lines[last] = b"0.5,0.25a"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError) as info:
+        read_waveform_pair(path)
+    assert str(info.value) == f"{path}:{first + 1}: expected one 'ch1,ch2' pair, found 2 commas"
+
+
 # (body after the header, the message after "<path>:"), the message naming the 1-based file
 # line of the fault with the header as line 1
 _ONE_PAIR = "expected one 'ch1,ch2' pair, found {} commas"
@@ -827,6 +843,9 @@ _MALFORMED = {
     "comment-after-header": ("# channel 1 = left\n1,2\n", "2: unexpected character '#'"),
     "comment-with-comma": ("1,2\n# a, b\n3,4\n", "3: unexpected character '#'"),
     "space-delimited": ("1,2\n3 4\n", "3: " + _ONE_PAIR.format(0)),
+    # two faults: the first line's is named, whichever check finds the other
+    "blank-line-then-comment": ("1,2\n\n3,4\n5,6\n#x,1\n7,8\n", "3: " + _ONE_PAIR.format(0)),
+    "trailing-dot-then-letter": ("1.,2\n3,4\n5,6a\n", "2: no digit after decimal point"),
     "header-only": ("", "2: no samples after the header"),
     "header-then-empty-lines": ("\n\n", "2: no samples after the header"),
 }
