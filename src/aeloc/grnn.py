@@ -17,10 +17,6 @@ import numpy as np
 
 from .util import atomic_write_text, fmt, key_value_fields, parse_number
 
-# weights below this contribute nothing detectable to the average
-SUPPORT_EPS = 1e-6
-
-
 def compute_sigmas(given) -> np.ndarray:
     """Per-prototype smoothing width: half the distance to the nearest distinct neighbor.
 
@@ -107,7 +103,6 @@ class Estimate:
 
     hidden: np.ndarray
     weights: np.ndarray
-    effective_support: int
     extrapolated: bool  # set when every kernel underflowed and nearest-neighbor fallback fired
 
 
@@ -148,12 +143,7 @@ def estimate(pset: PrototypeSet, query) -> Estimate:
     """Complete the hidden part of a truncated observation by conditional averaging."""
     weights, fell_back = basis_weights(pset, query)
     hidden = weights @ pset.hidden
-    return Estimate(
-        hidden=hidden,
-        weights=weights,
-        effective_support=int((weights > SUPPORT_EPS).sum()),
-        extrapolated=fell_back,
-    )
+    return Estimate(hidden=hidden, weights=weights, extrapolated=fell_back)
 
 
 _DB_HEADER = re.compile(r"^#\s*given_dim=\d+\s+hidden_dim=\d+(?:\s+\w+=\S+)*\s*$")

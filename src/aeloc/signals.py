@@ -97,8 +97,8 @@ class BandpassFilter:
     max_delay_s: float = 2.5e-3
     # the correlation half-width in samples, lag_window(max_delay_s, sample_rate)
     max_lag: int = field(init=False, repr=False, compare=False)
-    # what check_rate names: the file read() took the filter from; never written
-    source: str = field(default="the filter", init=False, repr=False, compare=False)
+    # what check_rate names: the file read() took the filter from; not one of fields()
+    source: str = field(default="the filter", repr=False, compare=False)
     # rfft_power's responses by FFT length, each computed on first use
     _rfft_powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -133,11 +133,9 @@ class BandpassFilter:
         except ValueError as exc:  # the edges and the order are positive: the band is inverted
             raise ValueError(f"{path}:{first}: {exc}") from None
         try:
-            filt = cls(spec, rate, max_delay_s)
+            return cls(spec, rate, max_delay_s, source=str(path))
         except ValueError as exc:  # the band reaches Nyquist, or the window gives no lag
             raise ValueError(f"{path}:{last}: {exc}") from None
-        object.__setattr__(filt, "source", str(path))
-        return filt
 
     def check_rate(self, rate: float) -> None:
         """Refuse data sampled at ``rate`` unless it is this estimator's, naming its ``source``."""
@@ -185,14 +183,10 @@ def apply_filter(filt: BandpassFilter, w: Waveform) -> Waveform:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationFunction:
-    """Unnormalized correlation sums over lags -max_lag..+max_lag (:func:`cross_correlate`)."""
+    """Unnormalized correlation sums, ``values`` over lags -L..+L (:func:`cross_correlate`)."""
 
     values: np.ndarray
     sample_rate: float
-
-    @property
-    def max_lag(self) -> int:
-        return (len(self.values) - 1) // 2
 
 
 def _fast_length(n: int) -> int:

@@ -16,6 +16,7 @@ from aeloc import cli, pipeline, simulator
 from aeloc.calibration import read_calibration_report, read_calibration_summary
 from aeloc.grnn import load_prototypes
 from aeloc.signals import (
+    ESTIMATOR_FIELDS,
     BandpassFilter,
     FilterSpec,
     Waveform,
@@ -1068,6 +1069,38 @@ def test_locate_and_evaluate_refuse_what_the_database_was_not_learned_with(
         assert not out.exists()
 
 
+# per estimator field, another value: as a report's summary line writes it, and as the
+# refusal prints the value read back
+_OTHER_ESTIMATOR = {"f_low_hz": ("31234", "31234.0"), "f_high_hz": ("46000", "46000.0"),
+                    "order": ("6", "6"), "max_delay_s": ("0.002", "0.002"),
+                    "sample_rate_hz": ("500000", "500000.0")}
+
+
+@pytest.mark.parametrize("command", ["locate", "evaluate"])
+@pytest.mark.parametrize("key", list(ESTIMATOR_FIELDS))
+def test_a_report_differing_in_one_estimator_field_is_refused_by_name(
+    learned, tmp_path, capsys, command, key
+):
+    _, data, report, db = learned
+    written, theirs = _OTHER_ESTIMATOR[key]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(
+        f"# {key}={written}\n" if line.startswith(f"# {key}=") else line
+        for line in report.read_text().splitlines(keepends=True)
+    ))
+    ours = read_calibration_report(report)[0].fields()[key]
+    out = tmp_path / "out.csv"
+    if command == "locate":
+        argv = ["locate", str(db), str(data / "test_02.txt"), "--out", str(out)]
+    else:
+        argv = ["evaluate", str(db), str(data), "--report", str(out)]
+    assert cli.main(argv + ["--calibration", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad}: {key}={theirs}, but {db} has {ours}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "field, value", [("max_delay_s", "0.0"), ("max_delay_s", "-0.001"),
                      ("sample_rate_hz", "-1000000.0")],
@@ -1466,6 +1499,37 @@ def test_evaluate_noiseless_nondispersive_mean_error_under_5mm(tmp_path, capsys)
         if l.startswith("#") and "files" not in l
     }
     assert summary["mean_error_mm"] < 5.0
+
+
+# The default chain's figures on seeds 0 and 1: band in Hz, velocity in km/s, and the NW mean
+# and max error in mm (measured 2.3477 / 23.9331 and 3.3950 / 25.4310).  The band must stay,
+# the velocity within 5e-5 km/s, and neither error may pass its pin, so a change that makes
+# location worse fails here well before criterion 5's 60 / 100 mm bounds.  A change that
+# moves a figure edits its pin here and quotes the figure before and after; a band rule that
+# sees dispersion, for one, would move seed 1 to 35-45 kHz.
+ACCURACY_PINS = {
+    0: ((35_000.0, 45_000.0), 1.70001, 2.348, 23.934),
+    1: ((34_000.0, 44_000.0), 1.69998, 3.396, 25.432),
+}
+
+
+@pytest.mark.parametrize("seed", list(ACCURACY_PINS))
+def test_default_chain_is_no_less_accurate_than_its_pins(paper_seed0, tmp_path, seed):
+    band, velocity, mean_pin, max_pin = ACCURACY_PINS[seed]
+    data = paper_seed0
+    if seed != 0:
+        data = tmp_path / "data"
+        assert cli.main(["simulate", "--out", str(data), "--seed", str(seed)]) == 0
+    report, db, out = tmp_path / "cal.csv", tmp_path / "p.db", tmp_path / "eval.csv"
+    assert cli.main(["calibrate", str(data), "--report", str(report)]) == 0
+    assert cli.main(["learn", str(data), "--db", str(db), "--calibration", str(report)]) == 0
+    assert cli.main(["evaluate", str(db), str(data), "--report", str(out)]) == 0
+    filt, measured_velocity = read_calibration_report(report)
+    assert (filt.spec.f_low, filt.spec.f_high) == band
+    assert measured_velocity == pytest.approx(velocity, abs=5e-5)
+    summary = dict(l[2:].split("=", 1) for l in out.read_text().splitlines() if l.startswith("# "))
+    assert float(summary["mean_error_mm"]) <= mean_pin
+    assert float(summary["max_error_mm"]) <= max_pin
 
 
 def test_evaluate_detects_orphans(learned, tmp_path, capsys):

@@ -79,6 +79,51 @@ def test_every_public_definition_is_used_outside_the_tests():
     assert not unused, f"public but used only by tests: {unused}"
 
 
+def _attributes_and_strings(tree) -> set[str]:
+    """Attribute names and string constants under ``tree``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def _public_fields(cls: ast.ClassDef) -> list[str]:
+    """The public annotated fields and properties of a class definition."""
+    names = []
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+        elif isinstance(node, ast.FunctionDef) and any(
+            isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list
+        ):
+            names.append(node.name)
+    return [name for name in names if not name.startswith("_")]
+
+
+def test_every_public_field_is_read_outside_the_tests():
+    # a field that only tests read is state the program carries for nothing.  A read is an
+    # attribute access or a string naming the field (write_evaluation_report reads its fields
+    # through getattr); an annotation or a keyword argument only writes it.  Names are matched
+    # across classes, so a field is missed when another class has one of the same name
+    # (CorrelationFunction.max_lag would pass on BandpassFilter.max_lag's reads)
+    sources = [ROOT / "src", ROOT / "scripts", ROOT / "perfbench"]
+    trees = [ast.parse(path.read_text()) for d in sources for path in sorted(d.rglob("*.py"))]
+    trees.append(ast.parse(_readme_library_code()))
+    read = set().union(*map(_attributes_and_strings, trees))
+    unread = [
+        f"{path.stem}.{node.name}.{name}"
+        for path in sorted((ROOT / "src" / "aeloc").glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+        for name in _public_fields(node)
+        if name not in read
+    ]
+    assert not unread, f"public fields read only by tests: {unread}"
+
+
 # the scipy modules a probe has loaded, printed as its last line
 _LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
 
