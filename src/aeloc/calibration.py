@@ -280,8 +280,8 @@ def calibration_scatter_svg(result: CalibrationResult) -> str:
         f"Delay vs position, band {best.band.f_low:.0f}-{best.band.f_high:.0f} Hz",
         "source position [mm]",
         "delay [s]",
-        [("prototype source", positions[estimated], best.delays[estimated], "plus")],
-        lines=[("linear fit", ends, fit)],
+        [("linear fit", ends, fit, "line"),
+         ("prototype source", positions[estimated], best.delays[estimated], "plus")],
     )
 
 

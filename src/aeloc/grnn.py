@@ -183,6 +183,10 @@ def load_prototypes(path: str | Path) -> PrototypeSet:
                     f"{path}:{ln}: expected {s_dim + d_dim + 1} fields, got {len(fields)}"
                 )
             rows.append([parse_number(x, f"{path}:{ln}") for x in fields])
+            if not rows[-1][-1] > 0.0:
+                raise ValueError(
+                    f"{path}:{ln}: sigma must be positive, got {fields[-1].strip()!r}"
+                )
     if not rows:
         raise ValueError(f"{path}: database holds no prototypes")
     data = np.asarray(rows, dtype=np.float64)

@@ -21,7 +21,7 @@ from .signals import (
     read_sample_rate,
     read_waveform_pair,
 )
-from .simulator import MANIFEST_NAME, ManifestRow, read_manifest
+from .simulator import MANIFEST_NAME, ManifestRow, pair_files, read_manifest
 from .svgplot import scatter_svg
 from .util import atomic_write_text, fmt
 
@@ -211,12 +211,13 @@ class EvaluationReport:
     sensor_separation_mm: float
 
 
-def _mad_outliers(errors: np.ndarray, floor_mm: float = OUTLIER_FLOOR_MM) -> np.ndarray:
+def _mad_outliers(errors: np.ndarray) -> np.ndarray:
     """Boolean mask of errors more than 3xMAD, and more than a floor at quantization scale,
-    above the median; an error below the median is never an outlier."""
+    above the median; an error below the median is never an outlier, so the smallest
+    error is always kept."""
     excess = errors - np.median(errors)
     mad = np.median(np.abs(excess))
-    return (excess > 3.0 * mad) & (excess > floor_mm)
+    return (excess > 3.0 * mad) & (excess > OUTLIER_FLOOR_MM)
 
 
 def evaluate_dataset(
@@ -267,7 +268,7 @@ def evaluate_dataset(
         )
         for (row, est), err, out in zip(located, errors, outlier_mask)
     ]
-    kept = errors[~outlier_mask] if (~outlier_mask).any() else errors
+    kept = errors[~outlier_mask]
     mean_err = float(errors.mean())
     trimmed_mean = float(kept.mean())
     return EvaluationReport(
@@ -287,8 +288,7 @@ def _check_orphans(dataset_dir: Path, rows: list[ManifestRow], role: str) -> Non
     """Refuse a listed ``role`` file missing on disk, or a ``<role>_*.txt`` file not listed."""
     listed = {row.file for row in rows}
     missing = sorted(name for name in listed if not (dataset_dir / name).exists())
-    on_disk = {p.name for p in dataset_dir.glob(f"{role}_*.txt")}
-    unlisted = sorted(on_disk - listed)
+    unlisted = sorted(pair_files(dataset_dir, role) - listed)
     faults = (("listed but missing on disk", missing), ("on disk but not in manifest", unlisted))
     if parts := [f"{fault}: {', '.join(names)}" for fault, names in faults if names]:
         raise ValueError(f"manifest/signal mismatch in {dataset_dir}: " + "; ".join(parts))
@@ -320,6 +320,6 @@ def evaluation_scatter_svg(report: EvaluationReport, prototype_positions) -> str
         "Estimated vs actual source position",
         "actual position [mm]",
         "estimated position [mm]",
-        [protos, ("test source", actual, estimated, "circle")],
-        lines=[("ideal", [lo, hi], [lo, hi])],
+        [("ideal", [lo, hi], [lo, hi], "line"), protos,
+         ("test source", actual, estimated, "circle")],
     )

@@ -385,6 +385,11 @@ class ManifestRow:
 MANIFEST_NAME = "manifest.txt"
 
 
+def pair_files(directory: Path, role: str) -> set[str]:
+    """Names of the ``<role>_*.txt`` pair files in ``directory``, the files a manifest lists."""
+    return {p.name for p in directory.glob(f"{role}_*.txt")}
+
+
 def write_manifest(path: str | Path, model: SpecimenModel, rows: list[ManifestRow]) -> Path:
     # the pair files state the sample rate, in their first line
     lines = [
@@ -438,7 +443,8 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> list[Manife
     Prototype sources are always discrete bursts (the calibration excitation);
     test sources use the configured kind.  Output bytes depend only on the
     configuration, so equal seeds give identical datasets.  Every source is
-    checked before the first file is written, so a bad setting writes nothing.
+    checked before the first file is written, so a bad setting writes nothing,
+    and so does an ``out_dir`` holding a pair file the new manifest would not list.
     """
     out = Path(out_dir)
     model = config.model
@@ -462,6 +468,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> list[Manife
             except ValueError as exc:
                 raise ValueError(f"{role} source {i}: {exc}") from None
             sources.append((ManifestRow(f"{role}_{i:02d}.txt", role, float(z), kind), spec))
+    listed = {row.file for row, _ in sources}
+    if stale := sorted(name for role, _, _ in groups for name in pair_files(out, role) - listed):
+        raise ValueError(f"{out}: holds pair files the new manifest would not list: "
+                         f"{', '.join(stale)}; simulate into an empty directory")
     out.mkdir(parents=True, exist_ok=True)
     for row, spec in sources:
         ch1, ch2 = propagate(synth_source(spec, model), spec, model)

@@ -1,7 +1,8 @@
 """Minimal deterministic SVG scatter plots for result reports.
 
 Hand-rolled on purpose: report files must be byte-identical across reruns,
-so no plotting library with embedded ids or metadata is involved.
+so no plotting library with embedded ids or metadata is involved.  One
+function, :func:`_element`, writes every element.
 """
 
 from __future__ import annotations
@@ -10,6 +11,19 @@ _WIDTH = 720
 _HEIGHT = 540
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 80, 24, 48, 64
 _COLORS = ("#1f6fb2", "#c44e52", "#2e8b57", "#8a6d3b")
+_TICKS = 6  # per axis, both ends included
+
+
+def _element(tag: str, text: str | None = None, **attrs) -> str:
+    """``<tag a="v" .../>``, or ``<tag ...>text</tag>`` when ``text`` is given; an
+    underscore in an attribute name is written as a hyphen."""
+    head = " ".join([tag] + [f'{key.replace("_", "-")}="{value}"' for key, value in attrs.items()])
+    return f"<{head}/>" if text is None else f"<{head}>{text}</{tag}>"
+
+
+def _text(x, y, size: int, text: str, anchor: str = "middle", **attrs) -> str:
+    return _element("text", text, x=x, y=y, text_anchor=anchor, font_family="sans-serif",
+                    font_size=size, **attrs)
 
 
 def _bounds(values: list[float]) -> tuple[float, float]:
@@ -20,106 +34,67 @@ def _bounds(values: list[float]) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def _ticks(lo: float, hi: float, n: int = 6) -> list[float]:
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+def _ticks(lo: float, hi: float) -> list[float]:
+    return [lo + (hi - lo) * i / (_TICKS - 1) for i in range(_TICKS)]
 
 
-def scatter_svg(
-    title: str,
-    xlabel: str,
-    ylabel: str,
-    series,
-    lines=(),
-) -> str:
-    """Render labelled point series (marker 'plus' or 'circle') and polylines.
+def scatter_svg(title: str, xlabel: str, ylabel: str, marks) -> str:
+    """Render labelled marks and return the SVG document as a string.
 
-    ``series``: iterable of (label, xs, ys, marker); ``lines``: iterable of
-    (label, xs, ys).  Returns the SVG document as a string.
+    ``marks``: iterable of (label, xs, ys, marker), drawn in order, each in its
+    own colour; marker ``"line"`` joins the points with a polyline, ``"plus"``
+    and ``"circle"`` mark each point.  An empty label adds no legend entry.
     """
-    # lines first, then series, each in its own colour; marker None draws a polyline
-    drawn = [(lab, xs, ys, None) for lab, xs, ys in lines] + list(series)
-    drawn = [(lab, list(map(float, xs)), list(map(float, ys)), mk) for lab, xs, ys, mk in drawn]
-    all_x = [x for _, xs, _, _ in drawn for x in xs]
-    all_y = [y for _, _, ys, _ in drawn for y in ys]
-    if not all_x:
+    marks = [(lab, list(map(float, xs)), list(map(float, ys)), mk) for lab, xs, ys, mk in marks]
+    if not any(xs for _, xs, _, _ in marks):
         raise ValueError("nothing to plot")
-    x_lo, x_hi = _bounds(all_x)
-    y_lo, y_hi = _bounds(all_y)
+    x_lo, x_hi = _bounds([x for _, xs, _, _ in marks for x in xs])
+    y_lo, y_hi = _bounds([y for _, _, ys, _ in marks for y in ys])
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
+    bottom = _HEIGHT - _MARGIN_B
 
     def px(x: float) -> float:
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def py(y: float) -> float:
-        return _HEIGHT - _MARGIN_B - (y - y_lo) / (y_hi - y_lo) * plot_h
+        return bottom - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
-        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_WIDTH / 2:.1f}" y="26" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
+        _element("rect", width=_WIDTH, height=_HEIGHT, fill="white"),
+        _text(f"{_WIDTH / 2:.1f}", 26, 16, title),
+        _element("rect", x=_MARGIN_L, y=_MARGIN_T, width=plot_w, height=plot_h, fill="none",
+                 stroke="black", stroke_width=1),
     ]
-    axis = (
-        f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
-        f'fill="none" stroke="black" stroke-width="1"/>'
-    )
-    out.append(axis)
     for tx in _ticks(x_lo, x_hi):
-        x = px(tx)
-        out.append(
-            f'<line x1="{x:.2f}" y1="{_HEIGHT - _MARGIN_B}" x2="{x:.2f}" '
-            f'y2="{_HEIGHT - _MARGIN_B + 6}" stroke="black"/>'
-        )
-        out.append(
-            f'<text x="{x:.2f}" y="{_HEIGHT - _MARGIN_B + 22}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{tx:.5g}</text>'
-        )
+        x = f"{px(tx):.2f}"
+        out += [_element("line", x1=x, y1=bottom, x2=x, y2=bottom + 6, stroke="black"),
+                _text(x, bottom + 22, 12, f"{tx:.5g}")]
     for ty in _ticks(y_lo, y_hi):
         y = py(ty)
-        out.append(
-            f'<line x1="{_MARGIN_L - 6}" y1="{y:.2f}" x2="{_MARGIN_L}" y2="{y:.2f}" '
-            f'stroke="black"/>'
-        )
-        out.append(
-            f'<text x="{_MARGIN_L - 10}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{ty:.5g}</text>'
-        )
-    out.append(
-        f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 16}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{xlabel}</text>'
-    )
-    out.append(
-        f'<text x="20" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14" '
-        f'transform="rotate(-90 20 {_MARGIN_T + plot_h / 2:.1f})">{ylabel}</text>'
-    )
+        out += [_element("line", x1=_MARGIN_L - 6, y1=f"{y:.2f}", x2=_MARGIN_L, y2=f"{y:.2f}",
+                         stroke="black"),
+                _text(_MARGIN_L - 10, f"{y + 4:.2f}", 12, f"{ty:.5g}", anchor="end")]
+    mid_y = f"{_MARGIN_T + plot_h / 2:.1f}"
+    out += [_text(f"{_MARGIN_L + plot_w / 2:.1f}", _HEIGHT - 16, 14, xlabel),
+            _text(20, mid_y, 14, ylabel, transform=f"rotate(-90 20 {mid_y})")]
     legend_y = _MARGIN_T + 16
-    for color_idx, (label, xs, ys, marker) in enumerate(drawn):
+    for color_idx, (label, xs, ys, marker) in enumerate(marks):
         color = _COLORS[color_idx % len(_COLORS)]
-        stroke = f'stroke="{color}" stroke-width="1.5"'
-        if marker is None:
-            points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-            out.append(f'<polyline points="{points}" fill="none" {stroke}/>')
+        stroke = {"stroke": color, "stroke_width": 1.5}
+        points = [(px(x), py(y)) for x, y in zip(xs, ys)]
+        if marker == "line":
+            polyline = " ".join(f"{cx:.2f},{cy:.2f}" for cx, cy in points)
+            out.append(_element("polyline", points=polyline, fill="none", **stroke))
+        elif marker == "plus":
+            out += [_element("path", d=f"M {cx - 4:.2f} {cy:.2f} H {cx + 4:.2f} "
+                             f"M {cx:.2f} {cy - 4:.2f} V {cy + 4:.2f}", **stroke)
+                    for cx, cy in points]
         else:
-            for x, y in zip(xs, ys):
-                cx, cy = px(x), py(y)
-                if marker == "plus":
-                    out.append(
-                        f'<path d="M {cx - 4:.2f} {cy:.2f} H {cx + 4:.2f} '
-                        f'M {cx:.2f} {cy - 4:.2f} V {cy + 4:.2f}" {stroke}/>'
-                    )
-                else:
-                    out.append(
-                        f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3.5" fill="none" {stroke}/>'
-                    )
+            out += [_element("circle", cx=f"{cx:.2f}", cy=f"{cy:.2f}", r=3.5, fill="none", **stroke)
+                    for cx, cy in points]
         if label:
-            out.append(
-                f'<text x="{_WIDTH - _MARGIN_R - 8}" y="{legend_y}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="12" fill="{color}">{label}</text>'
-            )
+            out.append(_text(_WIDTH - _MARGIN_R - 8, legend_y, 12, label, anchor="end", fill=color))
             legend_y += 16
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
-
+    return _element("svg", "\n" + "\n".join(out) + "\n", xmlns="http://www.w3.org/2000/svg",
+                    width=_WIDTH, height=_HEIGHT, viewBox=f"0 0 {_WIDTH} {_HEIGHT}") + "\n"

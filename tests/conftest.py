@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aeloc import parse_config, run_experiment
+from aeloc import cli, parse_config, run_experiment
 from aeloc.signals import BandpassFilter, FilterSpec
 from aeloc.util import fmt
 
@@ -56,6 +56,41 @@ def noiseless_dataset(tmp_path_factory):
         tests=[900.0, 1000.0, 1700.0, 2000.0, 3100.0],
     )
     return out, cfg
+
+
+@pytest.fixture(scope="module")
+def learned(tmp_path_factory):
+    """Noiseless dataset run through calibrate (coarse grid) and learn once."""
+    root = tmp_path_factory.mktemp("chain")
+    data = root / "data"
+    build_dataset(
+        data,
+        specimen={"noise_snr_db": None},
+        prototypes=[900.0 + 200.0 * k for k in range(12)],
+        tests=[900.0, 1000.0, 1700.0, 2000.0, 3100.0],
+        seed=6,
+    )
+    report = root / "cal.csv"
+    assert (
+        cli.main(
+            [
+                "calibrate",
+                str(data),
+                "--report",
+                str(report),
+                "--f-start",
+                "30000",
+                "--f-stop",
+                "50000",
+                "--step",
+                "5000",
+            ]
+        )
+        == 0
+    )
+    db = root / "proto.db"
+    assert cli.main(["learn", str(data), "--db", str(db), "--calibration", str(report)]) == 0
+    return root, data, report, db
 
 
 def scalar_delay_reference(values, max_lag, sample_rate, refine=True):

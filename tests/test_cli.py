@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aeloc import cli, pipeline, simulator
 from aeloc.calibration import read_calibration_report, read_calibration_summary
@@ -40,41 +42,6 @@ def small_config(**overrides):
     cfg["test_positions_mm"] = [900.0, 1500.0, 2100.0]
     cfg.update(overrides)
     return cfg
-
-
-@pytest.fixture(scope="module")
-def learned(tmp_path_factory):
-    """Noiseless dataset run through calibrate (coarse grid) and learn once."""
-    root = tmp_path_factory.mktemp("chain")
-    data = root / "data"
-    build_dataset(
-        data,
-        specimen={"noise_snr_db": None},
-        prototypes=[900.0 + 200.0 * k for k in range(12)],
-        tests=[900.0, 1000.0, 1700.0, 2000.0, 3100.0],
-        seed=6,
-    )
-    report = root / "cal.csv"
-    assert (
-        cli.main(
-            [
-                "calibrate",
-                str(data),
-                "--report",
-                str(report),
-                "--f-start",
-                "30000",
-                "--f-stop",
-                "50000",
-                "--step",
-                "5000",
-            ]
-        )
-        == 0
-    )
-    db = root / "proto.db"
-    assert cli.main(["learn", str(data), "--db", str(db), "--calibration", str(report)]) == 0
-    return root, data, report, db
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +186,23 @@ def test_simulate_names_the_pair_it_could_not_write(tmp_path, capsys):
     assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert f"error: failed writing {blocked}: " in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == [f"prototype_{i:02d}.txt" for i in range(6)]
+
+
+def test_simulate_refuses_an_out_that_would_keep_stale_pair_files(paper_seed0, tmp_path, capsys):
+    # two test sources into a default dataset used to exit 0 and leave test_02 to test_22
+    # behind, which evaluate then refused as on disk but not in the manifest
+    out = tmp_path / "data"
+    shutil.copytree(paper_seed0, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"test_positions_mm": [1000.0, 2000.0]}))
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    stale = ", ".join(f"test_{i:02d}.txt" for i in range(2, 23))
+    assert capsys.readouterr().err == (
+        f"error: {out}: holds pair files the new manifest would not list: {stale}; "
+        "simulate into an empty directory\n"
+    )
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("rate", [1000000.0000001, 1000000.5])
@@ -1407,6 +1391,15 @@ def test_truncated_test_file_is_named_in_failed(learned, tmp_path):
     assert [(r.file, r.estimated_mm, r.error_mm) for r in got.rows] == [
         (r.file, r.estimated_mm, r.error_mm) for r in intact.rows if r.file != "test_01.txt"
     ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1e5), min_size=1, max_size=40))
+def test_the_outlier_trim_never_flags_the_smallest_error(errors):
+    # the smallest error sits at or below the median, so the trimmed mean always has an
+    # error to average
+    errors = np.array(errors)
+    assert not pipeline._mad_outliers(errors)[np.argmin(errors)]
 
 
 def test_evaluate_refuses_swapped_manifest_sensors(learned, tmp_path, capsys):

@@ -50,6 +50,18 @@ CASES = {
         "# given_dim=1 hidden_dim=1\n-0.001,900.0,-inf\n0.0,1000.0,0.0001\n",
         2,
     ),
+    "database-negative-sigma": (
+        load_prototypes,
+        "p.db",
+        "# given_dim=1 hidden_dim=1\n-0.001,900.0,-1.0\n0.0,1000.0,0.0001\n",
+        2,
+    ),
+    "database-zero-sigma": (
+        load_prototypes,
+        "p.db",
+        "# given_dim=1 hidden_dim=1\n-0.001,900.0,0.0001\n0.0,1000.0,0\n",
+        3,
+    ),
     "manifest-header-token": (
         read_manifest,
         "manifest.txt",
