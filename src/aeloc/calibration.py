@@ -8,8 +8,9 @@ the wave velocity follows from the fitted slope.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,6 +41,9 @@ class BandGrid:
     f_stop: float = 75_000.0
 
     def __post_init__(self) -> None:
+        for key, value in asdict(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if self.width <= 0.0 or self.step <= 0.0:
             raise ValueError("band width and step must be positive")
         if self.f_start <= 0.0:

@@ -140,17 +140,17 @@ def _cmd_locate(args) -> int:
         try:
             est = pipeline.locate_pair(pset, filt, *read_waveform_pair(name))
         except (ValueError, OSError) as exc:
-            rows.append((name, None, f"failed: {exc}"))
+            rows.append((name, str(exc)))  # the text only: a traceback holds the waveforms
             print(f"{name}: error: {exc}", file=sys.stderr)
             continue
-        rows.append((name, est, "ok"))
+        rows.append((name, est))
         print(
             f"{name}: position {est.position_mm:.2f} mm  "
             f"top_weight {est.top_weight:.4f}  extrapolated {est.extrapolated}"
         )
     if args.out:
         pipeline.write_location_report(args.out, rows)
-    return 2 if any(est is None for _, est, _ in rows) else 0
+    return 2 if any(isinstance(outcome, str) for _, outcome in rows) else 0
 
 
 def _cmd_evaluate(args) -> int:

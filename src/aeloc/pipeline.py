@@ -152,7 +152,8 @@ def learn_prototypes(
     duplicates = sorted({z for z in listed if listed.count(z) > 1})
     if duplicates:
         raise ValueError(
-            f"duplicate prototype positions {duplicates} mm: smoothing widths are undefined"
+            f"duplicate prototype positions {duplicates} mm: delays at one position differ "
+            "only by noise, which collapses their half-nearest-neighbor smoothing widths"
         )
     delays, errors = pick_delays(spectra.correlations(filt), spectra.sample_rate)
     skipped = [(dataset.rows[i].file, str(exc)) for i, exc in errors.items()]
@@ -173,16 +174,18 @@ def load_database(path) -> tuple[grnn.PrototypeSet, BandpassFilter]:
 
 
 def write_location_report(path, rows) -> None:
-    """rows: (file, LocationEstimate | None, status-string); a field with a comma is quoted."""
+    """rows: (file, outcome), the outcome a :class:`LocationEstimate` or the message of the
+    failure to locate that file, written as ``ok`` or ``failed: <message>``; a field with a
+    comma is quoted."""
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")  # RFC 4180 quoting, only where needed
     writer.writerow(["file", "position_mm", "delay_s", "top_weight", "extrapolated", "status"])
-    for name, est, status in rows:
-        if est is None:
-            writer.writerow([name, "", "", "", "", status])
+    for name, outcome in rows:
+        if isinstance(outcome, LocationEstimate):
+            writer.writerow([name, fmt(outcome.position_mm), fmt(outcome.delay_s),
+                             fmt(outcome.top_weight), outcome.extrapolated, "ok"])
         else:
-            writer.writerow([name, fmt(est.position_mm), fmt(est.delay_s),
-                             fmt(est.top_weight), est.extrapolated, status])
+            writer.writerow([name, "", "", "", "", f"failed: {outcome}"])
     atomic_write_text(path, text.getvalue())
 
 
@@ -190,9 +193,8 @@ def write_location_report(path, rows) -> None:
 class EvaluationRow:
     file: str
     true_mm: float
-    estimated_mm: float
+    estimate: LocationEstimate
     error_mm: float
-    extrapolated: bool
     outlier: bool
 
 
@@ -257,17 +259,8 @@ def evaluate_dataset(
 
     errors = np.array([abs(est.position_mm - row.position_mm) for row, est in located])
     outlier_mask = _mad_outliers(errors)
-    rows = [
-        EvaluationRow(
-            file=row.file,
-            true_mm=row.position_mm,
-            estimated_mm=est.position_mm,
-            error_mm=float(err),
-            extrapolated=est.extrapolated,
-            outlier=bool(out),
-        )
-        for (row, est), err, out in zip(located, errors, outlier_mask)
-    ]
+    rows = [EvaluationRow(row.file, row.position_mm, est, float(err), bool(out))
+            for (row, est), err, out in zip(located, errors, outlier_mask)]
     kept = errors[~outlier_mask]
     mean_err = float(errors.mean())
     trimmed_mean = float(kept.mean())
@@ -298,8 +291,8 @@ def write_evaluation_report(path, report: EvaluationReport) -> None:
     lines = ["file,true_mm,estimated_mm,abs_error_mm,extrapolated,outlier"]
     for row in report.rows:
         lines.append(
-            f"{row.file},{fmt(row.true_mm)},{fmt(row.estimated_mm)},"
-            f"{fmt(row.error_mm)},{row.extrapolated},{row.outlier}"
+            f"{row.file},{fmt(row.true_mm)},{fmt(row.estimate.position_mm)},"
+            f"{fmt(row.error_mm)},{row.estimate.extrapolated},{row.outlier}"
         )
     # the summary numbers, each under its attribute's name
     for key in ("mean_error_mm", "trimmed_mean_error_mm", "max_error_mm", "trimmed_max_error_mm",
@@ -313,7 +306,7 @@ def write_evaluation_report(path, report: EvaluationReport) -> None:
 def evaluation_scatter_svg(report: EvaluationReport, prototype_positions) -> str:
     """Estimated-vs-actual scatter with the identity line and the prototype positions marked."""
     actual = [row.true_mm for row in report.rows]
-    estimated = [row.estimated_mm for row in report.rows]
+    estimated = [row.estimate.position_mm for row in report.rows]
     lo, hi = min(actual + estimated), max(actual + estimated)
     protos = ("prototype source", prototype_positions, prototype_positions, "plus")
     return scatter_svg(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -288,9 +289,11 @@ def _integer(key: str, value) -> int:
 
 def _floats(key: str, value, depth: int = 0):
     """``value`` as a float or, ``depth`` lists deep, as nested tuples of floats; a value of
-    another kind (a boolean, a string, null, a list where a number belongs) names ``key``.
-    Depth 2 is a curve, a non-empty list of [frequency, value] pairs."""
+    another kind (a boolean, a string, null, a list where a number belongs) or a non-finite
+    number names ``key``.  Depth 2 is a curve, a non-empty list of [frequency, value] pairs."""
     if depth == 0 and isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if not abs(value) <= sys.float_info.max:  # NaN, an infinity or an int beyond the doubles
+            raise ValueError(f"{key}: number must be finite, got {value!r}")
         return float(value)
     if depth == 1 and isinstance(value, (list, tuple)):
         return tuple(_floats(key, item) for item in value)
@@ -328,9 +331,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     merged.update({k: v for k, v in raw.items() if k != "specimen"})
 
     def number(key: str, depth: int = 0):
-        # checked, then passed on as written: the manifest spells the sensors as given
-        _floats(f"specimen.{key}", spec_raw[key], depth)
-        return spec_raw[key]
+        return _floats(f"specimen.{key}", spec_raw[key], depth)
 
     attenuation, snr = spec_raw["attenuation_db_per_m"], spec_raw["noise_snr_db"]
     model = SpecimenModel(
@@ -367,11 +368,22 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
+    """:func:`parse_config` of the JSON file at ``path``; a key repeated in any object is
+    refused, naming the file and the key."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"configuration file not found: {path}")
+
+    def unique(pairs) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"{path}: configuration key {key!r} appears twice")
+            obj[key] = value
+        return obj
+
     with open(path) as fh:
-        return parse_config(json.load(fh))
+        return parse_config(json.load(fh, object_pairs_hook=unique))
 
 
 @dataclass(frozen=True)

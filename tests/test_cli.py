@@ -151,12 +151,26 @@ _TOO_FEW_SAMPLES = "sample rate must be positive and record_length >= 2"
             {"specimen": {"velocity_points_hz_km_s": []}},
             "specimen.velocity_points_hz_km_s: a curve needs at least one [frequency, value] pair",
         ),
+        # JSON's Infinity and NaN, refused by key: the first used to simulate a specimen of
+        # infinite length, the others to fail at the first write, naming no key
+        ({"specimen": {"length_mm": float("inf")}},
+         "specimen.length_mm: number must be finite, got inf"),
+        ({"source_amplitude": float("nan")}, "source_amplitude: number must be finite, got nan"),
+        ({"specimen": {"noise_snr_db": float("nan")}},
+         "specimen.noise_snr_db: number must be finite, got nan"),
+        (
+            {"specimen": {"velocity_points_hz_km_s": [[0, 1.02], [35000, float("nan")]]}},
+            "specimen.velocity_points_hz_km_s: number must be finite, got nan",
+        ),
+        # an integer no double can hold used to end in a traceback of OverflowError
+        ({"source_amplitude": 10**309}, f"source_amplitude: number must be finite, got {10**309}"),
     ],
     ids=["kind", "amplitude", "band", "position", "wrapping-burst", "positions-string",
          "positions-null", "velocity-number", "snr-string", "length-string", "reflection-string",
          "specimen-list", "zero-sample-rate", "one-sample-record", "band-one-value",
          "band-three-values", "velocity-three-values", "velocity-one-value",
-         "attenuation-three-values", "velocity-empty"],
+         "attenuation-three-values", "velocity-empty", "length-infinite", "amplitude-nan",
+         "snr-nan", "velocity-nan", "amplitude-beyond-doubles"],
 )
 def test_simulate_refuses_a_bad_source_before_writing_any_pair(tmp_path, capsys, setting, message):
     cfg = {**default_config(), "specimen": {"record_length": 4096}, **setting}
@@ -165,7 +179,41 @@ def test_simulate_refuses_a_bad_source_before_writing_any_pair(tmp_path, capsys,
     out = tmp_path / "data"
     assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
-    assert list(out.glob("*.txt")) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [('{"seed": 1, "seed": 2}', "seed"),
+     ('{"specimen": {"length_mm": 4000.0}, "specimen": {"noise_snr_db": null}}', "specimen"),
+     ('{"specimen": {"noise_snr_db": 20.0, "noise_snr_db": null}}', "noise_snr_db")],
+    ids=["top-level", "specimen", "inside-specimen"],
+)
+def test_simulate_refuses_a_repeated_configuration_key(tmp_path, capsys, text, key):
+    # the last of the repeats used to win without a word
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "data"
+    assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg_path}: configuration key {key!r} appears twice\n"
+    )
+    assert not out.exists()
+
+
+def test_simulate_writes_integer_sensor_positions_as_floats(tmp_path):
+    # the specimen gets the checked floats, not the JSON's integers
+    cfg = small_config(prototype_positions_mm=[900.0, 1300.0], test_positions_mm=[1500.0])
+    written = {}
+    for name, sensors in (("floats", (800.0, 3200.0)), ("integers", (800, 3200))):
+        cfg["specimen"]["sensor_1_mm"], cfg["specimen"]["sensor_2_mm"] = sensors
+        (cfg_path := tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        out = tmp_path / name
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        written[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    manifest = written["integers"][MANIFEST_NAME].decode()
+    assert manifest.startswith("# sensor_1_mm=800.0 sensor_2_mm=3200.0\n")
+    assert written["integers"] == written["floats"]
 
 
 def test_simulate_refuses_a_config_that_is_not_an_object(tmp_path, capsys):
@@ -829,7 +877,10 @@ def test_learn_rejects_duplicate_positions(tmp_path, capsys):
         tmp_path, shifts=[-40, -40, 40], positions=[100.0, 100.0, 300.0]
     )
     assert _learn(tmp_path, summary_report(tmp_path / "band.csv")) == 2
-    assert "duplicate prototype positions" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(
+        "duplicate prototype positions [100.0] mm: delays at one position differ only by "
+        "noise, which collapses their half-nearest-neighbor smoothing widths\n"
+    )
 
 
 def test_learn_requires_filter_flags(learned, capsys):
@@ -1388,9 +1439,22 @@ def test_truncated_test_file_is_named_in_failed(learned, tmp_path):
     got = pipeline.evaluate_dataset(pset, filt, broken)
     assert [name for name, _ in got.failed] == ["test_01.txt"]
     assert got.failed[0][1].startswith(f"{broken / 'test_01.txt'}:1001: ")
-    assert [(r.file, r.estimated_mm, r.error_mm) for r in got.rows] == [
-        (r.file, r.estimated_mm, r.error_mm) for r in intact.rows if r.file != "test_01.txt"
+    assert [(r.file, r.estimate.position_mm, r.error_mm) for r in got.rows] == [
+        (r.file, r.estimate.position_mm, r.error_mm)
+        for r in intact.rows if r.file != "test_01.txt"
     ]
+
+
+def test_each_evaluation_row_holds_the_estimate_locate_pair_makes(learned):
+    _, data, _, db = learned
+    pset, filt = pipeline.load_database(db)
+    report = pipeline.evaluate_dataset(pset, filt, data)
+    assert len(report.rows) == 5
+    for row in report.rows:
+        # a frozen dataclass compares its floats exactly, so the delay matches to the last bit
+        located = pipeline.locate_pair(pset, filt, *read_waveform_pair(data / row.file))
+        assert row.estimate == located
+        assert row.error_mm == abs(row.estimate.position_mm - row.true_mm)
 
 
 @settings(max_examples=300, deadline=None)

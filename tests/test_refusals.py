@@ -122,6 +122,28 @@ CASES = {
         "every band in the grid was invalid for this sample rate",
         marks=pytest.mark.filterwarnings("ignore:skipping band"),
     ),
+    # the first three used to pass the constructor and fail later, the first with an
+    # OverflowError and the others with an unnamed "cannot convert float NaN to integer"
+    "grid-with-an-infinite-stop": (
+        lambda _: BandGrid(f_stop=np.inf).band_lows(),
+        ValueError,
+        "f_stop must be finite, got inf",
+    ),
+    "grid-with-a-nan-step": (
+        lambda _: BandGrid(step=np.nan).band_lows(),
+        ValueError,
+        "step must be finite, got nan",
+    ),
+    "grid-with-a-nan-start": (
+        lambda _: BandGrid(f_start=np.nan).band_lows(),
+        ValueError,
+        "f_start must be finite, got nan",
+    ),
+    "grid-with-an-infinite-width": (
+        lambda _: BandGrid(width=np.inf),
+        ValueError,
+        "width must be finite, got inf",
+    ),
     "sweep-over-silent-records": (
         lambda _: sweep_bands(_pairs([900.0, 1300.0, 1700.0], silent=True), _COARSE, 4,
                               max_lag=10),
