@@ -233,18 +233,7 @@ def evaluate_dataset(
     3xMAD-trimmed averages are reported.
     """
     dataset = load_dataset(dataset_dir, "test")
-    manifest_path = dataset.directory / MANIFEST_NAME
-    meta = dataset.meta
-    for key in ("sensor_1_mm", "sensor_2_mm"):
-        if key not in meta:
-            raise ValueError(f"{manifest_path}: header lacks {key!r}")
-    sensor_separation_mm = meta["sensor_2_mm"] - meta["sensor_1_mm"]
-    if not 0.0 < sensor_separation_mm < np.inf:
-        raise ValueError(
-            f"{manifest_path}: sensor separation sensor_2_mm - sensor_1_mm "
-            f"= {sensor_separation_mm} mm must be finite and positive"
-        )
-
+    sensor_separation_mm = dataset.meta["sensor_2_mm"] - dataset.meta["sensor_1_mm"]
     located: list[tuple[ManifestRow, LocationEstimate]] = []
     failed: list[tuple[str, str]] = []
     for row in dataset.rows:

@@ -227,6 +227,12 @@ class CrossSpectra:
         cross = rate = longest = nfft = None
         taken = 0  # not enumerate: its reused result tuple would keep the last pair alive
         for ch1, ch2 in pairs:
+            # before the first pair sizes the FFT and the spectra from the window
+            if lag >= min(len(ch1), len(ch2)):
+                raise ValueError(
+                    f"max_lag={lag} must be smaller than every record "
+                    f"(pair {taken}: lengths {len(ch1)} and {len(ch2)})"
+                )
             if cross is None:
                 rate, longest = ch1.sample_rate, max(len(ch1), len(ch2))
                 nfft = _fast_length(longest + lag)
@@ -236,11 +242,6 @@ class CrossSpectra:
             for w in (ch1, ch2):
                 if w.sample_rate != rate:
                     raise ValueError(f"sample rates differ: {rate} Hz vs {w.sample_rate} Hz")
-            if lag >= min(len(ch1), len(ch2)):
-                raise ValueError(
-                    f"max_lag={lag} must be smaller than every record "
-                    f"(pair {taken}: lengths {len(ch1)} and {len(ch2)})"
-                )
             if max(len(ch1), len(ch2)) > longest:
                 raise ValueError(
                     f"pair {taken}: a record of {max(len(ch1), len(ch2))} samples is longer "

@@ -280,9 +280,17 @@ def default_config() -> dict:
     }
 
 
+def _finite(key: str, value: numbers.Real) -> numbers.Real:
+    """``value``; NaN, an infinity or an int beyond the doubles is refused, naming ``key``."""
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{key}: number must be finite, got {value!r}")
+    return value
+
+
 def _integer(key: str, value) -> int:
-    """``value`` as an int; a boolean or a number with a fraction is refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
+    """``value`` as an int; a boolean or a number with a fraction is refused, not truncated,
+    and NaN, an infinity or an int beyond the doubles as :func:`_floats` refuses them."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or _finite(key, value) % 1:
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return int(value)
 
@@ -292,9 +300,7 @@ def _floats(key: str, value, depth: int = 0):
     another kind (a boolean, a string, null, a list where a number belongs) or a non-finite
     number names ``key``.  Depth 2 is a curve, a non-empty list of [frequency, value] pairs."""
     if depth == 0 and isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if not abs(value) <= sys.float_info.max:  # NaN, an infinity or an int beyond the doubles
-            raise ValueError(f"{key}: number must be finite, got {value!r}")
-        return float(value)
+        return float(_finite(key, value))
     if depth == 1 and isinstance(value, (list, tuple)):
         return tuple(_floats(key, item) for item in value)
     if depth == 2 and isinstance(value, (list, tuple)):
@@ -368,8 +374,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """:func:`parse_config` of the JSON file at ``path``; a key repeated in any object is
-    refused, naming the file and the key."""
+    """:func:`parse_config` of the UTF-8 JSON file at ``path``; text that is not UTF-8 or not
+    JSON is refused with the file and line, and a key repeated in any object with the file
+    and the key."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"configuration file not found: {path}")
@@ -382,8 +389,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
             obj[key] = value
         return obj
 
-    with open(path) as fh:
-        return parse_config(json.load(fh, object_pairs_hook=unique))
+    data = path.read_bytes()
+    try:
+        raw = json.loads(data.decode("utf-8"), object_pairs_hook=unique)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: {exc.msg} (column {exc.colno})") from None
+    return parse_config(raw)
 
 
 @dataclass(frozen=True)
@@ -413,6 +427,8 @@ def write_manifest(path: str | Path, model: SpecimenModel, rows: list[ManifestRo
 
 
 def read_manifest(path: str | Path) -> tuple[dict, list[ManifestRow]]:
+    """The header fields and rows of the manifest at ``path``; a header without both sensor
+    positions, or whose ``sensor_2_mm`` does not lie above ``sensor_1_mm``, is refused."""
     path = Path(path)
     rows: list[ManifestRow] = []
     listed: set[str] = set()
@@ -422,6 +438,13 @@ def read_manifest(path: str | Path) -> tuple[dict, list[ManifestRow]]:
             raise ValueError(f"{path}: manifest must start with a '# key=value ...' line")
         fields = key_value_fields(path, [(1, first)])
         meta = {key: parse_number(value, f"{path}:1: {key}") for key, (_, value) in fields.items()}
+        for key in ("sensor_1_mm", "sensor_2_mm"):
+            if key not in meta:
+                raise ValueError(f"{path}: header lacks {key!r}")
+        separation = meta["sensor_2_mm"] - meta["sensor_1_mm"]
+        if not 0.0 < separation < np.inf:
+            raise ValueError(f"{path}: sensor separation sensor_2_mm - sensor_1_mm "
+                             f"= {separation} mm must be finite and positive")
         header = fh.readline().strip()
         if header != "file,role,position_mm,kind":
             raise ValueError(f"{path}: unexpected manifest column header {header!r}")

@@ -3,6 +3,8 @@ import csv
 import json
 import shutil
 import os
+import subprocess
+import sys
 import warnings
 import weakref
 from collections import Counter
@@ -1466,9 +1468,21 @@ def test_the_outlier_trim_never_flags_the_smallest_error(errors):
     assert not pipeline._mad_outliers(errors)[np.argmin(errors)]
 
 
-def test_evaluate_refuses_swapped_manifest_sensors(learned, tmp_path, capsys):
-    import shutil
+def _stage_argv(command, learned, dataset, out):
+    """``command`` run on ``dataset`` with the learned chain's report and database, writing
+    its report or database to ``out``."""
+    _, _, report, db = learned
+    return {
+        "calibrate": ["calibrate", str(dataset), "--report", str(out)],
+        "learn": ["learn", str(dataset), "--db", str(out), "--calibration", str(report)],
+        "evaluate": ["evaluate", str(db), str(dataset), "--report", str(out),
+                     "--calibration", str(report)],
+    }[command]
 
+
+# calibrate and learn used to accept such a manifest; only evaluate refused it
+@pytest.mark.parametrize("command", ["calibrate", "learn", "evaluate"])
+def test_each_stage_refuses_swapped_manifest_sensors(learned, tmp_path, capsys, command):
     _, data, report, db = learned
     swapped = tmp_path / "swapped"
     shutil.copytree(data, swapped)
@@ -1480,21 +1494,20 @@ def test_evaluate_refuses_swapped_manifest_sensors(learned, tmp_path, capsys):
     filt = design_bandpass(read_calibration_summary(report)[0], FS)
     with pytest.raises(ValueError, match=r"manifest\.txt: sensor separation .* = -2400\.0 mm"):
         pipeline.evaluate_dataset(load_prototypes(db), filt, swapped)
-    code = cli.main(
-        ["evaluate", str(db), str(swapped), "--report", str(tmp_path / "r.csv"),
-         "--calibration", str(report)]
+    out = tmp_path / "out"
+    assert cli.main(_stage_argv(command, learned, swapped, out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {manifest}: sensor separation sensor_2_mm - sensor_1_mm = -2400.0 mm "
+        "must be finite and positive\n"
     )
-    assert code == 2
-    assert "must be finite and positive" in capsys.readouterr().err
-    assert not (tmp_path / "r.csv").exists()
+    assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["calibrate", "learn", "evaluate"])
 @pytest.mark.parametrize("key", ["sensor_1_mm", "sensor_2_mm"])
-def test_evaluate_names_a_manifest_header_without_sensor_positions(learned, tmp_path, capsys,
-                                                                    key):
-    import shutil
-
-    _, data, report, db = learned
+def test_each_stage_names_a_manifest_header_without_sensor_positions(learned, tmp_path, capsys,
+                                                                     key, command):
+    _, data, _, _ = learned
     bare = tmp_path / "bare"
     shutil.copytree(data, bare)
     manifest = bare / MANIFEST_NAME
@@ -1502,13 +1515,10 @@ def test_evaluate_names_a_manifest_header_without_sensor_positions(learned, tmp_
     first, rest = text.split("\n", 1)
     kept = [token for token in first.split() if not token.startswith(key + "=")]
     manifest.write_text(" ".join(kept) + "\n" + rest)
-    code = cli.main(
-        ["evaluate", str(db), str(bare), "--report", str(tmp_path / "r.csv"),
-         "--calibration", str(report)]
-    )
-    assert code == 2
-    assert f"error: {manifest}: header lacks {key!r}" in capsys.readouterr().err
-    assert not (tmp_path / "r.csv").exists()
+    out = tmp_path / "out"
+    assert cli.main(_stage_argv(command, learned, bare, out)) == 2
+    assert capsys.readouterr().err == f"error: {manifest}: header lacks {key!r}\n"
+    assert not out.exists()
 
 
 def test_evaluate_refuses_a_nan_test_position(learned, tmp_path, capsys):
@@ -1647,3 +1657,74 @@ def test_pipeline_stages_run_without_designing_a_filter(tmp_path, monkeypatch):
     assert cli.main(["learn", str(data), "--db", str(db), *band]) == 0
     assert cli.main(["locate", str(db), str(data / "test_00.txt"), *band]) == 0
     assert cli.main(["evaluate", str(db), str(data), "--report", str(tmp_path / "e.csv"), *band]) == 0
+
+
+# ------------------------------------------------- refusals a command-line user meets
+
+ROOT = Path(__file__).resolve().parents[1]
+_BEYOND_DOUBLES = 10**400
+
+
+def _simulate(tmp_path, config):
+    """simulate from a config file holding ``config``, bytes or an object to dump."""
+    path, out = tmp_path / "cfg.json", tmp_path / "data"
+    path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+    return ["simulate", "--config", str(path), "--out", str(out)], [out]
+
+
+def _locate_with_a_wide_window(tmp_path, learned):
+    _, data, _, db = learned
+    wide = tmp_path / "wide.db"
+    wide.write_text(db.read_text().replace("max_delay_s=0.0025", "max_delay_s=1e9", 1))
+    return ["locate", str(wide), str(data / "test_00.txt")], []
+
+
+_WIDE_WINDOW = ("max_lag=1000000000000000 must be smaller than every record "
+                "(pair 0: lengths 8192 and 8192)")
+
+# name: (argv and the outputs it must not create, of (tmp_path, learned); the error line's
+# end).  The windows used to end in a MemoryError traceback (85 PiB of spectra), the rate
+# and the record length in an OverflowError one; such a config seed was taken, and the
+# config text's errors named no file.
+CLI_REFUSALS = {
+    "calibrate-window-beyond-the-record": (
+        lambda tmp, learned: (["calibrate", str(learned[1]), "--report", str(tmp / "c.csv"),
+                               "--max-delay-s", "1e9"], [tmp / "c.csv"]),
+        _WIDE_WINDOW,
+    ),
+    "locate-window-beyond-the-record": (_locate_with_a_wide_window, _WIDE_WINDOW),
+    "config-sample-rate-beyond-doubles": (
+        lambda tmp, _: _simulate(tmp, {"specimen": {"sample_rate_hz": _BEYOND_DOUBLES}}),
+        f"specimen.sample_rate_hz: number must be finite, got {_BEYOND_DOUBLES}",
+    ),
+    "config-record-length-beyond-doubles": (
+        lambda tmp, _: _simulate(tmp, {"specimen": {"record_length": _BEYOND_DOUBLES}}),
+        f"specimen.record_length: number must be finite, got {_BEYOND_DOUBLES}",
+    ),
+    "config-seed-beyond-doubles": (
+        lambda tmp, _: _simulate(tmp, {"seed": _BEYOND_DOUBLES}),
+        f"seed: number must be finite, got {_BEYOND_DOUBLES}",
+    ),
+    "config-not-json": (
+        lambda tmp, _: _simulate(tmp, b'{"seed": }'),
+        "cfg.json:1: Expecting value (column 10)",
+    ),
+    "config-not-utf8": (
+        lambda tmp, _: _simulate(tmp, b'{\n  "test_source_kind": "\xff"\n}'),
+        "cfg.json:2: 'utf-8' codec can't decode byte 0xff in position 25: invalid start byte",
+    ),
+}
+
+
+@pytest.mark.parametrize("setup, message", CLI_REFUSALS.values(), ids=CLI_REFUSALS.keys())
+def test_a_refusal_is_an_error_line_and_exit_2_in_a_fresh_process(learned, tmp_path, setup,
+                                                                   message):
+    argv, outputs = setup(tmp_path, learned)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), *sys.path])}
+    run = subprocess.run([sys.executable, "-m", "aeloc", *argv], env=env, capture_output=True,
+                         text=True)
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stderr
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and "error: " in lines[0] and lines[0].endswith(message), lines
+    assert [path for path in outputs if path.exists()] == []

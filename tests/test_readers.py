@@ -246,6 +246,27 @@ def test_a_repeated_header_field_is_refused_not_overwritten(tmp_path, reader, na
     assert str(info.value) == f"{path}:{line}: header field {key!r} appears twice"
 
 
+@pytest.mark.parametrize(
+    "header, fault",
+    [("# sensor_2_mm=3200.0\n", "header lacks 'sensor_1_mm'"),
+     ("# sensor_1_mm=800.0\n", "header lacks 'sensor_2_mm'"),
+     ("# sensor_1_mm=3200.0 sensor_2_mm=800.0\n",
+      "sensor separation sensor_2_mm - sensor_1_mm = -2400.0 mm must be finite and positive"),
+     ("# sensor_1_mm=800.0 sensor_2_mm=800.0\n",
+      "sensor separation sensor_2_mm - sensor_1_mm = 0.0 mm must be finite and positive"),
+     ("# sensor_1_mm=-1e308 sensor_2_mm=1e308\n",
+      "sensor separation sensor_2_mm - sensor_1_mm = inf mm must be finite and positive")],
+    ids=["no-sensor-1", "no-sensor-2", "swapped", "coincident", "separation-beyond-doubles"],
+)
+def test_read_manifest_refuses_a_header_without_an_ordered_sensor_pair(tmp_path, header, fault):
+    # every stage reads its dataset through read_manifest, so each refuses such a header
+    path = tmp_path / "manifest.txt"
+    path.write_text(header + _MANIFEST_COLUMNS + "test_00.txt,test,1500.0,continuous-noise\n")
+    with pytest.raises(ValueError) as info:
+        read_manifest(path)
+    assert str(info.value) == f"{path}: {fault}"
+
+
 def test_a_blank_line_between_rows_is_skipped(tmp_path):
     rows = ("prototype_00.txt,prototype,900.0,discrete-burst\n",
             "test_00.txt,test,1500.0,continuous-noise\n")
