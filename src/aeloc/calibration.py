@@ -115,7 +115,8 @@ def _robust_fit(
 ) -> tuple[float, float, float, tuple[int, ...]]:
     """One-pass outlier rejection: drop points whose residual exceeds three times
     the median absolute residual, never more than N//4 of them and never points
-    within one sample period (the delay-quantization floor)."""
+    within one sample period (the delay-quantization floor).  No refit runs unless the
+    kept points span at least two positions, which the line fit needs."""
     slope, intercept, rmse = fit_line(z, dt)
     resid = np.abs(dt - (slope * z + intercept))
     floor = 1.0 / sample_rate
@@ -123,10 +124,9 @@ def _robust_fit(
     suspects = np.nonzero(resid > threshold)[0]
     cap = len(z) // 4
     suspects = suspects[np.argsort(resid[suspects])[::-1][:cap]]
-    if suspects.size == 0 or len(z) - suspects.size < 2:
+    if suspects.size == 0 or np.unique(kept := np.delete(z, suspects)).size < 2:
         return slope, intercept, rmse, ()
-    keep = np.setdiff1d(np.arange(len(z)), suspects)
-    slope, intercept, rmse = fit_line(z[keep], dt[keep])
+    slope, intercept, rmse = fit_line(kept, np.delete(dt, suspects))
     return slope, intercept, rmse, tuple(int(i) for i in np.sort(suspects))
 
 

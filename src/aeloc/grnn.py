@@ -15,7 +15,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .util import atomic_write_text, fmt, key_value_fields, parse_number
+from .util import atomic_write_text, comma_rows, fmt, key_value_fields, parse_number
 
 def compute_sigmas(given) -> np.ndarray:
     """Per-prototype smoothing width: half the distance to the nearest distinct neighbor.
@@ -173,15 +173,7 @@ def load_prototypes(path: str | Path) -> PrototypeSet:
         s_dim, d_dim = (int(fields.pop(key)[1]) for key in ("given_dim", "hidden_dim"))
         header = {key: text for key, (_, text) in fields.items()}
         rows = []
-        for ln, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != s_dim + d_dim + 1:
-                raise ValueError(
-                    f"{path}:{ln}: expected {s_dim + d_dim + 1} fields, got {len(fields)}"
-                )
+        for ln, fields in comma_rows(path, enumerate(fh, start=2), s_dim + d_dim + 1):
             rows.append([parse_number(x, f"{path}:{ln}") for x in fields])
             if not rows[-1][-1] > 0.0:
                 raise ValueError(

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .signals import Waveform, write_waveform_pair
-from .util import KM_S_TO_MM_S, atomic_write_text, fmt, key_value_fields, parse_number
+from .util import KM_S_TO_MM_S, atomic_write_text, comma_rows, fmt, key_value_fields, parse_number
 
 DISCRETE_BURST = "discrete-burst"
 CONTINUOUS_NOISE = "continuous-noise"
@@ -448,22 +448,14 @@ def read_manifest(path: str | Path) -> tuple[dict, list[ManifestRow]]:
         header = fh.readline().strip()
         if header != "file,role,position_mm,kind":
             raise ValueError(f"{path}: unexpected manifest column header {header!r}")
-        for ln, line in enumerate(fh, start=3):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 4:
-                raise ValueError(f"{path}:{ln}: expected 4 fields")
-            if fields[1] not in ("prototype", "test"):
-                raise ValueError(
-                    f"{path}:{ln}: role must be 'prototype' or 'test', got {fields[1]!r}"
-                )
-            position = parse_number(fields[2], f"{path}:{ln}: position_mm")
-            if fields[0] in listed:
-                raise ValueError(f"{path}:{ln}: file {fields[0]!r} is listed twice")
-            listed.add(fields[0])
-            rows.append(ManifestRow(fields[0], fields[1], position, fields[3]))
+        for ln, (name, role, position, kind) in comma_rows(path, enumerate(fh, start=3), 4):
+            if role not in ("prototype", "test"):
+                raise ValueError(f"{path}:{ln}: role must be 'prototype' or 'test', got {role!r}")
+            position = parse_number(position, f"{path}:{ln}: position_mm")
+            if name in listed:
+                raise ValueError(f"{path}:{ln}: file {name!r} is listed twice")
+            listed.add(name)
+            rows.append(ManifestRow(name, role, position, kind))
     return meta, rows
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from pathlib import Path
 
 KM_S_TO_MM_S = 1e6
@@ -42,12 +43,17 @@ def fmt(x: float | int) -> str:
     return str(x) if isinstance(x, int) else repr(float(x))
 
 
+# an RFC 8259 number, with optional spaces or tabs around it: the pair reader's grammar
+_JSON_NUMBER = re.compile(r"[ \t]*-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?[ \t]*")
+
+
 def parse_number(text: str, where: str, kind=float):
-    """``kind(text)``; a malformed or non-finite number raises ``ValueError`` led by ``where``.
+    """``kind(text)``; a malformed or non-finite number, or one that is not a JSON number
+    (RFC 8259), raises ``ValueError`` led by ``where``.
 
     The database, manifest and calibration-summary readers parse their numbers
-    here; with the pair reader's JSON grammar, no file format admits ``nan`` or
-    ``inf``.
+    here, so every number in every aeloc file is a JSON number: none admits
+    ``nan``, ``inf``, ``1_0``, ``+1``, ``.5`` or non-ASCII digits.
     """
     try:
         value = kind(text)
@@ -55,6 +61,8 @@ def parse_number(text: str, where: str, kind=float):
         raise ValueError(f"{where}: {exc}") from None
     if not math.isfinite(value):
         raise ValueError(f"{where}: number must be finite, got {text!r}")
+    if not _JSON_NUMBER.fullmatch(text):
+        raise ValueError(f"{where}: not a JSON number: {text!r}")
     return value
 
 
@@ -70,6 +78,18 @@ def key_value_fields(path, lines) -> dict[str, tuple[int, str]]:
                 raise ValueError(f"{path}:{ln}: header field {key!r} appears twice")
             fields[key] = (ln, value)
     return fields
+
+
+def comma_rows(path, lines, width: int):
+    """``(line, fields)`` of the non-blank ``(line, text)`` items, the stripped text split at
+    commas: the manifest and database rows.  A row of other than ``width`` fields raises
+    ``ValueError`` led by ``<path>:<line>:``."""
+    for ln, text in lines:
+        if not (text := text.strip()):
+            continue
+        if len(fields := text.split(",")) != width:
+            raise ValueError(f"{path}:{ln}: expected {width} fields, got {len(fields)}")
+        yield ln, fields
 
 
 def positive_field(path, fields: dict[str, tuple[int, str]], key: str, remedy: str, kind=float):

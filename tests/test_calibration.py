@@ -108,6 +108,17 @@ def test_robust_fit_never_drops_more_than_a_quarter():
     assert len(outliers) <= 2
 
 
+def test_robust_fit_never_cuts_down_to_one_position():
+    # both 900 mm points are outliers, and dropping them would leave only 1300 mm, where
+    # the refit used to raise "all positions identical" out of the sweep
+    z = np.array([900.0, 900.0] + [1300.0] * 6)
+    dt = 1e-6 * (z - 1100.0)
+    dt[:2] += [5e-6, -5e-6]
+    slope, _, _, outliers = _robust_fit(z, dt, sample_rate=1e6)
+    assert outliers == ()
+    assert slope == pytest.approx(1e-6, rel=1e-9)
+
+
 # ---------------------------------------------------------------- velocity
 
 

@@ -1542,6 +1542,18 @@ def test_evaluate_refuses_a_nan_test_position(learned, tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_locate_refuses_a_database_number_that_is_not_a_json_number(learned, tmp_path, capsys):
+    # float() reads "1_0" as 10.0; the database, like the pair files, holds JSON numbers only
+    _, data, _, db = learned
+    lines = db.read_text().splitlines()
+    delay, _, sigma = lines[1].split(",")
+    lines[1] = ",".join([delay, "1_0", sigma])
+    (broken := tmp_path / "p.db").write_text("\n".join(lines) + "\n")
+    code = cli.main(["locate", str(broken), str(data / "test_00.txt")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {broken}:2: not a JSON number: '1_0'\n"
+
+
 def test_evaluate_noiseless_nondispersive_mean_error_under_5mm(tmp_path, capsys):
     build_dataset(
         tmp_path,

@@ -79,6 +79,36 @@ def test_every_public_definition_is_used_outside_the_tests():
     assert not unused, f"public but used only by tests: {unused}"
 
 
+# an import kept on purpose although its module never uses the name: the reason in parentheses
+_PINNED = re.compile(r"#\s*noqa: F401\s+\(.+\)")
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # no linter runs here, so this is the F401 check; __init__.py's imports are the re-exports.
+    # A pinned import whose name the module does use carries a stale reason
+    unused, stale = [], []
+    for path in sorted([*(ROOT / "src" / "aeloc").glob("*.py"), *(ROOT / "scripts").glob("*.py")]):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        tree, lines = ast.parse(source), source.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            ):
+                continue
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                pinned = _PINNED.search(lines[alias.lineno - 1]) is not None
+                if bound in used and pinned:
+                    stale.append(f"{path.stem}.{bound}")
+                elif bound not in used and not pinned:
+                    unused.append(f"{path.stem}.{bound}")
+    assert not unused, f"imported but never used: {unused}"
+    assert not stale, f"pinned as unused but used: {stale}"
+
+
 def _attributes_and_strings(tree) -> set[str]:
     """Attribute names and string constants under ``tree``."""
     found = set()

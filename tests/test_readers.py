@@ -1,6 +1,7 @@
 """Every text reader names ``<path>:<line>:`` when a number in the file is malformed, not finite
 or out of range."""
 
+import math
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ from aeloc.grnn import load_prototypes
 from aeloc.pipeline import load_database
 from aeloc.signals import read_waveform_pair
 from aeloc.simulator import read_manifest
+from aeloc.util import fmt, parse_number
 
 _MANIFEST_HEADER = "# sensor_1_mm=800.0 sensor_2_mm=3200.0 sample_rate_hz=1000000.0\n"
 _MANIFEST_COLUMNS = "file,role,position_mm,kind\n"
@@ -268,6 +270,8 @@ def test_read_manifest_refuses_a_header_without_an_ordered_sensor_pair(tmp_path,
 
 
 def test_a_blank_line_between_rows_is_skipped(tmp_path):
+    # both readers take their rows from util.comma_rows: a blank line is skipped yet counted,
+    # so a later bad row is named by its own line
     rows = ("prototype_00.txt,prototype,900.0,discrete-burst\n",
             "test_00.txt,test,1500.0,continuous-noise\n")
     plain, spaced = tmp_path / "plain.txt", tmp_path / "spaced.txt"
@@ -275,6 +279,10 @@ def test_a_blank_line_between_rows_is_skipped(tmp_path):
     spaced.write_text(_MANIFEST_HEADER + _MANIFEST_COLUMNS + "\n".join(rows))
     assert read_manifest(spaced) == read_manifest(plain)
     assert [row.file for row in read_manifest(spaced)[1]] == ["prototype_00.txt", "test_00.txt"]
+    spaced.write_text(spaced.read_text() + " \t\ntest_01.txt,test\n")
+    with pytest.raises(ValueError) as info:
+        read_manifest(spaced)
+    assert str(info.value) == f"{spaced}:7: expected 4 fields, got 2"
     plain, spaced = tmp_path / "plain.db", tmp_path / "spaced.db"
     plain.write_text(_DATABASE)
     spaced.write_text(_DATABASE.replace("\n0.0,", "\n\n0.0,"))
@@ -282,3 +290,52 @@ def test_a_blank_line_between_rows_is_skipped(tmp_path):
     assert len(got) == 2 and got.header == want.header
     for name in ("given", "hidden", "sigmas"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    spaced.write_text(spaced.read_text() + "\n  \n0.001,1100.0\n")
+    with pytest.raises(ValueError) as info:
+        load_prototypes(spaced)
+    assert str(info.value) == f"{spaced}:7: expected 3 fields, got 2"
+
+
+@pytest.mark.parametrize(
+    "reader, name, text, line, fault",
+    [(read_manifest, "manifest.txt", _MANIFEST_HEADER + _MANIFEST_COLUMNS
+      + "prototype_00.txt,prototype,900.0,discrete-burst,extra\n", 3, "expected 4 fields, got 5"),
+     (load_prototypes, "p.db", "# given_dim=1 hidden_dim=1\n-0.001,900.0\n", 2,
+      "expected 3 fields, got 2")],
+    ids=["manifest", "database"],
+)
+def test_a_row_of_another_width_names_both_counts(tmp_path, reader, name, text, line, fault):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        reader(path)
+    assert str(info.value) == f"{path}:{line}: {fault}"
+
+
+@pytest.mark.parametrize("text", ["1_0", "١٢", "+1", ".5", "1."])
+@pytest.mark.parametrize(
+    "reader, name, body, line, where",
+    [(read_manifest, "manifest.txt", _MANIFEST_HEADER + _MANIFEST_COLUMNS
+      + "prototype_00.txt,prototype,{},discrete-burst\n", 3, ": position_mm"),
+     (load_prototypes, "p.db", "# given_dim=1 hidden_dim=1\n-0.001,{},0.0001\n", 2, ""),
+     (read_calibration_summary, "calibration.csv",
+      _REPORT.replace("velocity_km_s=1.7", "velocity_km_s={}"), 3, ": velocity_km_s")],
+    ids=["manifest-position", "database-field", "calibration-summary-field"],
+)
+def test_a_number_that_is_not_a_json_number_is_refused(tmp_path, reader, name, body, line,
+                                                        where, text):
+    # int and float take these as 10, 12, 1, 0.5 and 1.0; the pair files refuse them all
+    path = tmp_path / name
+    path.write_text(body.format(text), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        reader(path)
+    assert str(info.value) == f"{path}:{line}{where}: not a JSON number: {text!r}"
+
+
+@pytest.mark.parametrize(
+    "x, text", [(1e-05, "1e-05"), (-0.0, "-0.0"), (1e16, "1e+16"), (35000, "35000")]
+)
+def test_every_number_fmt_writes_reads_back(x, text):
+    assert fmt(x) == text
+    got = parse_number(text, "where", type(x))
+    assert got == x and math.copysign(1.0, got) == math.copysign(1.0, x)
